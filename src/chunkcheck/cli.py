@@ -15,14 +15,15 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .chunking import make_chunks
-from .config import RunConfig, build_backend, build_cache, build_counter, resolve_config
+from .config import BACKENDS, RunConfig, build_backend, build_cache, build_counter, resolve_config
 from .corpus import Corpus, load_corpus
-from .engine import score_text
+from .engine import AGGREGATIONS, score_text
 from .errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from .metrics import calibration_curve, ece, evaluate_scores, retrieval_recall, roc_auc
 from .retrieval import brute_force_retrieve, retrieval_hit, retrieve
@@ -33,14 +34,14 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--claims", required=True, help="claims JSONL path")
     p.add_argument("--out", help="report path (default: stdout)")
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--backend", choices=("overlap", "remote", "unit-relevance"))
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--endpoint", help="remote backend URL (or $CHUNKCHECK_ENDPOINT)")
     p.add_argument("--auth-header", dest="auth_header", help="'Name: value' forwarded verbatim")
     p.add_argument("--relevance-file", dest="relevance_file", help="unit relevance JSON")
     p.add_argument("--counter", help="'whitespace' or 'vocab:<path>'")
     p.add_argument("--budget", type=int, help="chunk token budget (default 512)")
     p.add_argument("--k", type=int, help="retrieval branching factor (default 2)")
-    p.add_argument("--aggregation", choices=("min", "mean"))
+    p.add_argument("--aggregation", choices=AGGREGATIONS)
     p.add_argument("--ece-bins", dest="ece_bins", type=int)
     p.add_argument("--decision-threshold", dest="decision_threshold", type=float)
     p.add_argument("--concurrency", type=int)
@@ -49,23 +50,15 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float)
     p.add_argument("--retries", type=int)
     p.add_argument("--backoff", type=float)
-    p.add_argument("--seed", type=int)
 
 
-_CONFIG_KEYS = (
-    "backend", "endpoint", "auth_header", "relevance_file", "counter", "budget", "k",
-    "aggregation", "ece_bins", "decision_threshold", "concurrency", "cache_size",
-    "premise_cap", "timeout", "retries", "backoff", "seed",
-)
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    return resolve_config(getattr(args, "config", None), overrides)
-
-
-def _load(args: argparse.Namespace) -> Corpus:
-    return load_corpus(args.documents, args.claims)
+def _setup(args: argparse.Namespace):
+    """Config, corpus, counter and backend: the set-up every subcommand shares."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    config = resolve_config(args.config, overrides)
+    corpus = load_corpus(args.documents, args.claims)
+    counter = build_counter(config)
+    return config, corpus, counter, build_backend(config, corpus, counter)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -84,60 +77,53 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _report(command: str, config: RunConfig, corpus: Corpus, results: dict, meta: dict) -> dict:
-    meta = dict(meta)
-    meta["created_at"] = datetime.now(timezone.utc).isoformat()
     return {
         "version": __version__,
         "command": command,
         "config": config.to_dict(),
         "corpus_hash": corpus.content_hash(),
         "results": results,
-        "meta": meta,
+        "meta": {**meta, "created_at": datetime.now(timezone.utc).isoformat()},
     }
 
 
-def _score_corpus(corpus, config, counter, backend, cache, budget=None, explain=False):
-    """Score every claim; returns (text_scores, claim order preserved)."""
-    budget = budget if budget is not None else config.budget
-    text_scores = []
-    for text in corpus.grouped_texts():
-        doc = corpus.document(text.doc_id)
-        plan = make_chunks(doc, budget, counter)
-        text_scores.append(
-            score_text(
-                doc,
-                text,
-                budget,
-                backend,
-                counter,
-                aggregation=config.aggregation,
-                cache=cache,
-                max_workers=config.concurrency,
-                explain=explain,
-                plan=plan,
-            )
+def _score_corpus(corpus, config, counter, backend, cache, budget, explain=False):
+    """Score every claim at ``budget``: (text scores, sentence scores in claim
+    order, wall seconds)."""
+    t0 = time.perf_counter()
+    text_scores = [
+        score_text(
+            corpus.document(text.doc_id),
+            text,
+            budget,
+            backend,
+            counter,
+            aggregation=config.aggregation,
+            cache=cache,
+            max_workers=config.concurrency,
+            explain=explain,
         )
-    return text_scores
+        for text in corpus.grouped_texts()
+    ]
+    by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentence_scores}
+    return text_scores, [by_claim[c.id] for c in corpus.claims], time.perf_counter() - t0
 
 
-def _flatten_sentences(corpus: Corpus, text_scores) -> list:
-    by_claim = {}
-    for ts in text_scores:
-        for s in ts.sentence_scores:
-            by_claim[s.claim_id] = s
-    return [by_claim[c.id] for c in corpus.claims]
+def _retrievals(claims, corpus, config, counter, backend, cache):
+    """Yield (claim, document, greedy retrieval trace) for each claim, in order."""
+    for claim in claims:
+        doc = corpus.document(claim.doc_id)
+        yield claim, doc, retrieve(
+            doc, claim, backend, k=config.k, budget=config.premise_cap,
+            counter=counter, cache=cache, max_workers=config.concurrency,
+        )
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    corpus = _load(args)
-    counter = build_counter(config)
-    backend = build_backend(config, corpus)
-    cache = build_cache(config)
-    t0 = time.perf_counter()
-    text_scores = _score_corpus(corpus, config, counter, backend, cache, explain=args.explain)
-    wall = time.perf_counter() - t0
-    sentences = _flatten_sentences(corpus, text_scores)
+    config, corpus, counter, backend = _setup(args)
+    text_scores, sentences, wall = _score_corpus(
+        corpus, config, counter, backend, build_cache(config), config.budget, explain=args.explain
+    )
     results = {
         "claims": [s.to_dict() for s in sentences],
         "texts": [ts.to_dict() for ts in text_scores],
@@ -156,25 +142,11 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    corpus = _load(args)
-    counter = build_counter(config)
-    backend = build_backend(config, corpus)
+    config, corpus, counter, backend = _setup(args)
     cache = build_cache(config)
     t0 = time.perf_counter()
     entries = []
-    for claim in corpus.claims:
-        doc = corpus.document(claim.doc_id)
-        trace = retrieve(
-            doc,
-            claim,
-            backend,
-            k=config.k,
-            budget=config.premise_cap,
-            counter=counter,
-            cache=cache,
-            max_workers=config.concurrency,
-        )
+    for claim, doc, trace in _retrievals(corpus.claims, corpus, config, counter, backend, cache):
         entry = {
             "claim_id": claim.id,
             "result_unit": trace.result_unit,
@@ -211,37 +183,21 @@ def _require_labels(corpus: Corpus) -> list[bool]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    corpus = _load(args)
+    config, corpus, counter, backend = _setup(args)
     labels = _require_labels(corpus)
-    counter = build_counter(config)
-    backend = build_backend(config, corpus)
     cache = build_cache(config)
-    t0 = time.perf_counter()
-    text_scores = _score_corpus(corpus, config, counter, backend, cache)
-    sentences = _flatten_sentences(corpus, text_scores)
-    wall = time.perf_counter() - t0
-    scores = [s.score for s in sentences]
-    report = evaluate_scores(
-        scores,
+    _, sentences, wall = _score_corpus(corpus, config, counter, backend, cache, config.budget)
+    results = evaluate_scores(
+        [s.score for s in sentences],
         labels,
         wall_clock_s=wall,
         scorer_calls_total=sum(s.scorer_calls for s in sentences),
-    )
-    results = {
-        "n": report.n,
-        "roc_auc": report.roc_auc,
-        "pearson": report.pearson,
-        "kendall_tau": report.kendall_tau,
-        "f1_macro": report.f1_macro,
-        "optimal_threshold": report.optimal_threshold,
-        "scorer_calls_total": report.scorer_calls_total,
-        "claims": [
-            {"claim_id": c.id, "score": s.score, "label": bool(c.gold_label)}
-            for c, s in zip(corpus.claims, sentences)
-        ],
-    }
-    meta = {"wall_clock_s": wall}
+    ).to_dict()
+    meta = {"wall_clock_s": results.pop("wall_clock_s")}
+    results["claims"] = [
+        {"claim_id": c.id, "score": s.score, "label": bool(c.gold_label)}
+        for c, s in zip(corpus.claims, sentences)
+    ]
     if args.retrieval_recall:
         annotated = [c for c in corpus.claims if c.relevant_units]
         if not annotated:
@@ -249,12 +205,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         r0 = time.perf_counter()
         hits = []
         calls = 0
-        for claim in annotated:
-            doc = corpus.document(claim.doc_id)
-            trace = retrieve(
-                doc, claim, backend, k=config.k, budget=config.premise_cap,
-                counter=counter, cache=cache, max_workers=config.concurrency,
-            )
+        for claim, _, trace in _retrievals(annotated, corpus, config, counter, backend, cache):
             hits.append(retrieval_hit(trace, claim.relevant_units))
             calls += trace.scorer_calls
         results["retrieval"] = {
@@ -277,67 +228,64 @@ def _parse_budgets(raw: str) -> list[int]:
     return budgets
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    corpus = _load(args)
-    labels = _require_labels(corpus)
-    counter = build_counter(config)
-    backend = build_backend(config, corpus)
-    budgets = _parse_budgets(args.budgets)
-    sweep = []
-    rows = []
+def _sweep(corpus, config, counter, backend, budgets):
+    """Score the corpus at each budget, with a fresh cache per budget (no
+    cross-budget reuse): [(budget, claim-ordered scores, scorer calls, wall s)]."""
+    out = []
     for budget in budgets:
-        cache = build_cache(config)  # fresh per budget: no cross-budget reuse
-        text_scores = _score_corpus(corpus, config, counter, backend, cache, budget=budget)
-        sentences = _flatten_sentences(corpus, text_scores)
-        probs = [s.score for s in sentences]
+        _, sentences, wall = _score_corpus(
+            corpus, config, counter, backend, build_cache(config), budget
+        )
         calls = sum(s.scorer_calls for s in sentences)
+        out.append((budget, [s.score for s in sentences], calls, wall))
+    return out
+
+
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    config, corpus, counter, backend = _setup(args)
+    labels = _require_labels(corpus)
+    budgets = _parse_budgets(args.budgets)
+    sweep = _sweep(corpus, config, counter, backend, budgets)
+    entries = []
+    for budget, probs, calls, _ in sweep:
         cal = ece(probs, labels, bins=config.ece_bins,
                   decision_threshold=config.decision_threshold)
-        sweep.append({"budget": budget, "ece": cal.ece, "scorer_calls": calls,
-                      "calibration": cal.to_dict()})
-        rows.append([budget, cal.ece, calls])
+        entries.append({"budget": budget, "ece": cal.ece, "scorer_calls": calls,
+                        "calibration": cal.to_dict()})
     if args.csv:
+        rows = [[e["budget"], e["ece"], e["scorer_calls"]] for e in entries]
         _write_csv(args.csv, ["budget", "ece", "scorer_calls"], rows)
     if args.curve_csv:
-        cache = build_cache(config)
-        text_scores = _score_corpus(corpus, config, counter, backend, cache)
-        probs = [s.score for s in _flatten_sentences(corpus, text_scores)]
+        # The curve is at the configured budget; score again only if the sweep missed it.
+        probs = next((p for budget, p, _, _ in sweep if budget == config.budget), None)
+        if probs is None:
+            _, probs, _, _ = _sweep(corpus, config, counter, backend, [config.budget])[0]
         points = calibration_curve(probs, labels, bins=config.ece_bins)
         _write_csv(
             args.curve_csv,
             ["x", "y", "bin_size"],
             [[p.mean_prob, p.frac_positive, p.size] for p in points],
         )
-    results = {"sweep": sweep, "budgets": budgets}
+    results = {"sweep": entries, "budgets": budgets}
     _emit(_report("calibrate", config, corpus, results, {}), args.out)
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    corpus = _load(args)
+    config, corpus, counter, backend = _setup(args)
     labels = _require_labels(corpus)
-    counter = build_counter(config)
-    backend = build_backend(config, corpus)
     budgets = _parse_budgets(args.budgets)
-    sweep = []
+    entries = []
     rows = []
     timing = {}
-    for budget in budgets:
-        cache = build_cache(config)
-        t0 = time.perf_counter()
-        text_scores = _score_corpus(corpus, config, counter, backend, cache, budget=budget)
-        wall = time.perf_counter() - t0
-        sentences = _flatten_sentences(corpus, text_scores)
-        auc = roc_auc([s.score for s in sentences], labels)
-        calls = sum(s.scorer_calls for s in sentences)
-        sweep.append({"budget": budget, "roc_auc": auc, "scorer_calls": calls})
+    for budget, scores, calls, wall in _sweep(corpus, config, counter, backend, budgets):
+        auc = roc_auc(scores, labels)
+        entries.append({"budget": budget, "roc_auc": auc, "scorer_calls": calls})
         timing[str(budget)] = wall
         rows.append([budget, auc, wall, calls])
     if args.csv:
         _write_csv(args.csv, ["budget", "roc_auc", "wall_clock_s", "scorer_calls"], rows)
-    results = {"sweep": sweep, "budgets": budgets}
+    results = {"sweep": entries, "budgets": budgets}
     meta = {"wall_clock_s_by_budget": timing}
     _emit(_report("bench", config, corpus, results, meta), args.out)
     return 0

@@ -39,7 +39,6 @@ class RunConfig:
     timeout: float = 10.0
     retries: int = 3
     backoff: float = 0.25
-    seed: int = 0
 
     def validate(self) -> None:
         if self.backend not in BACKENDS:
@@ -105,33 +104,35 @@ def build_counter(config: RunConfig) -> TokenCounter:
     return make_counter(config.counter)
 
 
-def build_backend(config: RunConfig, corpus: Corpus | None = None) -> ScorerBackend:
+def build_backend(
+    config: RunConfig, corpus: Corpus | None = None, counter: TokenCounter | None = None
+) -> ScorerBackend:
+    """The configured backend; ``counter`` (default: the configured one) counts its premise cap."""
     if config.backend == "overlap":
         backend = LexicalOverlapBackend()
-        backend.max_premise_tokens = config.premise_cap
-        return backend
-    if config.backend == "unit-relevance":
+    elif config.backend == "unit-relevance":
         if not config.relevance_file:
             raise ValidationError("unit-relevance backend needs --relevance-file")
         if corpus is None:
             raise ValidationError("unit-relevance backend needs a loaded corpus")
         backend = UnitRelevanceBackend.from_file(config.relevance_file, corpus)
-        backend.max_premise_tokens = config.premise_cap
-        return backend
-    if config.backend == "remote":
+    elif config.backend == "remote":
         if not config.endpoint:
             raise ValidationError(
                 f"remote backend needs an endpoint (flag, config file, or ${ENDPOINT_ENV})"
             )
-        return RemoteBackend(
+        backend = RemoteBackend(
             endpoint=config.endpoint,
             auth_header=config.auth_header,
             timeout=config.timeout,
             max_retries=config.retries,
             backoff_base=config.backoff,
-            max_premise_tokens=config.premise_cap,
         )
-    raise ValidationError(f"unknown backend {config.backend!r}")
+    else:
+        raise ValidationError(f"unknown backend {config.backend!r}")
+    backend.max_premise_tokens = config.premise_cap
+    backend.budget_counter = counter or build_counter(config)
+    return backend
 
 
 def build_cache(config: RunConfig) -> ScoreCache | None:

@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CorpusError, ValidationError
@@ -220,22 +221,22 @@ class Corpus:
             if doc.id in seen:
                 raise ValidationError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
-        by_id = {d.id: d for d in self.documents}
         for claim in self.claims:
-            if claim.doc_id not in by_id:
+            if claim.doc_id not in self._by_id:
                 raise CorpusError(
                     f"claim {claim.id!r} references unknown document {claim.doc_id!r}"
                 )
-            claim.validate(by_id[claim.doc_id])
+            claim.validate(self._by_id[claim.doc_id])
+
+    @cached_property
+    def _by_id(self) -> dict[str, Document]:
+        return {doc.id: doc for doc in self.documents}
 
     def document(self, doc_id: str) -> Document:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        raise ValidationError(f"no document with id {doc_id!r}")
-
-    def claims_for(self, doc_id: str) -> list[Claim]:
-        return [c for c in self.claims if c.doc_id == doc_id]
+        doc = self._by_id.get(doc_id)
+        if doc is None:
+            raise ValidationError(f"no document with id {doc_id!r}")
+        return doc
 
     def grouped_texts(self) -> list[GeneratedText]:
         """Claims grouped per document, in file order."""

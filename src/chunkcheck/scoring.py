@@ -53,7 +53,6 @@ class BackendOutput:
 class EntailmentScore:
     probability: float
     backend: str
-    chunk_ref: tuple[str, tuple[int, int]] | None = None  # (doc_id, unit range)
 
 
 class ScorerBackend:
@@ -110,18 +109,10 @@ class ScoreCache:
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
 
-    def __len__(self) -> int:
-        return len(self._data)
 
-
-def score_pair(
-    backend: ScorerBackend,
-    premise: str,
-    hypothesis: str,
-    cache: ScoreCache | None = None,
-    chunk_ref: tuple[str, tuple[int, int]] | None = None,
-) -> EntailmentScore:
-    """Score one (premise, hypothesis) pair through the backend."""
+def _check_pair(backend: ScorerBackend, premise: str, hypothesis: str) -> None:
+    """Raise ValidationError for an empty premise or hypothesis, or a premise over the cap."""
+    build_prompt(premise, hypothesis)
     if backend.max_premise_tokens is not None:
         n = backend.budget_counter.count(premise)
         if n > backend.max_premise_tokens:
@@ -129,12 +120,18 @@ def score_pair(
                 f"premise has {n} tokens, backend {backend.name!r} admits "
                 f"{backend.max_premise_tokens}"
             )
+
+
+def _evaluate(
+    backend: ScorerBackend, premise: str, hypothesis: str, cache: ScoreCache | None
+) -> EntailmentScore:
+    """Score a checked pair: a cache hit, or one backend call."""
     key = None
     if cache is not None:
         key = ScoreCache.key(backend.name, premise, hypothesis)
         hit = cache.get(key)
         if hit is not None:
-            return EntailmentScore(probability=hit, backend=backend.name, chunk_ref=chunk_ref)
+            return EntailmentScore(probability=hit, backend=backend.name)
     out = backend.evaluate(premise, hypothesis)
     if out.logits is not None:
         prob = entail_prob(*out.logits)
@@ -144,7 +141,18 @@ def score_pair(
             raise BackendError(f"backend {backend.name!r} returned probability {prob}")
     if cache is not None:
         cache.put(key, prob)
-    return EntailmentScore(probability=prob, backend=backend.name, chunk_ref=chunk_ref)
+    return EntailmentScore(probability=prob, backend=backend.name)
+
+
+def score_pair(
+    backend: ScorerBackend,
+    premise: str,
+    hypothesis: str,
+    cache: ScoreCache | None = None,
+) -> EntailmentScore:
+    """Score one (premise, hypothesis) pair through the backend."""
+    _check_pair(backend, premise, hypothesis)
+    return _evaluate(backend, premise, hypothesis, cache)
 
 
 @dataclass(frozen=True)
@@ -164,14 +172,6 @@ class BatchResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def raise_if_failures(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            raise BackendError(
-                f"{len(self.failures)} of {len(self.scores)} batch items failed; "
-                f"first at index {first.index}: {first.error}"
-            )
-
 
 def score_batch(
     backend: ScorerBackend,
@@ -179,51 +179,32 @@ def score_batch(
     cache: ScoreCache | None = None,
     max_workers: int = 1,
 ) -> BatchResult:
-    """Score pairs in order with bounded concurrency.
+    """Score pairs in order with bounded concurrency, each distinct pair once.
 
-    Per-item errors are collected, not raised: the rest of the batch still
-    completes. With a cache, identical pairs are evaluated once.
+    Invalid inputs raise ValidationError before anything is scored; backend
+    errors are collected per item, so the rest of the batch still completes.
     """
-    if not pairs:
-        return BatchResult(scores=[], failures=[])
-
-    def run(pair):
-        return score_pair(backend, pair[0], pair[1], cache=cache)
-
-    if cache is not None:
-        order: list[tuple[str, str]] = []
-        seen = set()
-        for pair in pairs:
-            if pair not in seen:
-                seen.add(pair)
-                order.append(pair)
-    else:
-        order = list(pairs)
-
-    outcomes: dict[tuple[str, str], EntailmentScore | Exception] = {}
+    distinct = list(dict.fromkeys(pairs))
+    for premise, hypothesis in distinct:
+        _check_pair(backend, premise, hypothesis)
 
     def evaluate_one(pair):
         try:
-            return run(pair)
+            return _evaluate(backend, pair[0], pair[1], cache)
         except Exception as exc:  # per-item isolation
             return exc
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(evaluate_one, order))
+            results = list(pool.map(evaluate_one, distinct))
     else:
-        results = [evaluate_one(p) for p in order]
-
-    if cache is not None:
-        for pair, res in zip(order, results):
-            outcomes[pair] = res
-        picked = [outcomes[p] for p in pairs]
-    else:
-        picked = results
+        results = [evaluate_one(p) for p in distinct]
+    outcomes = dict(zip(distinct, results))
 
     scores: list[EntailmentScore | None] = []
     failures: list[BatchFailure] = []
-    for i, res in enumerate(picked):
+    for i, pair in enumerate(pairs):
+        res = outcomes[pair]
         if isinstance(res, Exception):
             scores.append(None)
             failures.append(BatchFailure(index=i, error=f"{type(res).__name__}: {res}"))

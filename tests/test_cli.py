@@ -1,16 +1,21 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from chunkcheck.backends import LexicalOverlapBackend
 from chunkcheck.chunking import make_chunks
-from chunkcheck.cli import main
-from chunkcheck.config import resolve_config
+from chunkcheck.cli import build_parser, main
+from chunkcheck.config import BACKENDS, RunConfig, build_backend, resolve_config
 from chunkcheck.corpus import WhitespaceCounter, load_corpus
-from chunkcheck.errors import ValidationError
+from chunkcheck.errors import PremiseTooLargeError, ValidationError
+from chunkcheck.metrics import calibration_curve
 from chunkcheck.metrics import ece as ece_op
 from chunkcheck.metrics import f1_macro_optimal, kendall_tau, pearson, roc_auc
+from chunkcheck.scoring import score_pair
 
 GOLDEN = Path(__file__).parent / "data" / "golden_score_report.json"
 
@@ -195,7 +200,15 @@ def test_evaluate_retrieval_recall_on_annotated_claims(fixture_dir, tmp_path):
 # calibrate / bench
 
 
-def test_calibrate_sweep(fixture_dir, tmp_path):
+def test_calibrate_sweep(fixture_dir, tmp_path, monkeypatch):
+    backend_calls = []
+    evaluate = LexicalOverlapBackend.evaluate
+
+    def counted(self, premise, hypothesis):
+        backend_calls.append(premise)
+        return evaluate(self, premise, hypothesis)
+
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate", counted)
     out = tmp_path / "report.json"
     sweep_csv = tmp_path / "sweep.csv"
     curve_csv = tmp_path / "curve.csv"
@@ -204,6 +217,7 @@ def test_calibrate_sweep(fixture_dir, tmp_path):
         "--csv", sweep_csv, "--curve-csv", curve_csv, "--out", out,
     ])
     assert code == 0
+    cli_calls = len(backend_calls)
     rows = list(csv.reader(sweep_csv.open()))
     assert rows[0] == ["budget", "ece", "scorer_calls"]
     assert len(rows) == 3
@@ -213,7 +227,6 @@ def test_calibrate_sweep(fixture_dir, tmp_path):
     # the JSON ece must equal recomputing from the corpus at that budget
     corpus = load_corpus(fixture_dir / "documents.jsonl", fixture_dir / "claims.jsonl")
     cfg = resolve_config(None, {})
-    from chunkcheck.backends import LexicalOverlapBackend
     from chunkcheck.engine import score_sentence
 
     counter = WhitespaceCounter()
@@ -229,9 +242,19 @@ def test_calibrate_sweep(fixture_dir, tmp_path):
                       decision_threshold=cfg.decision_threshold)
         assert entry["ece"] == pytest.approx(want.ece)
 
+    # the configured budget (512) is in the sweep, so the curve reuses its
+    # scores: no scoring beyond the sweep's own calls
+    assert cli_calls == sum(e["scorer_calls"] for e in report["results"]["sweep"])
+    probs, labels = [], []
+    for claim in corpus.claims:
+        plan = make_chunks(corpus.document(claim.doc_id), cfg.budget, counter)
+        probs.append(score_sentence(plan, claim, backend).score)
+        labels.append(bool(claim.gold_label))
+    points = calibration_curve(probs, labels, bins=cfg.ece_bins)
     curve_rows = list(csv.reader(curve_csv.open()))
     assert curve_rows[0] == ["x", "y", "bin_size"]
-    assert len(curve_rows) > 1
+    assert curve_rows[1:] == [[str(p.mean_prob), str(p.frac_positive), str(p.size)]
+                              for p in points]
 
 
 def test_bench_sweep_csv_and_monotone_calls(fixture_dir, tmp_path):
@@ -300,3 +323,31 @@ def test_invalid_flag_combo_exits_one(fixture_dir, tmp_path, capsys):
 
 def test_usage_error_maps_to_validation_exit(capsys):
     assert main(["score"]) == 1  # missing required flags
+
+
+def test_oversized_premise_exits_one(fixture_dir, tmp_path, capsys):
+    code = _run(["score", *_fixture_args(fixture_dir), "--premise-cap", "3",
+                 "--out", tmp_path / "r.json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "admits 3" in err["error"]["message"]
+
+
+def test_premise_cap_counts_with_configured_counter(data_dir):
+    vocab = data_dir / "vocab" / "mini_vocab.txt"
+    config = resolve_config(None, {"counter": f"vocab:{vocab}", "premise_cap": 4})
+    backend = build_backend(config)
+    premise = "unbelievable tokens unbelievable tokens"  # 4 words, 10 vocab tokens
+    with pytest.raises(PremiseTooLargeError, match="10 tokens"):
+        score_pair(backend, premise, "tokens")
+
+
+def test_every_subcommand_takes_every_config_field():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {"score", "retrieve", "evaluate", "calibrate", "bench"}
+    for name, sub in subparsers.choices.items():
+        actions = {a.dest: a for a in sub._actions}
+        assert {f.name for f in fields(RunConfig)} <= set(actions), name
+        assert tuple(actions["backend"].choices) == BACKENDS

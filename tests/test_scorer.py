@@ -13,6 +13,7 @@ from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.scoring import (
     BackendOutput,
     ScoreCache,
+    ScorerBackend,
     build_prompt,
     entail_prob,
     score_batch,
@@ -150,12 +151,6 @@ def test_score_pair_uses_cache():
     assert cache.hits == 4
 
 
-def test_score_pair_carries_chunk_ref():
-    backend = ScriptedBackend({"p": 0.3})
-    got = score_pair(backend, "p", "h", chunk_ref=("doc", (0, 2)))
-    assert got.chunk_ref == ("doc", (0, 2))
-
-
 def test_score_pair_rejects_oversized_premise():
     backend = ScriptedBackend({}, default=0.5)
     backend.max_premise_tokens = 3
@@ -183,11 +178,11 @@ def test_batch_empty():
 
 
 def test_batch_identical_pairs_hit_cache_once():
-    backend = ScriptedBackend({"p": 0.9})
-    cache = ScoreCache(capacity=8)
-    out = score_batch(backend, [("p", "h")] * 3, cache=cache)
-    assert [s.probability for s in out.scores] == [0.9, 0.9, 0.9]
-    assert backend.calls == 1
+    for cache in (ScoreCache(capacity=8), None):
+        backend = ScriptedBackend({"p": 0.9})
+        out = score_batch(backend, [("p", "h")] * 3, cache=cache)
+        assert [s.probability for s in out.scores] == [0.9, 0.9, 0.9]
+        assert backend.calls == 1
 
 
 def test_batch_matches_sequential_loop(overlap_backend):
@@ -216,6 +211,29 @@ def test_batch_isolates_per_item_failures():
     assert out.scores[2].probability == 0.4
     assert [f.index for f in out.failures] == [1]
     assert "RuntimeError" in out.failures[0].error
+
+
+def test_batch_raises_on_invalid_inputs_before_scoring():
+    backend = ScriptedBackend({}, default=0.5)
+    backend.max_premise_tokens = 3
+    with pytest.raises(PremiseTooLargeError):
+        score_batch(backend, [("a", "h"), ("one two three four", "h")])
+    with pytest.raises(ValidationError):
+        score_batch(backend, [("a", "h"), ("a", "   ")])
+    assert backend.calls == 0
+
+
+def test_batch_isolates_nonfinite_logits():
+    class InfiniteOnBad(ScorerBackend):
+        name = "inf"
+
+        def evaluate(self, premise, hypothesis):
+            return BackendOutput(logits=(math.inf if premise == "bad" else 0.0, 0.0))
+
+    out = score_batch(InfiniteOnBad(), [("ok", "h"), ("bad", "h")])
+    assert out.scores[0].probability == 0.5
+    assert out.scores[1] is None
+    assert [f.index for f in out.failures] == [1]
 
 
 def test_shared_cache_safe_under_concurrent_batches(overlap_backend):
