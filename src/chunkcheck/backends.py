@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import requests
@@ -35,11 +36,16 @@ class LexicalOverlapBackend(ScorerBackend):
 
     name = "overlap"
 
+    def __init__(self):
+        # Chunks recur across the claims of a document, so premise word sets
+        # are memoised; per instance, so the memo lasts as long as the backend.
+        self._premise_words = lru_cache(maxsize=4096)(_words)
+
     def evaluate(self, premise: str, hypothesis: str) -> BackendOutput:
         hyp = _words(hypothesis)
         if not hyp:
             return BackendOutput(probability=0.0)
-        prem = _words(premise)
+        prem = self._premise_words(premise)
         return BackendOutput(probability=len(hyp & prem) / len(hyp))
 
 
@@ -78,8 +84,13 @@ class UnitRelevanceBackend(ScorerBackend):
     @classmethod
     def from_file(cls, path: str | Path, corpus: Corpus) -> "UnitRelevanceBackend":
         """Load a JSON mapping {doc_id: [unit scores]}."""
-        with Path(path).open(encoding="utf-8") as fh:
-            scores_by_doc = json.load(fh)
+        try:
+            with Path(path).open(encoding="utf-8") as fh:
+                scores_by_doc = json.load(fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot read relevance file {path}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"relevance file {path} is not valid JSON: {exc}") from exc
         return cls(scores_by_doc, corpus.documents)
 
     def evaluate(self, premise: str, hypothesis: str) -> BackendOutput:
@@ -110,7 +121,6 @@ class RemoteBackend(ScorerBackend):
         timeout: float = 10.0,
         max_retries: int = 3,
         backoff_base: float = 0.25,
-        max_premise_tokens: int | None = None,
         session: requests.Session | None = None,
     ):
         if not endpoint:
@@ -120,7 +130,6 @@ class RemoteBackend(ScorerBackend):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self.max_premise_tokens = max_premise_tokens
         self._session = session or requests.Session()
         self._headers = {"Content-Type": "application/json"}
         if auth_header:

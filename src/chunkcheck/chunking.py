@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import ceil
 
-from .corpus import Document, TokenCounter, format_unit
+from .corpus import Document, TokenCounter
 from .errors import ValidationError
 
 UNIT_SEPARATOR = "\n"
@@ -24,7 +24,7 @@ UNIT_SEPARATOR = "\n"
 
 def premise_text(doc: Document, start: int, end: int) -> str:
     """The premise string for units [start, end): formatted lines, one per unit."""
-    return UNIT_SEPARATOR.join(format_unit(u) for u in doc.units[start:end])
+    return UNIT_SEPARATOR.join(doc._unit_lines[start:end])
 
 
 @dataclass(frozen=True)
@@ -129,18 +129,19 @@ def split_range(
     if m <= k:
         return [(i, i + 1) for i in range(start, end)]
 
-    counts = doc.unit_token_counts(counter)[start:end]
-    total = sum(counts)
+    prefix = doc._token_prefix_sums(counter)
+    base = prefix[start]
+    total = prefix[end] - base
     if total == 0:
         boundaries = [start + ceil(i * m / k) for i in range(1, k)]
     else:
-        cum = [0] * (m + 1)
-        for i, c in enumerate(counts):
-            cum[i + 1] = cum[i] + c
         boundaries = []
         prev = 0
         for i in range(1, k):
-            cut = bisect_left(cum, total * i / k)
+            # First j in [0, m] whose units [start, start + j) hold >= total*i/k tokens.
+            cut = bisect_left(
+                prefix, total * i / k, lo=start, hi=end + 1, key=lambda p: p - base
+            ) - start
             cut = max(cut, prev + 1)
             cut = min(cut, m - (k - i))
             boundaries.append(start + cut)

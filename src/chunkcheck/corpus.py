@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import CorpusError, ValidationError
@@ -55,7 +56,11 @@ class VocabCounter(TokenCounter):
 
     def __init__(self, vocab_path: str | Path, lowercase: bool = True):
         path = Path(vocab_path)
-        pieces = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot read vocabulary file {path}: {exc.strerror}") from exc
+        pieces = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not pieces:
             raise ValidationError(f"empty vocabulary file: {path}")
         self._starts = frozenset(p for p in pieces if not p.startswith("##"))
@@ -127,6 +132,7 @@ class Document:
     units: list[Unit]
     extra: dict = field(default_factory=dict)
     _token_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def validate(self) -> None:
         if not self.id:
@@ -144,12 +150,26 @@ class Document:
     def granularity(self) -> str:
         return "utterance" if any(u.speaker for u in self.units) else "sentence"
 
+    @cached_property
+    def _unit_lines(self) -> list[str]:
+        """The formatted premise line of each unit (``format_unit``), computed once."""
+        return [format_unit(u) for u in self.units]
+
     def unit_token_counts(self, counter: TokenCounter) -> list[int]:
         """Per-unit token counts of the formatted premise lines, cached per counter."""
         cached = self._token_cache.get(counter.name)
         if cached is None:
-            cached = [counter.count(format_unit(u)) for u in self.units]
+            cached = [counter.count(line) for line in self._unit_lines]
             self._token_cache[counter.name] = cached
+        return cached
+
+    def _token_prefix_sums(self, counter: TokenCounter) -> list[int]:
+        """``P`` with ``P[i]`` the tokens in units [0, i), cached per counter:
+        units [a, b) hold ``P[b] - P[a]`` tokens."""
+        cached = self._prefix_cache.get(counter.name)
+        if cached is None:
+            cached = list(accumulate(self.unit_token_counts(counter), initial=0))
+            self._prefix_cache[counter.name] = cached
         return cached
 
     def total_tokens(self, counter: TokenCounter) -> int:

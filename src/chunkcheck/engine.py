@@ -132,14 +132,12 @@ def score_text(
     cache: ScoreCache | None = None,
     max_workers: int = 1,
     explain: bool = False,
-    plan: ChunkPlan | None = None,
 ) -> TextScore:
     """Score every sentence of a generated text and aggregate."""
     if text.doc_id != doc.id:
         raise ValidationError(f"text targets {text.doc_id!r}, document is {doc.id!r}")
     text.validate()
-    if plan is None:
-        plan = make_chunks(doc, budget, counter)
+    plan = make_chunks(doc, budget, counter)
     sentence_scores = [
         score_sentence(plan, claim, backend, cache=cache, max_workers=max_workers, explain=explain)
         for claim in text.sentences

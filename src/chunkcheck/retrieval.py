@@ -147,21 +147,27 @@ def _effective_cap(backend: ScorerBackend, budget: int | None) -> int | None:
 
 
 def _split_under_cap(doc, start, end, k, counter, cap):
-    """Split [start, end), widening k until every multi-unit part fits the cap."""
-    parts = split_range(doc, start, end, k, counter)
+    """Split [start, end) with the smallest branching factor, at least k,
+    under which every multi-unit part fits the cap; singletons if none does.
+
+    Widening starts at the smallest branching factor that could fit: a
+    multi-unit part holds at most ``cap`` tokens and a single unit at most
+    ``cap`` plus its own excess over it, so fewer than
+    ceil((range tokens - total excess) / cap) parts never fit.
+    """
     if cap is None:
-        return parts
-    counts = doc.unit_token_counts(counter)
-    kk = k
-    while kk < end - start:
-        oversized = any(
-            b - a > 1 and sum(counts[a:b]) > cap for a, b in parts
-        )
-        if not oversized:
-            break
-        kk += 1
+        return split_range(doc, start, end, k, counter)
+    prefix = doc._token_prefix_sums(counter)
+    excess = sum(c - cap for c in doc.unit_token_counts(counter)[start:end] if c > cap)
+    fit_floor = -(-(prefix[end] - prefix[start] - excess) // cap)
+    kk = max(k, min(fit_floor, end - start))
+    while True:
         parts = split_range(doc, start, end, kk, counter)
-    return parts
+        if kk >= end - start or all(
+            b - a == 1 or prefix[b] - prefix[a] <= cap for a, b in parts
+        ):
+            return parts
+        kk += 1
 
 
 def brute_force_retrieve(

@@ -1,4 +1,5 @@
-"""Independent naive-formula oracles for the metrics module.
+"""Independent naive-formula oracles for the metrics module, and reference
+versions of the retrieval splitters.
 
 Pure-python, loop-based, written directly from the defining formulas so
 they share no code path with the implementations they check.
@@ -6,7 +7,8 @@ they share no code path with the implementations they check.
 
 from __future__ import annotations
 
-from math import sqrt
+from bisect import bisect_left
+from math import ceil, sqrt
 
 
 def auc_pair_counting(scores, labels) -> float:
@@ -124,3 +126,44 @@ def curve_by_hand(probs, labels, bins):
             frac = sum(1 for i in member if labels[i]) / len(member)
             points.append((mean_p, frac, len(member)))
     return points
+
+
+def split_range_reference(doc, start, end, k, counter):
+    """``split_range`` on a cumulative list rebuilt for the range on every call."""
+    m = end - start
+    if m <= k:
+        return [(i, i + 1) for i in range(start, end)]
+    counts = doc.unit_token_counts(counter)[start:end]
+    total = sum(counts)
+    if total == 0:
+        boundaries = [start + ceil(i * m / k) for i in range(1, k)]
+    else:
+        cum = [0] * (m + 1)
+        for i, c in enumerate(counts):
+            cum[i + 1] = cum[i] + c
+        boundaries = []
+        prev = 0
+        for i in range(1, k):
+            cut = bisect_left(cum, total * i / k)
+            cut = max(cut, prev + 1)
+            cut = min(cut, m - (k - i))
+            boundaries.append(start + cut)
+            prev = cut
+    edges = [start] + boundaries + [end]
+    return [(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def split_under_cap_reference(doc, start, end, k, counter, cap):
+    """Premise-cap widening that scans the branching factor up from k one
+    step at a time, re-splitting and re-summing the parts at every step."""
+    parts = split_range_reference(doc, start, end, k, counter)
+    if cap is None:
+        return parts
+    counts = doc.unit_token_counts(counter)
+    kk = k
+    while kk < end - start:
+        if not any(b - a > 1 and sum(counts[a:b]) > cap for a, b in parts):
+            break
+        kk += 1
+        parts = split_range_reference(doc, start, end, kk, counter)
+    return parts

@@ -334,6 +334,26 @@ def test_oversized_premise_exits_one(fixture_dir, tmp_path, capsys):
     assert "admits 3" in err["error"]["message"]
 
 
+def test_missing_vocab_file_exits_one(fixture_dir, tmp_path, capsys):
+    missing = tmp_path / "absent" / "v.txt"
+    code = _run(["score", *_fixture_args(fixture_dir), "--counter", f"vocab:{missing}",
+                 "--out", tmp_path / "r.json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert str(missing) in err["error"]["message"]
+
+
+def test_missing_relevance_file_exits_one(fixture_dir, tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code = _run(["retrieve", *_fixture_args(fixture_dir), "--backend", "unit-relevance",
+                 "--relevance-file", missing, "--out", tmp_path / "r.json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert str(missing) in err["error"]["message"]
+
+
 def test_premise_cap_counts_with_configured_counter(data_dir):
     vocab = data_dir / "vocab" / "mini_vocab.txt"
     config = resolve_config(None, {"counter": f"vocab:{vocab}", "premise_cap": 4})

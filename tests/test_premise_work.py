@@ -1,0 +1,126 @@
+"""Premise-side work is done once: prefix-sum splitting and exact-start
+widening return what their scan-based references return, the overlap
+backend's premise memo is per instance and changes no score, and call
+counts show each piece of work happening once."""
+
+import random
+from collections import Counter
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import chunkcheck.backends as backends
+import chunkcheck.retrieval as retrieval
+from chunkcheck.backends import LexicalOverlapBackend, _words
+from chunkcheck.chunking import make_chunks, split_range
+from chunkcheck.cli import main
+from chunkcheck.corpus import Claim, WhitespaceCounter, load_corpus
+from chunkcheck.retrieval import _split_under_cap, retrieve
+
+from helpers import make_sized_doc
+from oracles import split_range_reference, split_under_cap_reference
+
+WC = WhitespaceCounter()
+
+# Zero-token units included; sizes up to 40 against caps from 1 put single
+# units over the cap and caps below the largest unit.
+_counts = st.lists(st.integers(0, 40), min_size=1, max_size=80)
+
+
+def _subrange(data, n):
+    start = data.draw(st.integers(0, n - 1), label="start")
+    end = data.draw(st.integers(start + 1, n), label="end")
+    return start, end
+
+
+@given(_counts, st.integers(2, 5), st.data())
+@settings(max_examples=300, deadline=None)
+@example([0, 0, 0, 0, 0], 2, None)
+def test_split_range_matches_reference(counts, k, data):
+    doc = make_sized_doc("d", counts)
+    start, end = (0, len(counts)) if data is None else _subrange(data, len(counts))
+    assert split_range(doc, start, end, k, WC) == split_range_reference(doc, start, end, k, WC)
+
+
+@given(_counts, st.integers(2, 5), st.one_of(st.none(), st.integers(1, 120)), st.data())
+@settings(max_examples=400, deadline=None)
+@example([50, 1, 1, 1, 50, 1], 2, 10, None)
+@example([0, 0, 3, 0, 0, 0, 0], 2, 1, None)
+@example([7] * 60, 2, 6, None)
+def test_split_under_cap_matches_scan_from_k(counts, k, cap, data):
+    doc = make_sized_doc("d", counts)
+    start, end = (0, len(counts)) if data is None else _subrange(data, len(counts))
+    got = _split_under_cap(doc, start, end, k, WC, cap)
+    assert got == split_under_cap_reference(doc, start, end, k, WC, cap)
+
+
+_text = st.lists(
+    st.sampled_from(["alpha", "Beta", "beta", "gamma's", "x1", "--", "delta."]), max_size=10
+).map(" ".join)
+
+
+@given(st.lists(st.tuples(_text, _text), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_overlap_memo_scores_as_unmemoised_formula(pairs):
+    first, second = LexicalOverlapBackend(), LexicalOverlapBackend()
+    for premise, hypothesis in pairs:
+        hyp = _words(hypothesis)
+        want = len(hyp & _words(premise)) / len(hyp) if hyp else 0.0
+        assert first.evaluate(premise, hypothesis).probability == want
+        assert second.evaluate(premise, hypothesis).probability == want
+
+
+def _count_words(monkeypatch) -> Counter:
+    seen = Counter()
+
+    def counting(text):
+        seen[text] += 1
+        return _words(text)
+
+    monkeypatch.setattr(backends, "_words", counting)
+    return seen
+
+
+def test_overlap_instances_share_no_memo(monkeypatch):
+    seen = _count_words(monkeypatch)
+    first, second = LexicalOverlapBackend(), LexicalOverlapBackend()
+    for backend in (first, first, second, second):
+        backend.evaluate("the cat sat on the mat", "a cat")
+    assert seen["the cat sat on the mat"] == 2  # once per instance
+    assert seen["a cat"] == 4  # hypotheses are tokenised on every call
+
+
+def test_score_run_tokenises_each_premise_once(fixture_dir, tmp_path, monkeypatch):
+    seen = _count_words(monkeypatch)
+    docs, claims = fixture_dir / "documents.jsonl", fixture_dir / "claims.jsonl"
+    out = tmp_path / "r.json"
+    assert main(["score", "--documents", str(docs), "--claims", str(claims),
+                 "--budget", "16", "--out", str(out)]) == 0
+    corpus = load_corpus(docs, claims)
+    premises = {c.text for d in corpus.documents for c in make_chunks(d, 16, WC).chunks}
+    assert {p: seen[p] for p in premises} == {p: 1 for p in premises}
+    assert sum(seen.values()) - len(premises) == sum(
+        len(make_chunks(corpus.document(c.doc_id), 16, WC).chunks) for c in corpus.claims
+    )  # the rest are hypotheses, one per scorer call
+
+
+def test_capped_retrieval_splits_once_per_level(monkeypatch):
+    rng = random.Random(7)
+    doc = make_sized_doc("d", [rng.randint(8, 18) for _ in range(600)])
+    claim = Claim(id="c", doc_id="d", text=" ".join(doc.units[417].text.split()[:5]))
+    calls = []
+    split = retrieval.split_range
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(retrieval, "split_range", counted)
+    trace = retrieve(doc, claim, LexicalOverlapBackend(), k=2, budget=512, counter=WC)
+    assert len(trace.levels[0].candidate_ranges) > 2  # the cap widened the root
+    assert len(calls) == len(trace.levels)
+    assert trace.result_unit == 417
+
+    monkeypatch.setattr(retrieval, "_split_under_cap", split_under_cap_reference)
+    reference = retrieve(doc, claim, LexicalOverlapBackend(), k=2, budget=512, counter=WC)
+    assert reference.to_dict() == trace.to_dict()
