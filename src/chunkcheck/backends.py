@@ -19,6 +19,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import requests
+from requests.adapters import HTTPAdapter
+from requests.utils import get_netrc_auth
 
 from .corpus import Corpus, Document, format_unit
 from .errors import BackendError, ValidationError
@@ -104,14 +106,29 @@ class UnitRelevanceBackend(ScorerBackend):
         return BackendOutput(probability=best)
 
 
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A numeric Retry-After value in seconds; None for a date or garbage."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 <= seconds < float("inf") else None
+
+
 class RemoteBackend(ScorerBackend):
     """Scores pairs against an HTTP endpoint.
 
     Request:  POST {"prompt": str, "target_tokens": ["Yes", "No"]}
     Response: {"logits": [yes, no]} or {"probability": p}
 
-    Transient failures (connection errors, timeouts, 5xx) are retried with
-    exponential backoff; client errors and malformed responses are fatal.
+    Transient failures (connection errors, timeouts, 5xx, 429) are retried
+    with exponential backoff, or after a 429's numeric Retry-After; other
+    client errors and malformed responses are fatal.
+
+    Proxies, the CA bundle and netrc credentials are read from the
+    environment once, here, rather than on every request; the connection
+    pool holds ``concurrency`` connections (at least 10), so concurrent
+    calls reuse them instead of opening and discarding new ones.
     """
 
     def __init__(
@@ -121,7 +138,7 @@ class RemoteBackend(ScorerBackend):
         timeout: float = 10.0,
         max_retries: int = 3,
         backoff_base: float = 0.25,
-        session: requests.Session | None = None,
+        concurrency: int = 1,
     ):
         if not endpoint:
             raise ValidationError("remote backend requires an endpoint URL")
@@ -130,7 +147,15 @@ class RemoteBackend(ScorerBackend):
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self._session = session or requests.Session()
+        self._session = requests.Session()
+        env = self._session.merge_environment_settings(endpoint, {}, None, None, None)
+        self._session.proxies = env["proxies"]
+        self._session.verify = env["verify"]
+        self._session.auth = get_netrc_auth(endpoint)
+        self._session.trust_env = False
+        adapter = HTTPAdapter(pool_maxsize=max(10, concurrency))
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
         self._headers = {"Content-Type": "application/json"}
         if auth_header:
             if ":" not in auth_header:
@@ -147,8 +172,10 @@ class RemoteBackend(ScorerBackend):
         last_error = "no attempt made"
         while attempts <= self.max_retries:
             if attempts:
-                time.sleep(self.backoff_base * 2 ** (attempts - 1))
+                backoff = self.backoff_base * 2 ** (attempts - 1)
+                time.sleep(backoff if retry_after is None else retry_after)
             attempts += 1
+            retry_after = None
             try:
                 resp = self._session.post(
                     self.endpoint, json=payload, headers=self._headers, timeout=self.timeout
@@ -158,6 +185,10 @@ class RemoteBackend(ScorerBackend):
                 continue
             if resp.status_code >= 500:
                 last_error = f"server error HTTP {resp.status_code}"
+                continue
+            if resp.status_code == 429:
+                last_error = "rate limited HTTP 429"
+                retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
                 continue
             if resp.status_code != 200:
                 raise BackendError(

@@ -127,6 +127,7 @@ def build_backend(
             timeout=config.timeout,
             max_retries=config.retries,
             backoff_base=config.backoff,
+            concurrency=config.concurrency,
         )
     else:
         raise ValidationError(f"unknown backend {config.backend!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .chunking import Chunk, ChunkPlan, make_chunks
 from .corpus import Claim, Document, GeneratedText, TokenCounter
 from .errors import ScoringError, ValidationError
-from .scoring import ScoreCache, ScorerBackend, score_batch
+from .scoring import BatchFailure, ScoreCache, ScorerBackend, score_batch
 
 AGGREGATIONS = ("min", "mean")
 
@@ -69,6 +69,67 @@ def _max_and_argmax(plan: ChunkPlan, probs: list[float]) -> tuple[float, tuple[i
     return best, best_chunk.unit_range
 
 
+def _score_claims(
+    plan: ChunkPlan,
+    claims: list[Claim],
+    backend: ScorerBackend,
+    cache: ScoreCache | None,
+    max_workers: int,
+    explain: bool,
+) -> list[SentenceScore]:
+    """Score every claim against every chunk of the plan in one batch.
+
+    A failure raises the ScoringError of the first failing claim in order,
+    with ``partial`` and ``failures`` indexed by chunk within that claim;
+    the other claims' pairs have been scored by then.
+    """
+    for claim in claims:
+        if plan.doc_id != claim.doc_id:
+            raise ValidationError(
+                f"chunk plan is for {plan.doc_id!r} but claim {claim.id!r} "
+                f"targets {claim.doc_id!r}"
+            )
+    t0 = time.perf_counter()
+    n = len(plan.chunks)
+    pairs = [(chunk.text, claim.text) for claim in claims for chunk in plan.chunks]
+    batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
+    if not batch.ok:
+        i = batch.failures[0].index // n
+        claim, lo, hi = claims[i], i * n, (i + 1) * n
+        failures = [
+            BatchFailure(index=f.index - lo, error=f.error)
+            for f in batch.failures
+            if lo <= f.index < hi
+        ]
+        partial = [
+            (chunk, s.probability if s is not None else None)
+            for chunk, s in zip(plan.chunks, batch.scores[lo:hi])
+        ]
+        raise ScoringError(
+            f"claim {claim.id!r}: {len(failures)} of {n} chunk "
+            f"scorings failed ({failures[0].error})",
+            claim_id=claim.id,
+            partial=partial,
+            failures=failures,
+        )
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(claims)
+    out = []
+    for i, claim in enumerate(claims):
+        probs = [s.probability for s in batch.scores[i * n : (i + 1) * n]]
+        score, argmax = _max_and_argmax(plan, probs)
+        out.append(
+            SentenceScore(
+                claim_id=claim.id,
+                score=score,
+                argmax_chunk=argmax,
+                scorer_calls=n,
+                per_chunk=list(zip(plan.chunks, probs)) if explain else None,
+                elapsed_ms=elapsed_ms,
+            )
+        )
+    return out
+
+
 def score_sentence(
     plan: ChunkPlan,
     claim: Claim,
@@ -82,36 +143,7 @@ def score_sentence(
     Issues one scorer call per chunk (batched); any chunk failure after the
     backend's retries fails the sentence with partial results attached.
     """
-    if plan.doc_id != claim.doc_id:
-        raise ValidationError(
-            f"chunk plan is for {plan.doc_id!r} but claim {claim.id!r} "
-            f"targets {claim.doc_id!r}"
-        )
-    t0 = time.perf_counter()
-    pairs = [(chunk.text, claim.text) for chunk in plan.chunks]
-    batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
-    if not batch.ok:
-        partial = [
-            (chunk, s.probability if s is not None else None)
-            for chunk, s in zip(plan.chunks, batch.scores)
-        ]
-        raise ScoringError(
-            f"claim {claim.id!r}: {len(batch.failures)} of {len(plan.chunks)} chunk "
-            f"scorings failed ({batch.failures[0].error})",
-            claim_id=claim.id,
-            partial=partial,
-            failures=batch.failures,
-        )
-    probs = [s.probability for s in batch.scores]
-    score, argmax = _max_and_argmax(plan, probs)
-    return SentenceScore(
-        claim_id=claim.id,
-        score=score,
-        argmax_chunk=argmax,
-        scorer_calls=len(plan.chunks),
-        per_chunk=list(zip(plan.chunks, probs)) if explain else None,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return _score_claims(plan, [claim], backend, cache, max_workers, explain)[0]
 
 
 def aggregate_scores(values: list[float], aggregation: str) -> float:
@@ -133,15 +165,16 @@ def score_text(
     max_workers: int = 1,
     explain: bool = False,
 ) -> TextScore:
-    """Score every sentence of a generated text and aggregate."""
+    """Score every sentence of a generated text, as one batch, and aggregate.
+
+    On failure, raises the ScoringError that ``score_sentence`` would raise
+    for the first failing sentence.
+    """
     if text.doc_id != doc.id:
         raise ValidationError(f"text targets {text.doc_id!r}, document is {doc.id!r}")
     text.validate()
     plan = make_chunks(doc, budget, counter)
-    sentence_scores = [
-        score_sentence(plan, claim, backend, cache=cache, max_workers=max_workers, explain=explain)
-        for claim in text.sentences
-    ]
+    sentence_scores = _score_claims(plan, text.sentences, backend, cache, max_workers, explain)
     agg = aggregate_scores([s.score for s in sentence_scores], aggregation)
     return TextScore(
         doc_id=doc.id,

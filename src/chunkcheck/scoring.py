@@ -10,6 +10,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .corpus import TokenCounter, WhitespaceCounter
 from .errors import BackendError, PremiseTooLargeError, ValidationError
@@ -17,13 +18,16 @@ from .errors import BackendError, PremiseTooLargeError, ValidationError
 PROMPT_TEMPLATE = "{premise} Question: does this imply '{hypothesis}'? Yes or no?"
 
 
+def _require_text(text: str, what: str) -> None:
+    if not text.strip():
+        raise ValidationError(f"{what} must be non-empty")
+
+
 def build_prompt(premise: str, hypothesis: str) -> str:
     """Render the scoring prompt. The template is fixed verbatim: no escaping,
     no whitespace adjustment."""
-    if not premise.strip():
-        raise ValidationError("premise must be non-empty")
-    if not hypothesis.strip():
-        raise ValidationError("hypothesis must be non-empty")
+    _require_text(premise, "premise")
+    _require_text(hypothesis, "hypothesis")
     return PROMPT_TEMPLATE.format(premise=premise, hypothesis=hypothesis)
 
 
@@ -71,6 +75,10 @@ class ScorerBackend:
         raise NotImplementedError
 
 
+def _sha256(text: str) -> bytes:
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
 class ScoreCache:
     """Thread-safe LRU keyed on (backend, premise hash, hypothesis hash).
 
@@ -88,10 +96,9 @@ class ScoreCache:
         self.misses = 0
 
     @staticmethod
-    def key(backend_name: str, premise: str, hypothesis: str) -> tuple:
-        hp = hashlib.sha256(premise.encode("utf-8")).digest()
-        hh = hashlib.sha256(hypothesis.encode("utf-8")).digest()
-        return (backend_name, hp, hh)
+    def key(backend_name: str, premise: str, hypothesis: str, digest=_sha256) -> tuple:
+        """The cache key; ``digest`` may be a memoised ``_sha256``."""
+        return (backend_name, digest(premise), digest(hypothesis))
 
     def get(self, key) -> float | None:
         with self._lock:
@@ -110,25 +117,40 @@ class ScoreCache:
                 self._data.popitem(last=False)
 
 
-def _check_pair(backend: ScorerBackend, premise: str, hypothesis: str) -> None:
-    """Raise ValidationError for an empty premise or hypothesis, or a premise over the cap."""
-    build_prompt(premise, hypothesis)
-    if backend.max_premise_tokens is not None:
-        n = backend.budget_counter.count(premise)
-        if n > backend.max_premise_tokens:
-            raise PremiseTooLargeError(
-                f"premise has {n} tokens, backend {backend.name!r} admits "
-                f"{backend.max_premise_tokens}"
-            )
+def _check_pairs(backend: ScorerBackend, pairs) -> None:
+    """Raise ValidationError for the first pair, in order, with an empty premise
+    or hypothesis or a premise over the cap. Each distinct text is checked,
+    and each premise counted, once; within a pair the checks keep
+    ``build_prompt``'s order, then the cap, so the error raised is the one a
+    pair-by-pair check would raise first."""
+    cap = backend.max_premise_tokens
+    premises: set[str] = set()
+    hypotheses: set[str] = set()
+    for premise, hypothesis in pairs:
+        new_premise = premise not in premises
+        if new_premise:
+            _require_text(premise, "premise")
+        if hypothesis not in hypotheses:
+            _require_text(hypothesis, "hypothesis")
+            hypotheses.add(hypothesis)
+        if new_premise:
+            premises.add(premise)
+            if cap is not None and (n := backend.budget_counter.count(premise)) > cap:
+                raise PremiseTooLargeError(
+                    f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
+                )
 
 
 def _evaluate(
-    backend: ScorerBackend, premise: str, hypothesis: str, cache: ScoreCache | None
+    backend: ScorerBackend,
+    premise: str,
+    hypothesis: str,
+    cache: ScoreCache | None,
+    key: tuple | None,
 ) -> EntailmentScore:
-    """Score a checked pair: a cache hit, or one backend call."""
-    key = None
+    """Score a checked pair: a cache hit, or one backend call (``key`` is its
+    cache key when there is a cache)."""
     if cache is not None:
-        key = ScoreCache.key(backend.name, premise, hypothesis)
         hit = cache.get(key)
         if hit is not None:
             return EntailmentScore(probability=hit, backend=backend.name)
@@ -151,8 +173,9 @@ def score_pair(
     cache: ScoreCache | None = None,
 ) -> EntailmentScore:
     """Score one (premise, hypothesis) pair through the backend."""
-    _check_pair(backend, premise, hypothesis)
-    return _evaluate(backend, premise, hypothesis, cache)
+    _check_pairs(backend, [(premise, hypothesis)])
+    key = ScoreCache.key(backend.name, premise, hypothesis) if cache is not None else None
+    return _evaluate(backend, premise, hypothesis, cache, key)
 
 
 @dataclass(frozen=True)
@@ -185,20 +208,24 @@ def score_batch(
     errors are collected per item, so the rest of the batch still completes.
     """
     distinct = list(dict.fromkeys(pairs))
-    for premise, hypothesis in distinct:
-        _check_pair(backend, premise, hypothesis)
+    _check_pairs(backend, distinct)
+    if cache is not None:
+        digest = lru_cache(maxsize=None)(_sha256)  # each distinct text hashed once
+        keys = [ScoreCache.key(backend.name, p, h, digest) for p, h in distinct]
+    else:
+        keys = [None] * len(distinct)
 
-    def evaluate_one(pair):
+    def evaluate_one(pair, key):
         try:
-            return _evaluate(backend, pair[0], pair[1], cache)
+            return _evaluate(backend, pair[0], pair[1], cache, key)
         except Exception as exc:  # per-item isolation
             return exc
 
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(evaluate_one, distinct))
+            results = list(pool.map(evaluate_one, distinct, keys))
     else:
-        results = [evaluate_one(p) for p in distinct]
+        results = [evaluate_one(p, k) for p, k in zip(distinct, keys)]
     outcomes = dict(zip(distinct, results))
 
     scores: list[EntailmentScore | None] = []

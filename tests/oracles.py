@@ -167,3 +167,22 @@ def split_under_cap_reference(doc, start, end, k, counter, cap):
         kk += 1
         parts = split_range_reference(doc, start, end, kk, counter)
     return parts
+
+
+def check_pairs_reference(backend, pairs) -> None:
+    """Input checks pair by pair, with nothing skipped: empty premise, empty
+    hypothesis, then the premise cap."""
+    from chunkcheck.errors import PremiseTooLargeError, ValidationError
+
+    for premise, hypothesis in pairs:
+        if not premise.strip():
+            raise ValidationError("premise must be non-empty")
+        if not hypothesis.strip():
+            raise ValidationError("hypothesis must be non-empty")
+        cap = backend.max_premise_tokens
+        if cap is not None:
+            n = backend.budget_counter.count(premise)
+            if n > cap:
+                raise PremiseTooLargeError(
+                    f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
+                )

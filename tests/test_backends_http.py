@@ -6,8 +6,12 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
+import requests.sessions
+import requests.utils
 
 from chunkcheck.backends import RemoteBackend
+from chunkcheck.config import RunConfig, build_backend
 from chunkcheck.errors import BackendError
 from chunkcheck.scoring import score_batch, score_pair
 
@@ -18,6 +22,11 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output clean
         pass
 
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
@@ -27,23 +36,34 @@ class _Handler(BaseHTTPRequestHandler):
             "headers": {k: v for k, v in self.headers.items()},
         }
         self.server.requests.append(record)
-        status, payload = self.server.respond(record)
+        status, payload, *extra = self.server.respond(record)
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
 
-class FixtureServer:
-    """Scripted responses: a transient-failure budget plus prompt-keyed rules."""
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"
 
-    def __init__(self):
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+
+class FixtureServer:
+    """Scripted responses: transient-failure and rate-limit budgets plus
+    prompt-keyed rules. Counts accepted connections."""
+
+    def __init__(self, handler=_Handler):
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.httpd.requests = []
         self.httpd.respond = self._respond
+        self.httpd.lock = threading.Lock()
+        self.httpd.connections = 0
         self.transient_failures = 0
+        self.rate_limited = 0
+        self.retry_after = None
         self.default = (200, {"logits": [2.0, 0.0]})
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
         self.thread.start()
@@ -69,6 +89,10 @@ class FixtureServer:
             return 200, {"probability": 0.42}
         if "NO_PAYLOAD" in prompt:
             return 200, {"something": "else"}
+        if "ALWAYS_429" in prompt or self.rate_limited > 0:
+            self.rate_limited -= 1
+            headers = {} if self.retry_after is None else {"Retry-After": self.retry_after}
+            return 429, {"error": "scripted rate limit"}, headers
         if self.transient_failures > 0:
             self.transient_failures -= 1
             return 503, {"error": "scripted transient failure"}
@@ -187,3 +211,87 @@ def test_concurrent_batch_matches_sequential(server):
     seq = score_batch(backend, pairs, max_workers=1)
     par = score_batch(backend, pairs, max_workers=4)
     assert [s.probability for s in seq.scores] == [s.probability for s in par.scores]
+
+
+def test_rate_limit_is_retried_after_retry_after(server):
+    server.rate_limited, server.retry_after = 1, "0.2"
+    backend = _backend(server, backoff_base=0.01)
+    t0 = time.perf_counter()
+    got = score_pair(backend, "rate limited once", "h")
+    elapsed = time.perf_counter() - t0
+    assert abs(got.probability - 0.8807970779778823) < 1e-12
+    assert len(server.requests) == 2  # attempts == 2
+    assert elapsed >= 0.2  # slept for Retry-After, not the 0.01 s backoff
+
+
+@pytest.mark.parametrize("retry_after", [None, "Wed, 21 Oct 2015 07:28:00 GMT"])
+def test_persistent_rate_limit_fails_after_retries(server, retry_after):
+    server.retry_after = retry_after  # absent or a date: the usual backoff
+    backend = _backend(server, max_retries=2, backoff_base=0.01)
+    t0 = time.perf_counter()
+    with pytest.raises(BackendError) as err:
+        score_pair(backend, "p ALWAYS_429", "h")
+    assert err.value.attempts == 3
+    assert "429" in str(err.value)
+    assert len(server.requests) == 3
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_environment_is_not_read_per_call(server, monkeypatch):
+    backend = _backend(server)
+    lookups = []
+    for module in (requests.utils, requests.sessions):
+        for name in ("get_environ_proxies", "get_netrc_auth"):
+            orig = getattr(module, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                lookups.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    score_batch(backend, [(f"premise {i}", "h") for i in range(4)], max_workers=2)
+    assert len(server.requests) == 4
+    assert lookups == []
+
+
+def _per_request_settings(url):
+    return requests.Session().merge_environment_settings(url, {}, None, None, None)
+
+
+def test_environment_settings_match_per_request_resolution(server, monkeypatch, tmp_path):
+    for var in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
+                "http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "bundle.pem"))
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n")
+    monkeypatch.setenv("NETRC", str(netrc))
+    for url in (server.url, "http://example.invalid/score"):
+        session = RemoteBackend(url)._session
+        want = _per_request_settings(url)
+        assert session.proxies == want["proxies"]
+        assert session.verify == want["verify"] == str(tmp_path / "bundle.pem")
+        assert session.auth == requests.utils.get_netrc_auth(url)
+    assert RemoteBackend(server.url)._session.proxies.get("http") is None  # NO_PROXY
+    assert RemoteBackend("http://example.invalid/s")._session.proxies["http"] == (
+        "http://proxy.invalid:3128"
+    )
+    score_pair(_backend(server), "p", "h")  # bypasses the proxy, sends netrc credentials
+    assert server.requests[-1]["headers"]["Authorization"].startswith("Basic ")
+
+
+def test_pool_holds_every_concurrent_connection(caplog):
+    srv = FixtureServer(_KeepAliveHandler)
+    try:
+        backend = build_backend(RunConfig(backend="remote", endpoint=srv.url, concurrency=16))
+        for batch in range(3):
+            pairs = [(f"premise {batch} {i}", "h") for i in range(64)]
+            assert score_batch(backend, pairs, max_workers=16).ok
+        backend._session.close()
+        assert len(srv.requests) == 3 * 64
+        assert srv.httpd.connections <= 16
+        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+    finally:
+        srv.close()

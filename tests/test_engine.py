@@ -161,6 +161,46 @@ def test_text_scorer_call_accounting(overlap_backend):
     assert sum(s.scorer_calls for s in ts.sentence_scores) == n_chunks * len(texts)
 
 
+def test_text_is_scored_as_one_batch(overlap_backend, monkeypatch):
+    import chunkcheck.engine as engine
+
+    batches = []
+    score_batch = engine.score_batch
+
+    def counted(backend, pairs, **kw):
+        batches.append(pairs)
+        return score_batch(backend, pairs, **kw)
+
+    monkeypatch.setattr(engine, "score_batch", counted)
+    doc = make_doc("d", 6, words_per_unit=2)
+    texts = ["du0w0", "du2w1 du3w0", "du5w1", "du0w0"]
+    ts = score_text(doc, _text("d", texts), 4, overlap_backend, WC)
+    n_chunks = len(make_chunks(doc, 4, WC).chunks)
+    assert len(batches) == 1
+    assert len(batches[0]) == n_chunks * len(texts)
+    assert len({s.elapsed_ms for s in ts.sentence_scores}) == 1  # batch time split evenly
+
+
+def test_text_failure_is_first_failing_claims_error():
+    doc = make_doc("d", 6, words_per_unit=2)
+    plan = make_chunks(doc, 4, WC)
+    n_chunks = len(plan.chunks)
+    texts = ["du0w0", "du2w1 BOOM", "BOOM again"]
+    backend = FlakyBackend(marker="BOOM", score=0.7)
+    with pytest.raises(ScoringError) as err:
+        score_text(doc, _text("d", texts), 4, backend, WC)
+    assert backend.calls == n_chunks * len(texts)  # the whole text was scored
+    assert err.value.claim_id == "s1"
+    assert [f.index for f in err.value.failures] == list(range(n_chunks))
+    assert [c for c, _ in err.value.partial] == plan.chunks
+    assert all(p is None for _, p in err.value.partial)
+    with pytest.raises(ScoringError) as alone:
+        score_sentence(plan, Claim(id="s1", doc_id="d", text=texts[1]), backend)
+    assert str(err.value) == str(alone.value)
+    assert err.value.failures == alone.value.failures
+    assert err.value.partial == alone.value.partial
+
+
 def test_text_doc_mismatch(overlap_backend):
     doc = make_doc("d", 2)
     with pytest.raises(ValidationError):

@@ -1,8 +1,10 @@
 """Premise-side work is done once: prefix-sum splitting and exact-start
 widening return what their scan-based references return, the overlap
-backend's premise memo is per instance and changes no score, and call
-counts show each piece of work happening once."""
+backend's premise memo is per instance and changes no score, a batch's
+input checks raise what pair-by-pair checks raise, and call counts show
+each piece of work happening once."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -15,10 +17,12 @@ from chunkcheck.backends import LexicalOverlapBackend, _words
 from chunkcheck.chunking import make_chunks, split_range
 from chunkcheck.cli import main
 from chunkcheck.corpus import Claim, WhitespaceCounter, load_corpus
+from chunkcheck.errors import ValidationError
 from chunkcheck.retrieval import _split_under_cap, retrieve
+from chunkcheck.scoring import ScoreCache, score_batch
 
 from helpers import make_sized_doc
-from oracles import split_range_reference, split_under_cap_reference
+from oracles import check_pairs_reference, split_range_reference, split_under_cap_reference
 
 WC = WhitespaceCounter()
 
@@ -124,3 +128,64 @@ def test_capped_retrieval_splits_once_per_level(monkeypatch):
     monkeypatch.setattr(retrieval, "_split_under_cap", split_under_cap_reference)
     reference = retrieve(doc, claim, LexicalOverlapBackend(), k=2, budget=512, counter=WC)
     assert reference.to_dict() == trace.to_dict()
+
+
+def _first_error(check, backend, pairs):
+    try:
+        check(backend, pairs)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_check_text = st.sampled_from(["", " ", "a", "a b", "a b c", "a b c d e"])
+
+
+@given(st.lists(st.tuples(_check_text, _check_text), max_size=12),
+       st.one_of(st.none(), st.integers(1, 4)))
+@settings(max_examples=400, deadline=None)
+def test_batch_checks_raise_the_pairwise_first_error(pairs, cap):
+    backend = LexicalOverlapBackend()
+    backend.max_premise_tokens = cap
+    want = _first_error(check_pairs_reference, backend, list(dict.fromkeys(pairs)))
+    assert _first_error(score_batch, backend, pairs) == want
+
+
+def _batch_pairs():
+    premises = [f"premise {i} " + "word " * i for i in range(1, 5)]
+    hypotheses = ["first claim", "second claim", "first claim", "third claim"]
+    return premises, hypotheses, [(p, h) for h in hypotheses for p in premises]
+
+
+def test_batch_counts_each_premise_once(monkeypatch):
+    premises, _, pairs = _batch_pairs()
+    counted = Counter()
+    count = WhitespaceCounter.count
+
+    def counting(self, text):
+        counted[text] += 1
+        return count(self, text)
+
+    monkeypatch.setattr(WhitespaceCounter, "count", counting)
+    backend = LexicalOverlapBackend()
+    backend.max_premise_tokens = 100
+    assert score_batch(backend, pairs, max_workers=2).ok
+    assert counted == Counter(premises)
+
+
+def test_batch_hashes_each_distinct_text_once(monkeypatch):
+    premises, hypotheses, pairs = _batch_pairs()
+    hashed = Counter()
+    sha256 = hashlib.sha256
+
+    def counting(data=b""):
+        hashed[data.decode("utf-8")] += 1
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    backend, cache = LexicalOverlapBackend(), ScoreCache(64)
+    assert score_batch(backend, pairs, cache=cache, max_workers=2).ok
+    assert hashed == Counter(set(premises) | set(hypotheses))
+    monkeypatch.undo()
+    for premise, hypothesis in pairs:  # keys are ScoreCache.key's
+        assert cache.get(ScoreCache.key(backend.name, premise, hypothesis)) is not None
