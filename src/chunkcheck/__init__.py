@@ -53,7 +53,6 @@ from .retrieval import (
 )
 from .scoring import (
     BatchResult,
-    EntailmentScore,
     ScoreCache,
     ScorerBackend,
     build_prompt,
@@ -109,7 +108,6 @@ __all__ = [
     "retrieve",
     "verify_trace",
     "BatchResult",
-    "EntailmentScore",
     "ScoreCache",
     "ScorerBackend",
     "build_prompt",

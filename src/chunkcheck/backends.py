@@ -24,7 +24,7 @@ from requests.utils import get_netrc_auth
 
 from .corpus import Corpus, Document, format_unit
 from .errors import BackendError, ValidationError
-from .scoring import BackendOutput, ScorerBackend, build_prompt
+from .scoring import ScorerBackend, build_prompt, entail_prob
 
 _WORD = re.compile(r"[a-z0-9']+")
 
@@ -43,12 +43,11 @@ class LexicalOverlapBackend(ScorerBackend):
         # are memoised; per instance, so the memo lasts as long as the backend.
         self._premise_words = lru_cache(maxsize=4096)(_words)
 
-    def evaluate(self, premise: str, hypothesis: str) -> BackendOutput:
+    def evaluate(self, premise: str, hypothesis: str) -> float:
         hyp = _words(hypothesis)
         if not hyp:
-            return BackendOutput(probability=0.0)
-        prem = self._premise_words(premise)
-        return BackendOutput(probability=len(hyp & prem) / len(hyp))
+            return 0.0
+        return len(hyp & self._premise_words(premise)) / len(hyp)
 
 
 class UnitRelevanceBackend(ScorerBackend):
@@ -95,7 +94,7 @@ class UnitRelevanceBackend(ScorerBackend):
             raise ValidationError(f"relevance file {path} is not valid JSON: {exc}") from exc
         return cls(scores_by_doc, corpus.documents)
 
-    def evaluate(self, premise: str, hypothesis: str) -> BackendOutput:
+    def evaluate(self, premise: str, hypothesis: str) -> float:
         best = 0.0
         for line in premise.split("\n"):
             score = self._line_scores.get(line)
@@ -103,7 +102,7 @@ class UnitRelevanceBackend(ScorerBackend):
                 raise BackendError(f"premise line not in relevance table: {line!r}")
             if score > best:
                 best = score
-        return BackendOutput(probability=best)
+        return best
 
 
 def _retry_after_seconds(value: str | None) -> float | None:
@@ -119,7 +118,8 @@ class RemoteBackend(ScorerBackend):
     """Scores pairs against an HTTP endpoint.
 
     Request:  POST {"prompt": str, "target_tokens": ["Yes", "No"]}
-    Response: {"logits": [yes, no]} or {"probability": p}
+    Response: {"logits": [yes, no]} or {"probability": p}; logits are
+    converted here with ``entail_prob``, so callers only see probabilities.
 
     Transient failures (connection errors, timeouts, 5xx, 429) are retried
     with exponential backoff, or after a 429's numeric Retry-After; other
@@ -163,7 +163,7 @@ class RemoteBackend(ScorerBackend):
             name, value = auth_header.split(":", 1)
             self._headers[name.strip()] = value.strip()
 
-    def evaluate(self, premise: str, hypothesis: str) -> BackendOutput:
+    def evaluate(self, premise: str, hypothesis: str) -> float:
         payload = {
             "prompt": build_prompt(premise, hypothesis),
             "target_tokens": ["Yes", "No"],
@@ -203,7 +203,7 @@ class RemoteBackend(ScorerBackend):
             endpoint=self.endpoint,
         )
 
-    def _parse(self, resp, attempts: int) -> BackendOutput:
+    def _parse(self, resp, attempts: int) -> float:
         try:
             body = resp.json()
         except ValueError as exc:
@@ -219,9 +219,9 @@ class RemoteBackend(ScorerBackend):
                     f"expected two logits, got {logits!r}", attempts=attempts,
                     endpoint=self.endpoint,
                 )
-            return BackendOutput(logits=(float(logits[0]), float(logits[1])))
+            return entail_prob(float(logits[0]), float(logits[1]))
         if isinstance(body, dict) and "probability" in body:
-            return BackendOutput(probability=float(body["probability"]))
+            return float(body["probability"])
         raise BackendError(
             f"response missing 'logits' or 'probability': {body!r}",
             attempts=attempts,

@@ -110,17 +110,21 @@ def _score_corpus(corpus, config, counter, backend, cache, budget, explain=False
 
 
 def _retrievals(claims, corpus, config, counter, backend, cache):
-    """Yield (claim, document, greedy retrieval trace) for each claim, in order."""
+    """Yield (claim, document, greedy retrieval trace) for each claim, in order;
+    the premise cap is the backend's own (``build_backend`` sets it)."""
     for claim in claims:
         doc = corpus.document(claim.doc_id)
         yield claim, doc, retrieve(
-            doc, claim, backend, k=config.k, budget=config.premise_cap,
-            counter=counter, cache=cache, max_workers=config.concurrency,
+            doc, claim, backend, k=config.k, counter=counter, cache=cache,
+            max_workers=config.concurrency,
         )
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    config, corpus, counter, backend = _setup(args)
+# Each cmd_* gets the set-up ``main`` built once and returns (results, meta),
+# which ``main`` turns into the one report it emits.
+
+
+def cmd_score(args, config, corpus, counter, backend):
     text_scores, sentences, wall = _score_corpus(
         corpus, config, counter, backend, build_cache(config), config.budget, explain=args.explain
     )
@@ -137,12 +141,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         "wall_clock_s": wall,
         "claim_ms": {s.claim_id: s.elapsed_ms for s in sentences},
     }
-    _emit(_report("score", config, corpus, results, meta), args.out)
-    return 0
+    return results, meta
 
 
-def cmd_retrieve(args: argparse.Namespace) -> int:
-    config, corpus, counter, backend = _setup(args)
+def cmd_retrieve(args, config, corpus, counter, backend):
     cache = build_cache(config)
     t0 = time.perf_counter()
     entries = []
@@ -166,10 +168,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         if claim.relevant_units:
             entry["hit"] = retrieval_hit(trace, claim.relevant_units)
         entries.append(entry)
-    results = {"retrievals": entries}
-    meta = {"wall_clock_s": time.perf_counter() - t0}
-    _emit(_report("retrieve", config, corpus, results, meta), args.out)
-    return 0
+    return {"retrievals": entries}, {"wall_clock_s": time.perf_counter() - t0}
 
 
 def _require_labels(corpus: Corpus) -> list[bool]:
@@ -182,8 +181,7 @@ def _require_labels(corpus: Corpus) -> list[bool]:
     return [bool(c.gold_label) for c in corpus.claims]
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config, corpus, counter, backend = _setup(args)
+def cmd_evaluate(args, config, corpus, counter, backend):
     labels = _require_labels(corpus)
     cache = build_cache(config)
     _, sentences, wall = _score_corpus(corpus, config, counter, backend, cache, config.budget)
@@ -214,8 +212,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "scorer_calls": calls,
         }
         meta["retrieval_wall_clock_s"] = time.perf_counter() - r0
-    _emit(_report("evaluate", config, corpus, results, meta), args.out)
-    return 0
+    return results, meta
 
 
 def _parse_budgets(raw: str) -> list[int]:
@@ -241,8 +238,7 @@ def _sweep(corpus, config, counter, backend, budgets):
     return out
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    config, corpus, counter, backend = _setup(args)
+def cmd_calibrate(args, config, corpus, counter, backend):
     labels = _require_labels(corpus)
     budgets = _parse_budgets(args.budgets)
     sweep = _sweep(corpus, config, counter, backend, budgets)
@@ -266,13 +262,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             ["x", "y", "bin_size"],
             [[p.mean_prob, p.frac_positive, p.size] for p in points],
         )
-    results = {"sweep": entries, "budgets": budgets}
-    _emit(_report("calibrate", config, corpus, results, {}), args.out)
-    return 0
+    return {"sweep": entries, "budgets": budgets}, {}
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    config, corpus, counter, backend = _setup(args)
+def cmd_bench(args, config, corpus, counter, backend):
     labels = _require_labels(corpus)
     budgets = _parse_budgets(args.budgets)
     entries = []
@@ -285,10 +278,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows.append([budget, auc, wall, calls])
     if args.csv:
         _write_csv(args.csv, ["budget", "roc_auc", "wall_clock_s", "scorer_calls"], rows)
-    results = {"sweep": entries, "budgets": budgets}
-    meta = {"wall_clock_s_by_budget": timing}
-    _emit(_report("bench", config, corpus, results, meta), args.out)
-    return 0
+    return {"sweep": entries, "budgets": budgets}, {"wall_clock_s_by_budget": timing}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +341,10 @@ def main(argv: list[str] | None = None) -> int:
         # backend/transport failures here.
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        config, corpus, counter, backend = _setup(args)
+        results, meta = args.func(args, config, corpus, counter, backend)
+        _emit(_report(args.command, config, corpus, results, meta), args.out)
+        return 0
     except (BackendError,) as exc:
         _error_report("backend", str(exc))
         return 2

@@ -156,20 +156,22 @@ class Document:
         return [format_unit(u) for u in self.units]
 
     def unit_token_counts(self, counter: TokenCounter) -> list[int]:
-        """Per-unit token counts of the formatted premise lines, cached per counter."""
-        cached = self._token_cache.get(counter.name)
+        """Per-unit token counts of the formatted premise lines, cached per
+        counter object: names do not tell counters apart (two vocabularies
+        with one file name, or one read with ``lowercase=False``)."""
+        cached = self._token_cache.get(counter)
         if cached is None:
             cached = [counter.count(line) for line in self._unit_lines]
-            self._token_cache[counter.name] = cached
+            self._token_cache[counter] = cached
         return cached
 
     def _token_prefix_sums(self, counter: TokenCounter) -> list[int]:
         """``P`` with ``P[i]`` the tokens in units [0, i), cached per counter:
         units [a, b) hold ``P[b] - P[a]`` tokens."""
-        cached = self._prefix_cache.get(counter.name)
+        cached = self._prefix_cache.get(counter)
         if cached is None:
             cached = list(accumulate(self.unit_token_counts(counter), initial=0))
-            self._prefix_cache[counter.name] = cached
+            self._prefix_cache[counter] = cached
         return cached
 
     def total_tokens(self, counter: TokenCounter) -> int:

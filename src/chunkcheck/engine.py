@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .chunking import Chunk, ChunkPlan, make_chunks
 from .corpus import Claim, Document, GeneratedText, TokenCounter
 from .errors import ScoringError, ValidationError
-from .scoring import BatchFailure, ScoreCache, ScorerBackend, score_batch
+from .scoring import BatchFailure, ScoreCache, ScorerBackend, first_max, score_batch
 
 AGGREGATIONS = ("min", "mean")
 
@@ -59,16 +59,6 @@ class TextScore:
         }
 
 
-def _max_and_argmax(plan: ChunkPlan, probs: list[float]) -> tuple[float, tuple[int, int]]:
-    best = probs[0]
-    best_chunk = plan.chunks[0]
-    for chunk, p in zip(plan.chunks[1:], probs[1:]):
-        if p > best:  # strict: ties stay on the lowest chunk index
-            best = p
-            best_chunk = chunk
-    return best, best_chunk.unit_range
-
-
 def _score_claims(
     plan: ChunkPlan,
     claims: list[Claim],
@@ -101,10 +91,7 @@ def _score_claims(
             for f in batch.failures
             if lo <= f.index < hi
         ]
-        partial = [
-            (chunk, s.probability if s is not None else None)
-            for chunk, s in zip(plan.chunks, batch.scores[lo:hi])
-        ]
+        partial = list(zip(plan.chunks, batch.scores[lo:hi]))
         raise ScoringError(
             f"claim {claim.id!r}: {len(failures)} of {n} chunk "
             f"scorings failed ({failures[0].error})",
@@ -115,13 +102,13 @@ def _score_claims(
     elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(claims)
     out = []
     for i, claim in enumerate(claims):
-        probs = [s.probability for s in batch.scores[i * n : (i + 1) * n]]
-        score, argmax = _max_and_argmax(plan, probs)
+        probs = batch.scores[i * n : (i + 1) * n]
+        best = first_max(probs)
         out.append(
             SentenceScore(
                 claim_id=claim.id,
-                score=score,
-                argmax_chunk=argmax,
+                score=probs[best],
+                argmax_chunk=plan.chunks[best].unit_range,
                 scorer_calls=n,
                 per_chunk=list(zip(plan.chunks, probs)) if explain else None,
                 elapsed_ms=elapsed_ms,

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chunking import premise_text, split_range
-from .corpus import Claim, Document, TokenCounter, WhitespaceCounter
+from .corpus import Claim, Document, TokenCounter
 from .errors import ScoringError, ValidationError
-from .scoring import ScoreCache, ScorerBackend, score_batch
+from .scoring import ScoreCache, ScorerBackend, first_max, score_batch
 
 
 @dataclass
@@ -63,14 +63,6 @@ class BruteForceResult:
     scorer_calls: int
 
 
-def _pick_best(scores: list[float]) -> int:
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:  # ties keep the lowest start index
-            best = i
-    return best
-
-
 def _score_ranges(doc, claim, backend, ranges, cache, max_workers, partial_levels):
     pairs = [(premise_text(doc, a, b), claim.text) for a, b in ranges]
     batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
@@ -82,7 +74,7 @@ def _score_ranges(doc, claim, backend, ranges, cache, max_workers, partial_level
             partial=partial_levels,
             failures=batch.failures,
         )
-    return [s.probability for s in batch.scores]
+    return batch.scores
 
 
 def retrieve(
@@ -100,45 +92,35 @@ def retrieve(
     ``budget`` (or the backend's own premise cap) bounds part sizes: when a
     multi-unit part would exceed it, the level's branching factor grows until
     every part fits, mirroring how one would split further to fit memory.
+    Parts are measured with ``counter``, by default the counter that
+    enforces the backend's cap. A one-unit document yields one level that
+    scores its lone unit.
     """
     if not doc.units:
         raise ValidationError(f"document {doc.id!r} has no units")
     if k < 2:
         raise ValidationError(f"branching factor must be >= 2, got {k}")
-    counter = counter or WhitespaceCounter()
+    counter = counter or backend.budget_counter
     cap = _effective_cap(backend, budget)
 
     levels: list[TraceLevel] = []
     calls = 0
     start, end = 0, len(doc.units)
-    if end - start == 1:
-        # Degenerate descent: score the lone unit so the trace carries a score.
-        scores = _score_ranges(doc, claim, backend, [(0, 1)], cache, max_workers, levels)
-        levels.append(TraceLevel(candidate_ranges=[(0, 1)], scores=scores, chosen=0))
-        return RetrievalTrace(
-            claim_id=claim.id,
-            levels=levels,
-            result_unit=0,
-            result_score=scores[0],
-            scorer_calls=1,
-        )
-
-    while end - start > 1:
+    while True:
         parts = _split_under_cap(doc, start, end, k, counter, cap)
         scores = _score_ranges(doc, claim, backend, parts, cache, max_workers, levels)
         calls += len(parts)
-        chosen = _pick_best(scores)
+        chosen = first_max(scores)
         levels.append(TraceLevel(candidate_ranges=parts, scores=scores, chosen=chosen))
         start, end = parts[chosen]
-
-    last = levels[-1]
-    return RetrievalTrace(
-        claim_id=claim.id,
-        levels=levels,
-        result_unit=start,
-        result_score=last.scores[last.chosen],
-        scorer_calls=calls,
-    )
+        if end - start == 1:
+            return RetrievalTrace(
+                claim_id=claim.id,
+                levels=levels,
+                result_unit=start,
+                result_score=scores[chosen],
+                scorer_calls=calls,
+            )
 
 
 def _effective_cap(backend: ScorerBackend, budget: int | None) -> int | None:
@@ -182,7 +164,7 @@ def brute_force_retrieve(
         raise ValidationError(f"document {doc.id!r} has no units")
     ranges = [(i, i + 1) for i in range(len(doc.units))]
     scores = _score_ranges(doc, claim, backend, ranges, cache, max_workers, [])
-    best = _pick_best(scores)
+    best = first_max(scores)
     return BruteForceResult(unit=best, score=scores[best], scorer_calls=len(ranges))
 
 
@@ -222,7 +204,7 @@ def verify_trace(
             raise ValidationError(
                 f"trace replay mismatch at level {depth}: {scores} != {level.scores}"
             )
-        if _pick_best(scores) != level.chosen:
+        if first_max(scores) != level.chosen:
             raise ValidationError(f"trace replay picked a different branch at level {depth}")
     if calls != trace.scorer_calls:
         raise ValidationError(

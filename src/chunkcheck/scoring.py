@@ -1,5 +1,6 @@
 """Entailment scorer contract: prompt construction, logit-to-probability
 conversion, caching, and batch dispatch over interchangeable backends.
+A backend returns the entailment probability of a pair as a float.
 """
 
 from __future__ import annotations
@@ -41,24 +42,6 @@ def entail_prob(logit_yes: float, logit_no: float) -> float:
     return ey / (ey + en)
 
 
-@dataclass(frozen=True)
-class BackendOutput:
-    """A backend returns either a raw yes/no logit pair or a direct probability."""
-
-    logits: tuple[float, float] | None = None
-    probability: float | None = None
-
-    def __post_init__(self):
-        if (self.logits is None) == (self.probability is None):
-            raise ValidationError("backend output needs exactly one of logits/probability")
-
-
-@dataclass(frozen=True)
-class EntailmentScore:
-    probability: float
-    backend: str
-
-
 class ScorerBackend:
     """Deterministic entailment scorer (temperature-zero semantics).
 
@@ -71,8 +54,14 @@ class ScorerBackend:
     max_premise_tokens: int | None = None
     budget_counter: TokenCounter = WhitespaceCounter()
 
-    def evaluate(self, premise: str, hypothesis: str) -> BackendOutput:
+    def evaluate(self, premise: str, hypothesis: str) -> float:
+        """The probability in [0, 1] that the premise entails the hypothesis."""
         raise NotImplementedError
+
+
+def first_max(values: list[float]) -> int:
+    """Index of the maximum; ties keep the lowest index."""
+    return max(range(len(values)), key=values.__getitem__)
 
 
 def _sha256(text: str) -> bytes:
@@ -82,8 +71,11 @@ def _sha256(text: str) -> bytes:
 class ScoreCache:
     """Thread-safe LRU keyed on (backend, premise hash, hypothesis hash).
 
-    Retrieval re-scores overlapping ranges across claims on the same
-    document, so repeats are common.
+    Keys include the hypothesis, so an entry is reused only when the same
+    claim text meets the same premise again: in practice, the retrieval of a
+    claim whose text repeats on the same document re-reads the ranges an
+    earlier retrieval of that text scored. Within one batch identical pairs
+    are already deduplicated before the cache is consulted.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -147,23 +139,19 @@ def _evaluate(
     hypothesis: str,
     cache: ScoreCache | None,
     key: tuple | None,
-) -> EntailmentScore:
+) -> float:
     """Score a checked pair: a cache hit, or one backend call (``key`` is its
     cache key when there is a cache)."""
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
-            return EntailmentScore(probability=hit, backend=backend.name)
-    out = backend.evaluate(premise, hypothesis)
-    if out.logits is not None:
-        prob = entail_prob(*out.logits)
-    else:
-        prob = out.probability
-        if not (0.0 <= prob <= 1.0):
-            raise BackendError(f"backend {backend.name!r} returned probability {prob}")
+            return hit
+    prob = backend.evaluate(premise, hypothesis)
+    if not (0.0 <= prob <= 1.0):
+        raise BackendError(f"backend {backend.name!r} returned probability {prob}")
     if cache is not None:
         cache.put(key, prob)
-    return EntailmentScore(probability=prob, backend=backend.name)
+    return prob
 
 
 def score_pair(
@@ -171,7 +159,7 @@ def score_pair(
     premise: str,
     hypothesis: str,
     cache: ScoreCache | None = None,
-) -> EntailmentScore:
+) -> float:
     """Score one (premise, hypothesis) pair through the backend."""
     _check_pairs(backend, [(premise, hypothesis)])
     key = ScoreCache.key(backend.name, premise, hypothesis) if cache is not None else None
@@ -188,7 +176,7 @@ class BatchFailure:
 class BatchResult:
     """Order-preserving batch outcome; failed items are None in ``scores``."""
 
-    scores: list[EntailmentScore | None]
+    scores: list[float | None]
     failures: list[BatchFailure]
 
     @property
@@ -228,7 +216,7 @@ def score_batch(
         results = [evaluate_one(p, k) for p, k in zip(distinct, keys)]
     outcomes = dict(zip(distinct, results))
 
-    scores: list[EntailmentScore | None] = []
+    scores: list[float | None] = []
     failures: list[BatchFailure] = []
     for i, pair in enumerate(pairs):
         res = outcomes[pair]

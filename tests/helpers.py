@@ -6,7 +6,7 @@ import random
 
 from chunkcheck.backends import UnitRelevanceBackend
 from chunkcheck.corpus import Document, Unit
-from chunkcheck.scoring import BackendOutput, ScorerBackend
+from chunkcheck.scoring import ScorerBackend
 
 
 def make_doc(doc_id: str, n_units: int, words_per_unit: int = 3) -> Document:
@@ -51,10 +51,10 @@ class ScriptedBackend(ScorerBackend):
     def evaluate(self, premise, hypothesis):
         self.calls += 1
         if premise in self.by_premise:
-            return BackendOutput(probability=self.by_premise[premise])
+            return self.by_premise[premise]
         if self.default is None:
             raise KeyError(f"unscripted premise: {premise!r}")
-        return BackendOutput(probability=self.default)
+        return self.default
 
 
 class FlakyBackend(ScorerBackend):
@@ -71,4 +71,4 @@ class FlakyBackend(ScorerBackend):
         self.calls += 1
         if self.marker in hypothesis or self.marker in premise:
             raise RuntimeError("scripted failure")
-        return BackendOutput(probability=self.score)
+        return self.score

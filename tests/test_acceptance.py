@@ -297,13 +297,13 @@ def test_criterion_10_remote_backend_contract():
                 server.url, timeout=2.0, max_retries=2, backoff_base=0.05
             )
             got = score_pair(backend, "a recorded premise", "a hypothesis")
-            assert abs(got.probability - 0.8807970779778823) < 1e-12
+            assert abs(got - 0.8807970779778823) < 1e-12
 
             server.transient_failures = 1
             t0 = time.perf_counter()
             before = len(server.requests)
             again = score_pair(backend, "premise after hiccup", "h")
-            assert abs(again.probability - 0.8807970779778823) < 1e-12
+            assert abs(again - 0.8807970779778823) < 1e-12
             assert len(server.requests) - before == 2  # failed once, retried once
             assert time.perf_counter() - t0 >= 0.05  # waited out the backoff
 

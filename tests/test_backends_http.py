@@ -65,7 +65,10 @@ class FixtureServer:
         self.rate_limited = 0
         self.retry_after = None
         self.default = (200, {"logits": [2.0, 0.0]})
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # A short poll keeps shutdown() from waiting out the default 0.5 s.
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @property
@@ -89,6 +92,12 @@ class FixtureServer:
             return 200, {"probability": 0.42}
         if "NO_PAYLOAD" in prompt:
             return 200, {"something": "else"}
+        if "INF_LOGITS" in prompt:
+            return 200, b'{"logits": [1e999, 0]}'
+        if "PROB_ABOVE_ONE" in prompt:
+            return 200, {"probability": 1.5}
+        if "PROB_NAN" in prompt:
+            return 200, b'{"probability": NaN}'
         if "ALWAYS_429" in prompt or self.rate_limited > 0:
             self.rate_limited -= 1
             headers = {} if self.retry_after is None else {"Retry-After": self.retry_after}
@@ -120,8 +129,7 @@ def _backend(server, **kw):
 def test_logits_response_becomes_probability(server):
     backend = _backend(server)
     got = score_pair(backend, "a premise", "a hypothesis")
-    assert abs(got.probability - 0.8807970779778823) < 1e-12
-    assert got.backend == f"remote:{server.url}"
+    assert abs(got - 0.8807970779778823) < 1e-12
 
 
 def test_request_wire_format(server):
@@ -137,7 +145,7 @@ def test_request_wire_format(server):
 def test_direct_probability_response(server):
     backend = _backend(server)
     got = score_pair(backend, "p DIRECT_PROB", "h")
-    assert got.probability == 0.42
+    assert got == 0.42
 
 
 def test_transient_failure_is_retried_with_backoff(server):
@@ -146,7 +154,7 @@ def test_transient_failure_is_retried_with_backoff(server):
     t0 = time.perf_counter()
     got = score_pair(backend, "needs a retry", "h")
     elapsed = time.perf_counter() - t0
-    assert abs(got.probability - 0.8807970779778823) < 1e-12
+    assert abs(got - 0.8807970779778823) < 1e-12
     assert len(server.requests) == 2
     assert elapsed >= 0.05  # waited at least one backoff interval
 
@@ -195,8 +203,27 @@ def test_batch_items_fail_independently(server):
     out = score_batch(backend, pairs)
     assert out.scores[1] is None
     assert [f.index for f in out.failures] == [1]
-    assert abs(out.scores[0].probability - 0.8807970779778823) < 1e-12
-    assert abs(out.scores[2].probability - 0.8807970779778823) < 1e-12
+    assert abs(out.scores[0] - 0.8807970779778823) < 1e-12
+    assert abs(out.scores[2] - 0.8807970779778823) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "marker, error",
+    [
+        ("INF_LOGITS", "ValidationError: logits must be finite, got (inf, 0.0)"),
+        ("PROB_ABOVE_ONE", "BackendError: backend 'remote:{url}' returned probability 1.5"),
+        ("PROB_NAN", "BackendError: backend 'remote:{url}' returned probability nan"),
+    ],
+    ids=["infinite-logits", "probability-above-one", "nan-probability"],
+)
+def test_batch_isolates_bad_probability_bodies(server, marker, error):
+    backend = _backend(server)
+    pairs = [("fine one", "h"), (f"p {marker}", "h"), ("fine two", "h")]
+    out = score_batch(backend, pairs)
+    assert out.scores[1] is None
+    assert [(f.index, f.error) for f in out.failures] == [(1, error.format(url=server.url))]
+    assert abs(out.scores[0] - 0.8807970779778823) < 1e-12
+    assert abs(out.scores[2] - 0.8807970779778823) < 1e-12
 
 
 def test_auth_header_forwarded(server):
@@ -210,7 +237,7 @@ def test_concurrent_batch_matches_sequential(server):
     pairs = [(f"premise {i}", "h") for i in range(12)]
     seq = score_batch(backend, pairs, max_workers=1)
     par = score_batch(backend, pairs, max_workers=4)
-    assert [s.probability for s in seq.scores] == [s.probability for s in par.scores]
+    assert seq.scores == par.scores
 
 
 def test_rate_limit_is_retried_after_retry_after(server):
@@ -219,7 +246,7 @@ def test_rate_limit_is_retried_after_retry_after(server):
     t0 = time.perf_counter()
     got = score_pair(backend, "rate limited once", "h")
     elapsed = time.perf_counter() - t0
-    assert abs(got.probability - 0.8807970779778823) < 1e-12
+    assert abs(got - 0.8807970779778823) < 1e-12
     assert len(server.requests) == 2  # attempts == 2
     assert elapsed >= 0.2  # slept for Retry-After, not the 0.01 s backoff
 

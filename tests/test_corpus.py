@@ -309,6 +309,25 @@ def test_counter_separator_subadditivity(data_dir, a, b):
         assert counter.count(a + " " + b) <= counter.count(a) + counter.count(b) + 1
 
 
+def test_token_count_caches_keep_counters_apart(tmp_path):
+    # Both vocabularies are named vocab.txt, so the counters share a name.
+    (tmp_path / "v1").mkdir()
+    (tmp_path / "v2").mkdir()
+    (tmp_path / "v1" / "vocab.txt").write_text("un\n##believ\n##able\ntokens\n")
+    (tmp_path / "v2" / "vocab.txt").write_text("unbelievable\ntokens\n")
+    units = [Unit(index=0, text="unbelievable tokens"), Unit(index=1, text="Unbelievable tokens")]
+    doc = Document(id="d", units=units)
+    v1 = VocabCounter(tmp_path / "v1" / "vocab.txt")
+    v2 = VocabCounter(tmp_path / "v2" / "vocab.txt")
+    v1_cased = VocabCounter(tmp_path / "v1" / "vocab.txt", lowercase=False)
+    assert v1.name == v2.name == v1_cased.name
+    assert doc.unit_token_counts(v1) == [4, 4]
+    assert doc.unit_token_counts(v2) == [2, 2]
+    assert doc.unit_token_counts(v1_cased) == [4, 2]
+    assert doc._token_prefix_sums(v2) == [0, 2, 4]
+    assert doc._token_prefix_sums(v1_cased) == [0, 4, 6]
+
+
 def test_make_counter(data_dir):
     assert make_counter("whitespace").name == "whitespace"
     vc = make_counter(f"vocab:{data_dir / 'vocab' / 'mini_vocab.txt'}")

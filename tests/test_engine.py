@@ -41,7 +41,7 @@ def test_single_chunk_reduces_to_score_pair(overlap_backend):
     plan = make_chunks(doc, 100, WC)
     got = score_sentence(plan, _claim("d", "beta gamma"), overlap_backend)
     direct = score_pair(overlap_backend, plan.chunks[0].text, "beta gamma")
-    assert got.score == direct.probability
+    assert got.score == direct
     assert got.scorer_calls == 1
 
 
@@ -57,7 +57,7 @@ def test_overlap_three_single_unit_chunks(overlap_backend):
     assert got.argmax_chunk == (1, 2)
     # oracle: exhaustive score_pair over the chunks
     exhaustive = [
-        score_pair(overlap_backend, chunk.text, "c d").probability for chunk in plan.chunks
+        score_pair(overlap_backend, chunk.text, "c d") for chunk in plan.chunks
     ]
     assert got.score == max(exhaustive)
 

@@ -70,8 +70,8 @@ def test_overlap_memo_scores_as_unmemoised_formula(pairs):
     for premise, hypothesis in pairs:
         hyp = _words(hypothesis)
         want = len(hyp & _words(premise)) / len(hyp) if hyp else 0.0
-        assert first.evaluate(premise, hypothesis).probability == want
-        assert second.evaluate(premise, hypothesis).probability == want
+        assert first.evaluate(premise, hypothesis) == want
+        assert second.evaluate(premise, hypothesis) == want
 
 
 def _count_words(monkeypatch) -> Counter:

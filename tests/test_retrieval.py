@@ -4,7 +4,7 @@ import pytest
 
 from chunkcheck.backends import LexicalOverlapBackend
 from chunkcheck.chunking import premise_text
-from chunkcheck.corpus import Claim, Document, Unit, WhitespaceCounter
+from chunkcheck.corpus import Claim, Document, Unit, VocabCounter, WhitespaceCounter
 from chunkcheck.errors import ValidationError
 from chunkcheck.retrieval import (
     brute_force_retrieve,
@@ -88,7 +88,7 @@ def test_brute_force_matches_independent_loop():
     backend = LexicalOverlapBackend()
     bf = brute_force_retrieve(doc, claim, backend)
     probs = [
-        score_pair(backend, premise_text(doc, i, i + 1), claim.text).probability
+        score_pair(backend, premise_text(doc, i, i + 1), claim.text)
         for i in range(50)
     ]
     best = max(range(50), key=lambda i: (probs[i], -i))
@@ -169,6 +169,22 @@ def test_oversized_single_units_still_descend():
     doc, backend = relevance_fixture("d", [0.3, 0.9], words_per_unit=50)
     trace = retrieve(doc, _claim("d"), backend, k=2, budget=10, counter=WC)
     assert trace.result_unit == 1
+
+
+def test_parts_default_to_the_counter_that_enforces_the_cap(data_dir):
+    # Each unit is 4 whitespace tokens but 9 mini_vocab tokens: measured in
+    # whitespace tokens, halves of 4 units look like they fit a cap of 12.
+    units = [Unit(index=i, text=f"unbelievable tokens number{i} unbelievable") for i in range(8)]
+    doc = Document(id="d", units=units)
+    backend = LexicalOverlapBackend()
+    backend.max_premise_tokens = 12
+    backend.budget_counter = VocabCounter(data_dir / "vocab" / "mini_vocab.txt")
+    claim = _claim("d", "number3 unbelievable")
+    implicit = retrieve(doc, claim, backend)
+    explicit = retrieve(doc, claim, backend, counter=backend.budget_counter)
+    assert implicit.to_dict() == explicit.to_dict()
+    assert implicit.result_unit == 3
+    assert len(doc._token_cache) == 1  # one counter object, one cache entry
 
 
 # ---------------------------------------------------------------------------

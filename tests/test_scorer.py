@@ -11,9 +11,7 @@ from chunkcheck.backends import UnitRelevanceBackend
 from chunkcheck.chunking import premise_text
 from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.scoring import (
-    BackendOutput,
     ScoreCache,
-    ScorerBackend,
     build_prompt,
     entail_prob,
     score_batch,
@@ -120,17 +118,15 @@ def test_entail_prob_matches_high_precision_reference():
 
 
 def test_overlap_oracle_full_containment(overlap_backend):
-    score = score_pair(overlap_backend, "a b c d", "b c")
-    assert score.probability == 1.0
-    assert score.backend == "overlap"
+    assert score_pair(overlap_backend, "a b c d", "b c") == 1.0
 
 
 def test_overlap_oracle_disjoint(overlap_backend):
-    assert score_pair(overlap_backend, "a b", "x y").probability == 0.0
+    assert score_pair(overlap_backend, "a b", "x y") == 0.0
 
 
 def test_overlap_oracle_partial(overlap_backend):
-    assert score_pair(overlap_backend, "a b c d", "a b x y").probability == 0.5
+    assert score_pair(overlap_backend, "a b c d", "a b x y") == 0.5
 
 
 def test_score_pair_deterministic(overlap_backend):
@@ -138,7 +134,7 @@ def test_score_pair_deterministic(overlap_backend):
     for premise, hyp in pairs:
         first = score_pair(overlap_backend, premise, hyp)
         second = score_pair(overlap_backend, premise, hyp)
-        assert first.probability == second.probability
+        assert first == second
 
 
 def test_score_pair_uses_cache():
@@ -146,7 +142,7 @@ def test_score_pair_uses_cache():
     cache = ScoreCache(capacity=8)
     for _ in range(5):
         got = score_pair(backend, "p", "h", cache=cache)
-        assert got.probability == 0.7
+        assert got == 0.7
     assert backend.calls == 1
     assert cache.hits == 4
 
@@ -157,14 +153,7 @@ def test_score_pair_rejects_oversized_premise():
     with pytest.raises(PremiseTooLargeError):
         score_pair(backend, "one two three four", "h")
     # at the cap is fine
-    assert score_pair(backend, "one two three", "h").probability == 0.5
-
-
-def test_backend_output_requires_exactly_one_payload():
-    with pytest.raises(ValidationError):
-        BackendOutput()
-    with pytest.raises(ValidationError):
-        BackendOutput(logits=(0.0, 1.0), probability=0.5)
+    assert score_pair(backend, "one two three", "h") == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +170,7 @@ def test_batch_identical_pairs_hit_cache_once():
     for cache in (ScoreCache(capacity=8), None):
         backend = ScriptedBackend({"p": 0.9})
         out = score_batch(backend, [("p", "h")] * 3, cache=cache)
-        assert [s.probability for s in out.scores] == [0.9, 0.9, 0.9]
+        assert out.scores == [0.9, 0.9, 0.9]
         assert backend.calls == 1
 
 
@@ -195,20 +184,18 @@ def test_batch_matches_sequential_loop(overlap_backend):
         )
         for _ in range(100)
     ]
-    sequential = [score_pair(overlap_backend, p, h).probability for p, h in pairs]
+    sequential = [score_pair(overlap_backend, p, h) for p, h in pairs]
     for workers in (1, 4):
         batch = score_batch(overlap_backend, pairs, max_workers=workers)
         assert batch.ok
-        assert [s.probability for s in batch.scores] == sequential
+        assert batch.scores == sequential
 
 
 def test_batch_isolates_per_item_failures():
     backend = FlakyBackend(marker="BOOM", score=0.4)
     pairs = [("a", "ok"), ("a", "BOOM"), ("b", "ok2")]
     out = score_batch(backend, pairs)
-    assert out.scores[0].probability == 0.4
-    assert out.scores[1] is None
-    assert out.scores[2].probability == 0.4
+    assert out.scores == [0.4, None, 0.4]
     assert [f.index for f in out.failures] == [1]
     assert "RuntimeError" in out.failures[0].error
 
@@ -223,19 +210,6 @@ def test_batch_raises_on_invalid_inputs_before_scoring():
     assert backend.calls == 0
 
 
-def test_batch_isolates_nonfinite_logits():
-    class InfiniteOnBad(ScorerBackend):
-        name = "inf"
-
-        def evaluate(self, premise, hypothesis):
-            return BackendOutput(logits=(math.inf if premise == "bad" else 0.0, 0.0))
-
-    out = score_batch(InfiniteOnBad(), [("ok", "h"), ("bad", "h")])
-    assert out.scores[0].probability == 0.5
-    assert out.scores[1] is None
-    assert [f.index for f in out.failures] == [1]
-
-
 def test_shared_cache_safe_under_concurrent_batches(overlap_backend):
     rng = random.Random(8)
     vocab = ["ant", "bee", "cat", "dog"]
@@ -246,12 +220,12 @@ def test_shared_cache_safe_under_concurrent_batches(overlap_backend):
         )
         for _ in range(200)
     ]
-    want = [score_pair(overlap_backend, p, h).probability for p, h in pairs]
+    want = [score_pair(overlap_backend, p, h) for p, h in pairs]
     cache = ScoreCache(capacity=64)
     for _ in range(3):  # repeated concurrent passes over one shared cache
         out = score_batch(overlap_backend, pairs, cache=cache, max_workers=8)
         assert out.ok
-        assert [s.probability for s in out.scores] == want
+        assert out.scores == want
 
 
 def test_cache_evicts_lru():
@@ -277,7 +251,7 @@ def test_unit_relevance_backend_is_max_composable():
     for _ in range(40):
         a = rng.randrange(0, 12)
         b = rng.randrange(a + 1, 13)
-        got = score_pair(backend, premise_text(doc, a, b), "anything").probability
+        got = score_pair(backend, premise_text(doc, a, b), "anything")
         assert got == max(scores[a:b])
 
 
