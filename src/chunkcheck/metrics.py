@@ -12,6 +12,8 @@ Conventions, pinned once here:
   the label; confidence is the mean score. `calibration_curve` is the
   companion positive-fraction view of the same binning: the two disagree on
   purpose for bins below the decision threshold.
+- Every float input must be finite: NaN or an infinity raises
+  ValidationError.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite (no NaN or infinity)")
     return arr
 
 
@@ -35,9 +39,26 @@ def _as_label_array(labels) -> np.ndarray:
     return arr
 
 
-def _check_binary(labels: np.ndarray) -> None:
-    if labels.all() or (~labels).all():
+def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and boolean labels of equal length, both classes present."""
+    s = _as_float_array(scores, "scores")
+    y = _as_label_array(labels)
+    if len(s) != len(y):
+        raise ValidationError(f"length mismatch: {len(s)} scores, {len(y)} labels")
+    if y.all() or (~y).all():
         raise ValidationError("both classes must be present")
+    return s, y
+
+
+def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two float samples of equal length, at least 2 points."""
+    xa = _as_float_array(x, "x")
+    ya = _as_float_array(y, "y")
+    if len(xa) != len(ya):
+        raise ValidationError(f"length mismatch: {len(xa)} vs {len(ya)}")
+    if len(xa) < 2:
+        raise ValidationError("need at least 2 points")
+    return xa, ya
 
 
 # ---------------------------------------------------------------------------
@@ -46,21 +67,10 @@ def _check_binary(labels: np.ndarray) -> None:
 
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative."""
-    s = _as_float_array(scores, "scores")
-    y = _as_label_array(labels)
-    if len(s) != len(y):
-        raise ValidationError(f"length mismatch: {len(s)} scores, {len(y)} labels")
-    _check_binary(y)
-    order = np.argsort(s, kind="stable")
-    sorted_scores = s[order]
-    ranks = np.empty(len(s), dtype=float)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
-        i = j + 1
+    s, y = _scores_and_labels(scores, labels)
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    ranks = ((2 * starts + counts - 1) / 2.0 + 1.0)[group]  # midrank, 1-based
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     rank_sum = float(ranks[y].sum())
@@ -69,12 +79,7 @@ def roc_auc(scores, labels) -> float:
 
 def pearson(x, y) -> float:
     """Product-moment correlation."""
-    xa = _as_float_array(x, "x")
-    ya = _as_float_array(y, "y")
-    if len(xa) != len(ya):
-        raise ValidationError(f"length mismatch: {len(xa)} vs {len(ya)}")
-    if len(xa) < 2:
-        raise ValidationError("need at least 2 points")
+    xa, ya = _paired(x, y)
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sx = float(np.sqrt((dx * dx).sum()))
@@ -84,39 +89,75 @@ def pearson(x, y) -> float:
     return float((dx * dy).sum()) / (sx * sy)
 
 
+def _tied_pairs(counts: np.ndarray) -> int:
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _inversions(r: np.ndarray, m: int) -> int:
+    """Pairs i < j with r[i] > r[j], for integer ranks 0 <= r < m.
+
+    Bottom-up merge sort: at width w every block of 2w holds two sorted
+    halves, and each element of a right half counts the left-half elements
+    above it. Offsetting ranks by block id (pid * m + r) makes all left
+    halves one sorted array, so one searchsorted serves every block.
+    """
+    n = len(r)
+    idx = np.arange(n)
+    total = 0
+    w = 1
+    while w < n:
+        pid = idx // (2 * w)
+        keys = pid * m + r
+        left = (idx % (2 * w)) < w
+        left_keys = keys[left]
+        right_pid = pid[~left]
+        block_end = np.searchsorted(left_keys, (right_pid + 1) * m, "left")
+        at_most = np.searchsorted(left_keys, keys[~left], "right")
+        total += int((block_end - at_most).sum())
+        r = np.sort(keys, kind="stable") - pid * m  # merge each block
+        w *= 2
+    return total
+
+
 def kendall_tau(x, y) -> float:
-    """Tau-b: (concordant - discordant) / sqrt((n0 - tx) * (n0 - ty))."""
-    xa = _as_float_array(x, "x")
-    ya = _as_float_array(y, "y")
-    if len(xa) != len(ya):
-        raise ValidationError(f"length mismatch: {len(xa)} vs {len(ya)}")
+    """Tau-b: (concordant - discordant) / sqrt((n0 - tx) * (n0 - ty)).
+
+    Knight's algorithm: order by (x, y), count discordant pairs as the
+    inversions of y in that order, and take the tie terms from runs of
+    equal x, equal y and equal (x, y).
+    """
+    xa, ya = _paired(x, y)
     n = len(xa)
-    if n < 2:
-        raise ValidationError("need at least 2 points")
-    sx = np.sign(xa[:, None] - xa[None, :])
-    sy = np.sign(ya[:, None] - ya[None, :])
-    iu = np.triu_indices(n, k=1)
-    prod = sx[iu] * sy[iu]
-    concordant_minus_discordant = float(prod.sum())
+    _, rx, cx = np.unique(xa, return_inverse=True, return_counts=True)
+    _, ry, cy = np.unique(ya, return_inverse=True, return_counts=True)
+    rxy = rx * len(cy) + ry
+    _, cxy = np.unique(rxy, return_counts=True)
+    discordant = _inversions(ry[np.argsort(rxy, kind="stable")], len(cy))
+    tx, ty, txy = _tied_pairs(cx), _tied_pairs(cy), _tied_pairs(cxy)
     n0 = n * (n - 1) / 2.0
-    ties_x = n0 - float(np.count_nonzero(sx[iu]))
-    ties_y = n0 - float(np.count_nonzero(sy[iu]))
-    denom = np.sqrt((n0 - ties_x) * (n0 - ties_y))
+    concordant = n0 - tx - ty + txy - discordant
+    denom = np.sqrt((n0 - tx) * (n0 - ty))
     if denom == 0.0:
         raise ValidationError("constant input has undefined tau")
-    return concordant_minus_discordant / denom
+    return float((concordant - discordant) / denom)
 
 
 # ---------------------------------------------------------------------------
 # Thresholded classification
 
 
-def _f1(tp: int, fp: int, fn: int) -> float:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _f1(tp, fp, fn):
+    """Per-class F1 from integer counts, elementwise; an empty denominator
+    gives 0.0, never NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        total = precision + recall
+        return np.where(total == 0.0, 0.0, 2.0 * precision * recall / total)
+
+
+def _macro_f1(tp, fp, fn, tn):
+    return (_f1(tp, fp, fn) + _f1(tn, fn, fp)) / 2.0
 
 
 def macro_f1(predictions, labels) -> float:
@@ -125,11 +166,11 @@ def macro_f1(predictions, labels) -> float:
     y = _as_label_array(labels)
     if len(pred) != len(y):
         raise ValidationError(f"length mismatch: {len(pred)} vs {len(y)}")
-    tp = int((pred & y).sum())
-    fp = int((pred & ~y).sum())
-    fn = int((~pred & y).sum())
-    tn = int((~pred & ~y).sum())
-    return (_f1(tp, fp, fn) + _f1(tn, fn, fp)) / 2.0
+    tp = (pred & y).sum()
+    fp = (pred & ~y).sum()
+    fn = (~pred & y).sum()
+    tn = (~pred & ~y).sum()
+    return float(_macro_f1(tp, fp, fn, tn))
 
 
 def candidate_thresholds(scores) -> list[float]:
@@ -143,20 +184,24 @@ def candidate_thresholds(scores) -> list[float]:
 
 
 def f1_macro_optimal(scores, labels) -> tuple[float, float]:
-    """Best macro F1 over all thresholds and the lowest threshold attaining it."""
-    s = _as_float_array(scores, "scores")
-    y = _as_label_array(labels)
-    if len(s) != len(y):
-        raise ValidationError(f"length mismatch: {len(s)} scores, {len(y)} labels")
-    _check_binary(y)
-    best_f1 = -1.0
-    best_threshold = 0.0
-    for t in candidate_thresholds(s):
-        f1 = macro_f1(s >= t, y)
-        if f1 > best_f1:  # strict: keep the lowest threshold on ties
-            best_f1 = f1
-            best_threshold = t
-    return best_f1, best_threshold
+    """Best macro F1 over all thresholds and the lowest threshold attaining it.
+
+    One sort: the scores below a threshold t are a prefix of the sorted
+    scores, of length searchsorted(t, "left"), so `s >= t` is the rest
+    even where a midpoint rounds onto a score.
+    """
+    s, y = _scores_and_labels(scores, labels)
+    order = np.argsort(s, kind="stable")
+    positives_below = np.concatenate(([0], np.cumsum(y[order])))
+    thresholds = candidate_thresholds(s)
+    n_below = np.searchsorted(s[order], thresholds, "left")
+    fn = positives_below[n_below]
+    tn = n_below - fn
+    tp = int(positives_below[-1]) - fn
+    fp = (len(s) - n_below) - tp
+    f1s = _macro_f1(tp, fp, fn, tn)
+    best = int(np.argmax(f1s))  # the first maximum: the lowest threshold on ties
+    return float(f1s[best]), thresholds[best]
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +236,9 @@ class CalibrationReport:
         }
 
 
-def _bin_index(probs: np.ndarray, k: int) -> np.ndarray:
-    idx = np.floor(probs * k).astype(int)
-    return np.clip(idx, 0, k - 1)  # 1.0 lands in the top (right-closed) bin
-
-
-def ece(probs, labels, bins: int = 10, decision_threshold: float = 0.5) -> CalibrationReport:
-    """Expected calibration error over K equal-width bins.
-
-    Per bin: acc = mean agreement between [p >= decision_threshold] and the
-    label, conf = mean p. ECE is the bin-size-weighted mean absolute gap.
-    """
+def _binned(probs, labels, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked probabilities in [0, 1], labels, and each probability's bin
+    among `bins` equal widths."""
     p = _as_float_array(probs, "probs")
     y = _as_label_array(labels)
     if len(p) != len(y):
@@ -210,8 +247,18 @@ def ece(probs, labels, bins: int = 10, decision_threshold: float = 0.5) -> Calib
         raise ValidationError(f"bin count must be >= 1, got {bins}")
     if len(p) and (p.min() < 0.0 or p.max() > 1.0):
         raise ValidationError("probabilities must lie in [0, 1]")
+    idx = np.clip(np.floor(p * bins).astype(int), 0, bins - 1)  # 1.0: top bin, right-closed
+    return p, y, idx
+
+
+def ece(probs, labels, bins: int = 10, decision_threshold: float = 0.5) -> CalibrationReport:
+    """Expected calibration error over K equal-width bins.
+
+    Per bin: acc = mean agreement between [p >= decision_threshold] and the
+    label, conf = mean p. ECE is the bin-size-weighted mean absolute gap.
+    """
+    p, y, idx = _binned(probs, labels, bins)
     predicted = p >= decision_threshold
-    idx = _bin_index(p, bins)
     out = []
     total = 0.0
     n = len(p)
@@ -240,15 +287,7 @@ class CurvePoint:
 def calibration_curve(probs, labels, bins: int = 10) -> list[CurvePoint]:
     """Reliability curve: per non-empty bin, (mean score, fraction of
     positive labels, bin size). Diagonal means calibrated."""
-    p = _as_float_array(probs, "probs")
-    y = _as_label_array(labels)
-    if len(p) != len(y):
-        raise ValidationError(f"length mismatch: {len(p)} probs, {len(y)} labels")
-    if bins < 1:
-        raise ValidationError(f"bin count must be >= 1, got {bins}")
-    if len(p) and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValidationError("probabilities must lie in [0, 1]")
-    idx = _bin_index(p, bins)
+    p, y, idx = _binned(probs, labels, bins)
     points = []
     for b in range(bins):
         members = idx == b

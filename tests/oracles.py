@@ -1,14 +1,19 @@
-"""Independent naive-formula oracles for the metrics module, and reference
-versions of the retrieval splitters.
+"""Independent naive-formula oracles for the metrics module, reference
+versions of the rank-metric kernels, and reference versions of the
+retrieval splitters.
 
-Pure-python, loop-based, written directly from the defining formulas so
-they share no code path with the implementations they check.
+The oracles are pure-python, loop-based, written directly from the defining
+formulas so they share no code path with the implementations they check.
+The references keep earlier, slower implementations, whose floats the
+current ones must reproduce exactly.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from math import ceil, sqrt
+
+import numpy as np
 
 
 def auc_pair_counting(scores, labels) -> float:
@@ -86,6 +91,74 @@ def best_macro_f1_by_cuts(scores, labels) -> float:
         preds = [s >= t for s in scores]
         best = max(best, macro_f1_naive(preds, labels))
     return best
+
+
+def roc_auc_reference(scores, labels) -> float:
+    """Midranks assigned run by run over the stably sorted scores."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray([bool(v) for v in labels], dtype=bool)
+    order = np.argsort(s, kind="stable")
+    sorted_scores = s[order]
+    ranks = np.empty(len(s), dtype=float)
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # midrank, 1-based
+        i = j + 1
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    rank_sum = float(ranks[y].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def kendall_tau_reference(x, y) -> float:
+    """Tau-b from the n x n sign matrices (quadratic time and memory)."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    n = len(xa)
+    sx = np.sign(xa[:, None] - xa[None, :])
+    sy = np.sign(ya[:, None] - ya[None, :])
+    iu = np.triu_indices(n, k=1)
+    prod = sx[iu] * sy[iu]
+    concordant_minus_discordant = float(prod.sum())
+    n0 = n * (n - 1) / 2.0
+    ties_x = n0 - float(np.count_nonzero(sx[iu]))
+    ties_y = n0 - float(np.count_nonzero(sy[iu]))
+    denom = np.sqrt((n0 - ties_x) * (n0 - ties_y))
+    return concordant_minus_discordant / denom
+
+
+def _f1_reference(tp: int, fp: int, fn: int) -> float:
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def f1_macro_optimal_reference(scores, labels) -> tuple[float, float]:
+    """One full macro-F1 pass per candidate threshold, keeping the first best."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray([bool(v) for v in labels], dtype=bool)
+    uniq = sorted(set(float(v) for v in s))
+    cands = [uniq[0] - 0.5]
+    cands.extend((a + b) / 2.0 for a, b in zip(uniq, uniq[1:]))
+    cands.append(uniq[-1] + 0.5)
+    best_f1 = -1.0
+    best_threshold = 0.0
+    for t in cands:
+        pred = s >= t
+        tp = int((pred & y).sum())
+        fp = int((pred & ~y).sum())
+        fn = int((~pred & y).sum())
+        tn = int((~pred & ~y).sum())
+        f1 = (_f1_reference(tp, fp, fn) + _f1_reference(tn, fn, fp)) / 2.0
+        if f1 > best_f1:  # strict: keep the lowest threshold on ties
+            best_f1 = f1
+            best_threshold = t
+    return best_f1, best_threshold
 
 
 def ece_by_hand(probs, labels, bins, decision_threshold=0.5) -> float:

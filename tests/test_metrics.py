@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from oracles import (
     best_macro_f1_by_cuts,
     curve_by_hand,
     ece_by_hand,
+    f1_macro_optimal_reference,
+    kendall_tau_reference,
     macro_f1_naive,
     pearson_naive,
+    roc_auc_reference,
     tau_b_enumeration,
 )
 
@@ -289,6 +293,135 @@ def test_macro_f1_against_naive():
         assert macro_f1(preds, labels) == pytest.approx(
             macro_f1_naive(preds, labels), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# O(n log n) kernels vs the quadratic reference kernels, float for float
+
+
+@st.composite
+def rank_inputs(draw):
+    """Scores, binary labels (both classes) and a y for tau: heavy ties,
+    repeated values, adjacent doubles, or continuous values."""
+    n = draw(st.integers(2, 200))
+    unit = st.floats(0, 1, allow_nan=False)
+    shape = draw(st.sampled_from(["1dp", "2dp", "repeated", "adjacent", "continuous"]))
+    if shape in ("1dp", "2dp"):
+        digits = 1 if shape == "1dp" else 2
+        scores = [round(v, digits) for v in draw(st.lists(unit, min_size=n, max_size=n))]
+    elif shape == "repeated":
+        pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5))
+        scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif shape == "adjacent":  # (a + b) / 2 rounds onto a or b
+        run = [draw(unit)]
+        while len(run) < 4:
+            run.append(float(np.nextafter(run[-1], np.inf)))
+        scores = draw(st.lists(st.sampled_from(run), min_size=n, max_size=n))
+    else:
+        scores = draw(st.lists(unit, min_size=n, max_size=n))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if all(labels) or not any(labels):
+        labels[0] = not labels[0]
+    y_kind = draw(st.sampled_from(["binary", "1dp", "continuous"]))
+    if y_kind == "binary":
+        y = [1.0 if v else 0.0 for v in labels]
+    else:
+        y = draw(st.lists(unit, min_size=n, max_size=n))
+        if y_kind == "1dp":
+            y = [round(v, 1) for v in y]
+    return scores, labels, y
+
+
+@given(rank_inputs())
+@settings(max_examples=300, deadline=None)
+def test_rank_kernels_equal_the_reference_kernels(case):
+    scores, labels, y = case
+    assert roc_auc(scores, labels) == roc_auc_reference(scores, labels)
+    assert f1_macro_optimal(scores, labels) == f1_macro_optimal_reference(scores, labels)
+    if len(set(scores)) > 1 and len(set(y)) > 1:
+        assert kendall_tau(scores, y) == kendall_tau_reference(scores, y)
+    else:
+        with pytest.raises(ValidationError):
+            kendall_tau(scores, y)
+
+
+def test_f1_threshold_when_a_midpoint_rounds_onto_a_score():
+    a = 0.1
+    b = float(np.nextafter(a, 1.0))
+    assert (a + b) / 2.0 in (a, b)
+    scores = [a, b, b, a, 0.9]
+    labels = [0, 1, 1, 0, 1]
+    assert f1_macro_optimal(scores, labels) == f1_macro_optimal_reference(scores, labels)
+    # the candidate between a and b is a score itself, so `s >= t` takes in
+    # every score equal to it; the reported F1 is that of those predictions
+    f1, threshold = f1_macro_optimal(scores, labels)
+    assert macro_f1([s >= threshold for s in scores], labels) == f1
+
+
+def test_rank_metrics_at_1e5_claims_stay_small_and_agree_with_oracles():
+    rng = np.random.default_rng(100_000)
+    n = 100_000
+    scores = np.round(rng.random(n), 4)
+    labels = rng.random(n) < scores
+    y = labels.astype(float)
+    tracemalloc.start()
+    try:
+        auc = roc_auc(scores, labels)
+        tau = kendall_tau(scores, y)
+        f1, threshold = f1_macro_optimal(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # one n x n sign matrix would take 80 GB
+
+    # with binary y, tau-b's numerator is n_pos * n_neg * (2 AUC - 1) and
+    # its y-side factor is n_pos * n_neg
+    n_pos = int(labels.sum())
+    n_neg = n - n_pos
+    _, counts = np.unique(scores, return_counts=True)
+    untied_x = n * (n - 1) / 2 - float((counts * (counts - 1) // 2).sum())
+    assert tau == pytest.approx(
+        n_pos * n_neg * (2 * auc - 1) / math.sqrt(untied_x * n_pos * n_neg), abs=1e-9
+    )
+    assert macro_f1(scores >= threshold, labels) == f1
+
+    for _ in range(3):
+        pick = rng.choice(n, size=300, replace=False)
+        s, lab = scores[pick].tolist(), labels[pick].tolist()
+        yy = [1.0 if v else 0.0 for v in lab]
+        assert roc_auc(s, lab) == pytest.approx(auc_pair_counting(s, lab), abs=1e-9)
+        assert kendall_tau(s, yy) == pytest.approx(tau_b_enumeration(s, yy), abs=1e-9)
+        assert f1_macro_optimal(s, lab)[0] == pytest.approx(
+            best_macro_f1_by_cuts(s, lab), abs=1e-9
+        )
+
+
+# ---------------------------------------------------------------------------
+# Non-finite input
+
+
+NON_FINITE_CALLS = {
+    "roc_auc": lambda v: roc_auc([0.2, v, 0.9], [0, 1, 1]),
+    "pearson": lambda v: pearson([0.2, 0.5, 0.9], [0.0, v, 1.0]),
+    "kendall_tau": lambda v: kendall_tau([0.2, v, 0.9], [0.0, 1.0, 1.0]),
+    "f1_macro_optimal": lambda v: f1_macro_optimal([0.2, v, 0.9], [0, 1, 1]),
+    "ece": lambda v: ece([0.2, v, 0.9], [0, 1, 1]),
+    "calibration_curve": lambda v: calibration_curve([0.2, v, 0.9], [0, 1, 1]),
+    "evaluate_scores": lambda v: evaluate_scores([0.2, v, 0.9, 0.4], [0, 1, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(NON_FINITE_CALLS))
+def test_nan_input_is_rejected(metric):
+    with pytest.raises(ValidationError, match="finite"):
+        NON_FINITE_CALLS[metric](math.nan)
+
+
+@pytest.mark.parametrize("metric", sorted(NON_FINITE_CALLS))
+def test_infinite_input_is_rejected(metric):
+    for v in (math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            NON_FINITE_CALLS[metric](v)
 
 
 # ---------------------------------------------------------------------------
