@@ -39,15 +39,15 @@ class LexicalOverlapBackend(ScorerBackend):
     name = "overlap"
 
     def __init__(self):
-        # Chunks recur across the claims of a document, so premise word sets
-        # are memoised; per instance, so the memo lasts as long as the backend.
-        self._premise_words = lru_cache(maxsize=4096)(_words)
+        # Chunks recur across the claims of a document and claims across its
+        # chunks, so word sets are memoised, per instance: for the backend's life.
+        self._words = lru_cache(maxsize=4096)(_words)
 
     def evaluate(self, premise: str, hypothesis: str) -> float:
-        hyp = _words(hypothesis)
+        hyp = self._words(hypothesis)
         if not hyp:
             return 0.0
-        return len(hyp & self._premise_words(premise)) / len(hyp)
+        return len(hyp & self._words(premise)) / len(hyp)
 
 
 class UnitRelevanceBackend(ScorerBackend):

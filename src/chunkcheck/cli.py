@@ -58,7 +58,7 @@ def _setup(args: argparse.Namespace):
     config = resolve_config(args.config, overrides)
     corpus = load_corpus(args.documents, args.claims)
     counter = build_counter(config)
-    return config, corpus, counter, build_backend(config, corpus, counter)
+    return config, corpus, counter, build_backend(config, corpus)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -88,20 +88,14 @@ def _report(command: str, config: RunConfig, corpus: Corpus, results: dict, meta
 
 
 def _score_corpus(corpus, config, counter, backend, cache, budget, explain=False):
-    """Score every claim at ``budget``: (text scores, sentence scores in claim
-    order, wall seconds)."""
+    """Score every claim at ``budget`` under the premise cap: (text scores,
+    sentence scores in claim order, wall seconds)."""
     t0 = time.perf_counter()
     text_scores = [
         score_text(
-            corpus.document(text.doc_id),
-            text,
-            budget,
-            backend,
-            counter,
-            aggregation=config.aggregation,
-            cache=cache,
-            max_workers=config.concurrency,
-            explain=explain,
+            corpus.document(text.doc_id), text, budget, backend, counter,
+            aggregation=config.aggregation, cache=cache, max_workers=config.concurrency,
+            explain=explain, cap=config.premise_cap,
         )
         for text in corpus.grouped_texts()
     ]
@@ -110,13 +104,12 @@ def _score_corpus(corpus, config, counter, backend, cache, budget, explain=False
 
 
 def _retrievals(claims, corpus, config, counter, backend, cache):
-    """Yield (claim, document, greedy retrieval trace) for each claim, in order;
-    the premise cap is the backend's own (``build_backend`` sets it)."""
+    """Yield (claim, document, greedy trace under the premise cap) per claim, in order."""
     for claim in claims:
         doc = corpus.document(claim.doc_id)
         yield claim, doc, retrieve(
-            doc, claim, backend, k=config.k, counter=counter, cache=cache,
-            max_workers=config.concurrency,
+            doc, claim, backend, k=config.k, budget=config.premise_cap, counter=counter,
+            cache=cache, max_workers=config.concurrency,
         )
 
 
@@ -158,7 +151,9 @@ def cmd_retrieve(args, config, corpus, counter, backend):
         if args.trace:
             entry["trace"] = trace.to_dict()["levels"]
         if args.brute_force:
-            bf = brute_force_retrieve(doc, claim, backend, cache=None)
+            bf = brute_force_retrieve(
+                doc, claim, backend, budget=config.premise_cap, counter=counter
+            )
             entry["brute_force"] = {
                 "unit": bf.unit,
                 "score": bf.score,

@@ -104,24 +104,22 @@ def build_counter(config: RunConfig) -> TokenCounter:
     return make_counter(config.counter)
 
 
-def build_backend(
-    config: RunConfig, corpus: Corpus | None = None, counter: TokenCounter | None = None
-) -> ScorerBackend:
-    """The configured backend; ``counter`` (default: the configured one) counts its premise cap."""
+def build_backend(config: RunConfig, corpus: Corpus | None = None) -> ScorerBackend:
+    """The configured backend."""
     if config.backend == "overlap":
-        backend = LexicalOverlapBackend()
-    elif config.backend == "unit-relevance":
+        return LexicalOverlapBackend()
+    if config.backend == "unit-relevance":
         if not config.relevance_file:
             raise ValidationError("unit-relevance backend needs --relevance-file")
         if corpus is None:
             raise ValidationError("unit-relevance backend needs a loaded corpus")
-        backend = UnitRelevanceBackend.from_file(config.relevance_file, corpus)
-    elif config.backend == "remote":
+        return UnitRelevanceBackend.from_file(config.relevance_file, corpus)
+    if config.backend == "remote":
         if not config.endpoint:
             raise ValidationError(
                 f"remote backend needs an endpoint (flag, config file, or ${ENDPOINT_ENV})"
             )
-        backend = RemoteBackend(
+        return RemoteBackend(
             endpoint=config.endpoint,
             auth_header=config.auth_header,
             timeout=config.timeout,
@@ -129,11 +127,7 @@ def build_backend(
             backoff_base=config.backoff,
             concurrency=config.concurrency,
         )
-    else:
-        raise ValidationError(f"unknown backend {config.backend!r}")
-    backend.max_premise_tokens = config.premise_cap
-    backend.budget_counter = counter or build_counter(config)
-    return backend
+    raise ValidationError(f"unknown backend {config.backend!r}")
 
 
 def build_cache(config: RunConfig) -> ScoreCache | None:

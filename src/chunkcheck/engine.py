@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .chunking import Chunk, ChunkPlan, make_chunks
 from .corpus import Claim, Document, GeneratedText, TokenCounter
 from .errors import ScoringError, ValidationError
-from .scoring import BatchFailure, ScoreCache, ScorerBackend, first_max, score_batch
+from .scoring import BatchFailure, ScoreCache, ScorerBackend, check_cap, first_max, score_batch
 
 AGGREGATIONS = ("min", "mean")
 
@@ -66,6 +66,7 @@ def _score_claims(
     cache: ScoreCache | None,
     max_workers: int,
     explain: bool,
+    cap: int | None = None,
 ) -> list[SentenceScore]:
     """Score every claim against every chunk of the plan in one batch.
 
@@ -82,6 +83,7 @@ def _score_claims(
     t0 = time.perf_counter()
     n = len(plan.chunks)
     pairs = [(chunk.text, claim.text) for claim in claims for chunk in plan.chunks]
+    check_cap(backend, pairs, (chunk.token_count for chunk in plan.chunks), cap)
     batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
     if not batch.ok:
         i = batch.failures[0].index // n
@@ -151,17 +153,20 @@ def score_text(
     cache: ScoreCache | None = None,
     max_workers: int = 1,
     explain: bool = False,
+    cap: int | None = None,
 ) -> TextScore:
     """Score every sentence of a generated text, as one batch, and aggregate.
 
-    On failure, raises the ScoringError that ``score_sentence`` would raise
-    for the first failing sentence.
+    A chunk over ``cap`` tokens, counted with ``counter`` like the budget,
+    raises PremiseTooLargeError before any pair is scored. On failure,
+    raises the ScoringError that ``score_sentence`` would raise for the
+    first failing sentence.
     """
     if text.doc_id != doc.id:
         raise ValidationError(f"text targets {text.doc_id!r}, document is {doc.id!r}")
     text.validate()
     plan = make_chunks(doc, budget, counter)
-    sentence_scores = _score_claims(plan, text.sentences, backend, cache, max_workers, explain)
+    sentence_scores = _score_claims(plan, text.sentences, backend, cache, max_workers, explain, cap)
     agg = aggregate_scores([s.score for s in sentence_scores], aggregation)
     return TextScore(
         doc_id=doc.id,

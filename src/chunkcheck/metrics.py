@@ -35,8 +35,9 @@ def _as_float_array(x, name: str) -> np.ndarray:
 
 
 def _as_label_array(labels) -> np.ndarray:
-    arr = np.asarray([bool(v) for v in labels], dtype=bool)
-    return arr
+    if isinstance(labels, np.ndarray) and labels.dtype == bool and labels.ndim == 1:
+        return labels
+    return np.asarray([bool(v) for v in labels], dtype=bool)
 
 
 def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -342,15 +343,17 @@ class EvalReport:
 def evaluate_scores(
     scores, labels, wall_clock_s: float = 0.0, scorer_calls_total: int = 0
 ) -> EvalReport:
-    """Assemble the full accuracy report for scored, labeled claims."""
-    s = [float(v) for v in scores]
-    y = [bool(v) for v in labels]
+    """Assemble the full accuracy report for scored, labeled claims, converting
+    the inputs to arrays once for every metric."""
+    s = _as_float_array(scores, "scores")
+    y = _as_label_array(labels)
+    y_float = y.astype(float)
     f1, threshold = f1_macro_optimal(s, y)
     return EvalReport(
         n=len(s),
         roc_auc=roc_auc(s, y),
-        pearson=pearson(s, [1.0 if v else 0.0 for v in y]),
-        kendall_tau=kendall_tau(s, [1.0 if v else 0.0 for v in y]),
+        pearson=pearson(s, y_float),
+        kendall_tau=kendall_tau(s, y_float),
         f1_macro=f1,
         optimal_threshold=threshold,
         wall_clock_s=wall_clock_s,

@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chunking import premise_text, split_range
-from .corpus import Claim, Document, TokenCounter
+from .corpus import Claim, Document, TokenCounter, WhitespaceCounter
 from .errors import ScoringError, ValidationError
-from .scoring import ScoreCache, ScorerBackend, first_max, score_batch
+from .scoring import ScoreCache, ScorerBackend, check_cap, first_max, score_batch
+
+_WHITESPACE = WhitespaceCounter()  # one default instance: a document caches counts per counter
 
 
 @dataclass
@@ -63,8 +65,13 @@ class BruteForceResult:
     scorer_calls: int
 
 
-def _score_ranges(doc, claim, backend, ranges, cache, max_workers, partial_levels):
+def _score_ranges(doc, claim, backend, ranges, cap, counter, cache, max_workers, partial_levels):
+    """Score each unit range against the claim, rejecting first any range of
+    more than ``cap`` tokens, counted from the prefix sums."""
     pairs = [(premise_text(doc, a, b), claim.text) for a, b in ranges]
+    if cap is not None:
+        prefix = doc._token_prefix_sums(counter)
+        check_cap(backend, pairs, (prefix[b] - prefix[a] for a, b in ranges), cap)
     batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
     if not batch.ok:
         raise ScoringError(
@@ -83,32 +90,32 @@ def retrieve(
     backend: ScorerBackend,
     k: int = 2,
     budget: int | None = None,
-    counter: TokenCounter | None = None,
+    counter: TokenCounter = _WHITESPACE,
     cache: ScoreCache | None = None,
     max_workers: int = 1,
 ) -> RetrievalTrace:
     """Greedy descent to the single best-supporting unit, with a full trace.
 
-    ``budget`` (or the backend's own premise cap) bounds part sizes: when a
-    multi-unit part would exceed it, the level's branching factor grows until
-    every part fits, mirroring how one would split further to fit memory.
-    Parts are measured with ``counter``, by default the counter that
-    enforces the backend's cap. A one-unit document yields one level that
-    scores its lone unit.
+    ``budget`` is the premise cap: when a multi-unit part would exceed it, the
+    level's branching factor grows until every part fits, mirroring how one
+    would split further to fit memory, and a single unit over it raises
+    PremiseTooLargeError before its level is scored. Parts are measured with
+    ``counter`` (whitespace by default). A one-unit document yields one level
+    that scores its lone unit.
     """
     if not doc.units:
         raise ValidationError(f"document {doc.id!r} has no units")
     if k < 2:
         raise ValidationError(f"branching factor must be >= 2, got {k}")
-    counter = counter or backend.budget_counter
-    cap = _effective_cap(backend, budget)
 
     levels: list[TraceLevel] = []
     calls = 0
     start, end = 0, len(doc.units)
     while True:
-        parts = _split_under_cap(doc, start, end, k, counter, cap)
-        scores = _score_ranges(doc, claim, backend, parts, cache, max_workers, levels)
+        parts = _split_under_cap(doc, start, end, k, counter, budget)
+        scores = _score_ranges(
+            doc, claim, backend, parts, budget, counter, cache, max_workers, levels
+        )
         calls += len(parts)
         chosen = first_max(scores)
         levels.append(TraceLevel(candidate_ranges=parts, scores=scores, chosen=chosen))
@@ -121,11 +128,6 @@ def retrieve(
                 result_score=scores[chosen],
                 scorer_calls=calls,
             )
-
-
-def _effective_cap(backend: ScorerBackend, budget: int | None) -> int | None:
-    caps = [c for c in (budget, backend.max_premise_tokens) if c is not None]
-    return min(caps) if caps else None
 
 
 def _split_under_cap(doc, start, end, k, counter, cap):
@@ -156,14 +158,17 @@ def brute_force_retrieve(
     doc: Document,
     claim: Claim,
     backend: ScorerBackend,
+    budget: int | None = None,
+    counter: TokenCounter = _WHITESPACE,
     cache: ScoreCache | None = None,
     max_workers: int = 1,
 ) -> BruteForceResult:
-    """Score every unit individually; argmax with ties to the lowest index."""
+    """Score every unit individually; argmax with ties to the lowest index.
+    A unit over the premise cap ``budget`` raises as in ``retrieve``."""
     if not doc.units:
         raise ValidationError(f"document {doc.id!r} has no units")
     ranges = [(i, i + 1) for i in range(len(doc.units))]
-    scores = _score_ranges(doc, claim, backend, ranges, cache, max_workers, [])
+    scores = _score_ranges(doc, claim, backend, ranges, budget, counter, cache, max_workers, [])
     best = first_max(scores)
     return BruteForceResult(unit=best, score=scores[best], scorer_calls=len(ranges))
 
@@ -197,7 +202,7 @@ def verify_trace(
     calls = 0
     for depth, level in enumerate(trace.levels):
         scores = _score_ranges(
-            doc, claim, backend, level.candidate_ranges, cache, 1, trace.levels
+            doc, claim, backend, level.candidate_ranges, None, None, cache, 1, trace.levels
         )
         calls += len(scores)
         if scores != level.scores:

@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .corpus import TokenCounter, WhitespaceCounter
 from .errors import BackendError, PremiseTooLargeError, ValidationError
 
 PROMPT_TEMPLATE = "{premise} Question: does this imply '{hypothesis}'? Yes or no?"
@@ -43,16 +42,10 @@ def entail_prob(logit_yes: float, logit_no: float) -> float:
 
 
 class ScorerBackend:
-    """Deterministic entailment scorer (temperature-zero semantics).
-
-    ``max_premise_tokens``, when set, is a hard cap: oversized premises are
-    rejected, never truncated. ``budget_counter`` is the counter used to
-    enforce it. Implementations must be safe for concurrent evaluate calls.
-    """
+    """Deterministic entailment scorer (temperature-zero semantics): a ``name``
+    and an ``evaluate`` method, safe for concurrent calls."""
 
     name: str = "abstract"
-    max_premise_tokens: int | None = None
-    budget_counter: TokenCounter = WhitespaceCounter()
 
     def evaluate(self, premise: str, hypothesis: str) -> float:
         """The probability in [0, 1] that the premise entails the hypothesis."""
@@ -109,28 +102,31 @@ class ScoreCache:
                 self._data.popitem(last=False)
 
 
-def _check_pairs(backend: ScorerBackend, pairs) -> None:
+def _check_pairs(pairs) -> None:
     """Raise ValidationError for the first pair, in order, with an empty premise
-    or hypothesis or a premise over the cap. Each distinct text is checked,
-    and each premise counted, once; within a pair the checks keep
-    ``build_prompt``'s order, then the cap, so the error raised is the one a
-    pair-by-pair check would raise first."""
-    cap = backend.max_premise_tokens
-    premises: set[str] = set()
-    hypotheses: set[str] = set()
+    or hypothesis (in ``build_prompt``'s order), checking each distinct text once."""
+    checked: set[str] = set()
     for premise, hypothesis in pairs:
-        new_premise = premise not in premises
-        if new_premise:
+        if premise not in checked:
             _require_text(premise, "premise")
-        if hypothesis not in hypotheses:
+            checked.add(premise)
+        if hypothesis not in checked:
             _require_text(hypothesis, "hypothesis")
-            hypotheses.add(hypothesis)
-        if new_premise:
-            premises.add(premise)
-            if cap is not None and (n := backend.budget_counter.count(premise)) > cap:
-                raise PremiseTooLargeError(
-                    f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
-                )
+            checked.add(hypothesis)
+
+
+def check_cap(backend: ScorerBackend, pairs, token_counts, cap: int | None) -> None:
+    """Reject a premise over ``cap`` tokens before any pair is scored, from the
+    counts the caller holds (``token_counts[i]`` counts ``pairs[i]``'s premise),
+    raising what a pair-by-pair check (empty texts, then the cap) raises first."""
+    if cap is None:
+        return
+    for i, n in enumerate(token_counts):
+        if n > cap:
+            _check_pairs(pairs[: i + 1])
+            raise PremiseTooLargeError(
+                f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
+            )
 
 
 def _evaluate(
@@ -161,7 +157,7 @@ def score_pair(
     cache: ScoreCache | None = None,
 ) -> float:
     """Score one (premise, hypothesis) pair through the backend."""
-    _check_pairs(backend, [(premise, hypothesis)])
+    _check_pairs([(premise, hypothesis)])
     key = ScoreCache.key(backend.name, premise, hypothesis) if cache is not None else None
     return _evaluate(backend, premise, hypothesis, cache, key)
 
@@ -196,7 +192,7 @@ def score_batch(
     errors are collected per item, so the rest of the batch still completes.
     """
     distinct = list(dict.fromkeys(pairs))
-    _check_pairs(backend, distinct)
+    _check_pairs(distinct)
     if cache is not None:
         digest = lru_cache(maxsize=None)(_sha256)  # each distinct text hashed once
         keys = [ScoreCache.key(backend.name, p, h, digest) for p, h in distinct]

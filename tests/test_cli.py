@@ -9,13 +9,12 @@ import pytest
 from chunkcheck.backends import LexicalOverlapBackend
 from chunkcheck.chunking import make_chunks
 from chunkcheck.cli import build_parser, main
-from chunkcheck.config import BACKENDS, RunConfig, build_backend, resolve_config
+from chunkcheck.config import BACKENDS, RunConfig, resolve_config
 from chunkcheck.corpus import WhitespaceCounter, load_corpus
-from chunkcheck.errors import PremiseTooLargeError, ValidationError
+from chunkcheck.errors import ValidationError
 from chunkcheck.metrics import calibration_curve
 from chunkcheck.metrics import ece as ece_op
 from chunkcheck.metrics import f1_macro_optimal, kendall_tau, pearson, roc_auc
-from chunkcheck.scoring import score_pair
 
 GOLDEN = Path(__file__).parent / "data" / "golden_score_report.json"
 
@@ -354,13 +353,19 @@ def test_missing_relevance_file_exits_one(fixture_dir, tmp_path, capsys):
     assert str(missing) in err["error"]["message"]
 
 
-def test_premise_cap_counts_with_configured_counter(data_dir):
+def test_premise_cap_counts_with_configured_counter(data_dir, tmp_path, capsys):
     vocab = data_dir / "vocab" / "mini_vocab.txt"
-    config = resolve_config(None, {"counter": f"vocab:{vocab}", "premise_cap": 4})
-    backend = build_backend(config)
-    premise = "unbelievable tokens unbelievable tokens"  # 4 words, 10 vocab tokens
-    with pytest.raises(PremiseTooLargeError, match="10 tokens"):
-        score_pair(backend, premise, "tokens")
+    unit = "unbelievable tokens unbelievable tokens"  # 4 words, 10 vocab tokens
+    docs, claims = tmp_path / "docs.jsonl", tmp_path / "claims.jsonl"
+    docs.write_text(json.dumps({"id": "d", "units": [{"text": unit}]}) + "\n")
+    claims.write_text(json.dumps({"id": "c", "doc_id": "d", "text": "tokens"}) + "\n")
+    args = ["--documents", docs, "--claims", claims, "--premise-cap", 4, "--out", tmp_path / "r"]
+    assert _run(["score", *args]) == 0  # whitespace: 4 tokens, at the cap
+    for command in ("score", "retrieve"):
+        assert _run([command, *args, "--counter", f"vocab:{vocab}"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "validation",
+                       "message": "premise has 10 tokens, backend 'overlap' admits 4"}
 
 
 def test_every_subcommand_takes_every_config_field():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chunkcheck.errors import ValidationError
 from chunkcheck.metrics import (
+    EvalReport,
     calibration_curve,
     candidate_thresholds,
     ece,
@@ -452,3 +453,41 @@ def test_evaluate_scores_assembles_report():
     assert -1.0 <= report.kendall_tau <= 1.0
     assert report.wall_clock_s == 1.5
     assert report.scorer_calls_total == 25
+
+
+def _report_or_error(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(rank_inputs())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_scores_equals_the_per_metric_calls_on_lists(case):
+    scores, labels, _ = case
+    y = [1.0 if v else 0.0 for v in labels]
+
+    def per_metric():
+        f1, threshold = f1_macro_optimal(scores, labels)
+        return EvalReport(
+            n=len(scores),
+            roc_auc=roc_auc(scores, labels),
+            pearson=pearson(scores, y),
+            kendall_tau=kendall_tau(scores, y),
+            f1_macro=f1,
+            optimal_threshold=threshold,
+            wall_clock_s=0.0,
+            scorer_calls_total=0,
+        )
+
+    want = _report_or_error(per_metric)
+    ints = [int(v) for v in labels]
+    for label_input in (labels, np.array(labels), ints, np.array(ints)):
+        got = _report_or_error(lambda: evaluate_scores(scores, label_input))
+        assert got == want
+        if isinstance(got, EvalReport):
+            assert type(got.n) is int
+            for value in (got.roc_auc, got.pearson, got.kendall_tau, got.f1_macro,
+                          got.optimal_threshold):
+                assert type(value) is float

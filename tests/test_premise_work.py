@@ -1,30 +1,46 @@
 """Premise-side work is done once: prefix-sum splitting and exact-start
 widening return what their scan-based references return, the overlap
-backend's premise memo is per instance and changes no score, a batch's
-input checks raise what pair-by-pair checks raise, and call counts show
+backend's word memo is per instance and changes no score, input checks and
+the premise cap raise what pair-by-pair checks raise, and call counts show
 each piece of work happening once."""
 
 import hashlib
 import random
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chunkcheck.backends as backends
+import chunkcheck.engine as engine
 import chunkcheck.retrieval as retrieval
 from chunkcheck.backends import LexicalOverlapBackend, _words
-from chunkcheck.chunking import make_chunks, split_range
+from chunkcheck.chunking import make_chunks, premise_text, split_range
 from chunkcheck.cli import main
-from chunkcheck.corpus import Claim, WhitespaceCounter, load_corpus
+from chunkcheck.corpus import (
+    Claim,
+    Document,
+    GeneratedText,
+    Unit,
+    VocabCounter,
+    WhitespaceCounter,
+    load_corpus,
+)
+from chunkcheck.engine import score_text
 from chunkcheck.errors import ValidationError
-from chunkcheck.retrieval import _split_under_cap, retrieve
+from chunkcheck.retrieval import _split_under_cap, brute_force_retrieve, retrieve
 from chunkcheck.scoring import ScoreCache, score_batch
 
 from helpers import make_sized_doc
 from oracles import check_pairs_reference, split_range_reference, split_under_cap_reference
 
 WC = WhitespaceCounter()
+_VOCAB = Path(__file__).parents[1] / "data" / "vocab" / "mini_vocab.txt"
+MINI_VOCAB = VocabCounter(_VOCAB)
+MINI_VOCAB_CASED = VocabCounter(_VOCAB, lowercase=False)
 
 # Zero-token units included; sizes up to 40 against caps from 1 put single
 # units over the cap and caps below the largest unit.
@@ -91,7 +107,7 @@ def test_overlap_instances_share_no_memo(monkeypatch):
     for backend in (first, first, second, second):
         backend.evaluate("the cat sat on the mat", "a cat")
     assert seen["the cat sat on the mat"] == 2  # once per instance
-    assert seen["a cat"] == 4  # hypotheses are tokenised on every call
+    assert seen["a cat"] == 2  # hypotheses share the memo
 
 
 def test_score_run_tokenises_each_premise_once(fixture_dir, tmp_path, monkeypatch):
@@ -102,10 +118,8 @@ def test_score_run_tokenises_each_premise_once(fixture_dir, tmp_path, monkeypatc
                  "--budget", "16", "--out", str(out)]) == 0
     corpus = load_corpus(docs, claims)
     premises = {c.text for d in corpus.documents for c in make_chunks(d, 16, WC).chunks}
-    assert {p: seen[p] for p in premises} == {p: 1 for p in premises}
-    assert sum(seen.values()) - len(premises) == sum(
-        len(make_chunks(corpus.document(c.doc_id), 16, WC).chunks) for c in corpus.claims
-    )  # the rest are hypotheses, one per scorer call
+    texts = premises | {c.text for c in corpus.claims}
+    assert seen == Counter(texts)  # each distinct premise and hypothesis once
 
 
 def test_capped_retrieval_splits_once_per_level(monkeypatch):
@@ -130,35 +144,99 @@ def test_capped_retrieval_splits_once_per_level(monkeypatch):
     assert reference.to_dict() == trace.to_dict()
 
 
-def _first_error(check, backend, pairs):
+def _first_error(check, *args):
     try:
-        check(backend, pairs)
+        check(*args)
     except ValidationError as exc:
         return type(exc), str(exc)
     return None
 
 
+def _reference_backend(backend, cap):
+    """What ``check_pairs_reference`` reads: a name, a cap and its counter."""
+    return SimpleNamespace(name=backend.name, max_premise_tokens=cap, budget_counter=WC)
+
+
 _check_text = st.sampled_from(["", " ", "a", "a b", "a b c", "a b c d e"])
 
 
-@given(st.lists(st.tuples(_check_text, _check_text), max_size=12),
-       st.one_of(st.none(), st.integers(1, 4)))
+@given(st.lists(st.tuples(_check_text, _check_text), max_size=12))
 @settings(max_examples=400, deadline=None)
-def test_batch_checks_raise_the_pairwise_first_error(pairs, cap):
+def test_batch_checks_raise_the_pairwise_first_error(pairs):
     backend = LexicalOverlapBackend()
-    backend.max_premise_tokens = cap
-    want = _first_error(check_pairs_reference, backend, list(dict.fromkeys(pairs)))
+    reference = _reference_backend(backend, None)
+    want = _first_error(check_pairs_reference, reference, list(dict.fromkeys(pairs)))
     assert _first_error(score_batch, backend, pairs) == want
 
 
-def _batch_pairs():
-    premises = [f"premise {i} " + "word " * i for i in range(1, 5)]
-    hypotheses = ["first claim", "second claim", "first claim", "third claim"]
-    return premises, hypotheses, [(p, h) for h in hypotheses for p in premises]
+_unit_text = st.sampled_from([" ", "a", "a b", "a b c", "a b c d e", "a b c d e f g h"])
 
 
-def test_batch_counts_each_premise_once(monkeypatch):
-    premises, _, pairs = _batch_pairs()
+@given(
+    st.lists(_unit_text, min_size=1, max_size=10),
+    st.lists(_check_text, min_size=1, max_size=3),
+    st.integers(1, 8),
+    st.integers(1, 12),
+)
+@settings(max_examples=300, deadline=None)
+def test_cap_checks_raise_the_pairwise_first_error(unit_texts, claim_texts, budget, cap):
+    """score_text, retrieve and brute force raise what the pair-by-pair
+    reference raises on the pairs of the batch that fails, or nothing."""
+    doc = Document(id="d", units=[Unit(index=i, text=t) for i, t in enumerate(unit_texts)])
+    claims = [Claim(id=f"c{i}", doc_id="d", text=t) for i, t in enumerate(claim_texts)]
+    text = GeneratedText(doc_id="d", sentences=claims)
+    backend = LexicalOverlapBackend()
+    runs = [
+        (engine, lambda: score_text(doc, text, budget, backend, WC, cap=cap)),
+        (retrieval, lambda: retrieve(doc, claims[0], backend, budget=cap, counter=WC)),
+        (retrieval, lambda: brute_force_retrieve(doc, claims[0], backend, budget=cap, counter=WC)),
+    ]
+    for module, run in runs:
+        got = _first_error(run)
+        # The reference checks each batch's pairs where the batch is scored,
+        # with the cap check under test switched off.
+        score = module.score_batch
+
+        def checked(backend, pairs, **kwargs):
+            check_pairs_reference(_reference_backend(backend, cap), pairs)
+            return score(backend, pairs, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "score_batch", checked)
+            mp.setattr(module, "check_cap", lambda *args: None)
+            want = _first_error(run)
+        assert got == want
+
+
+_WORDS = ["the", "The", "cat", "unbelievable", "Unbelievable", "tokens", "Tokens",
+          "hello,", "world.", "xyz", "ümlaut", "a-b", "12"]
+_unit = st.tuples(
+    st.one_of(st.none(), st.sampled_from(["Mara", "Dr. Who", "ANNA"])),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6),
+    st.sampled_from([" ", "  ", "\t"]),
+)
+
+
+@given(st.lists(_unit, min_size=1, max_size=12),
+       st.sampled_from([WC, MINI_VOCAB, MINI_VOCAB_CASED]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_shipped_counters_count_a_premise_as_its_unit_sum(units, counter, data):
+    """The cap check reads P[b] - P[a] from the prefix sums instead of
+    counting the joined premise; both shipped counters agree, because the
+    newline between unit lines is whitespace to ``str.split``."""
+    doc = Document(id="d", units=[
+        Unit(index=i, text=sep.join(words), speaker=speaker)
+        for i, (speaker, words, sep) in enumerate(units)
+    ])
+    start, end = _subrange(data, len(units))
+    prefix = doc._token_prefix_sums(counter)
+    assert counter.count(premise_text(doc, start, end)) == prefix[end] - prefix[start]
+
+
+def test_capped_runs_count_unit_lines_only(monkeypatch):
+    rng = random.Random(11)
+    doc = make_sized_doc("d", [rng.randint(8, 18) for _ in range(600)])
+    claim = Claim(id="c", doc_id="d", text=" ".join(doc.units[417].text.split()[:5]))
     counted = Counter()
     count = WhitespaceCounter.count
 
@@ -167,10 +245,18 @@ def test_batch_counts_each_premise_once(monkeypatch):
         return count(self, text)
 
     monkeypatch.setattr(WhitespaceCounter, "count", counting)
-    backend = LexicalOverlapBackend()
-    backend.max_premise_tokens = 100
-    assert score_batch(backend, pairs, max_workers=2).ok
-    assert counted == Counter(premises)
+    counter, backend = WhitespaceCounter(), LexicalOverlapBackend()
+    text = GeneratedText(doc_id="d", sentences=[claim])
+    assert score_text(doc, text, 512, backend, counter, cap=512).aggregate > 0
+    assert retrieve(doc, claim, backend, budget=512, counter=counter).result_unit == 417
+    assert brute_force_retrieve(doc, claim, backend, budget=512, counter=counter).unit == 417
+    assert counted == Counter(doc._unit_lines)  # once per unit line, never a premise
+
+
+def _batch_pairs():
+    premises = [f"premise {i} " + "word " * i for i in range(1, 5)]
+    hypotheses = ["first claim", "second claim", "first claim", "third claim"]
+    return premises, hypotheses, [(p, h) for h in hypotheses for p in premises]
 
 
 def test_batch_hashes_each_distinct_text_once(monkeypatch):

@@ -1,11 +1,20 @@
+import json
 import random
 
 import pytest
 
 from chunkcheck.backends import LexicalOverlapBackend
 from chunkcheck.chunking import premise_text
-from chunkcheck.corpus import Claim, Document, Unit, VocabCounter, WhitespaceCounter
-from chunkcheck.errors import ValidationError
+from chunkcheck.cli import main
+from chunkcheck.corpus import (
+    Claim,
+    Document,
+    Unit,
+    VocabCounter,
+    WhitespaceCounter,
+    load_corpus,
+)
+from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.retrieval import (
     brute_force_retrieve,
     call_count_bound,
@@ -14,7 +23,7 @@ from chunkcheck.retrieval import (
     verify_trace,
 )
 from chunkcheck.scoring import score_pair
-from helpers import relevance_fixture
+from helpers import ScriptedBackend, make_doc, relevance_fixture
 
 WC = WhitespaceCounter()
 
@@ -153,38 +162,63 @@ def test_branching_widens_until_parts_fit():
                 assert sum(doc.unit_token_counts(WC)[a:b]) <= 25
 
 
-def test_backend_premise_cap_also_triggers_widening():
-    doc, backend = relevance_fixture("d", [0.1, 0.2, 0.3, 0.95], words_per_unit=10)
-    backend.max_premise_tokens = 15
-    trace = retrieve(doc, _claim("d"), backend, k=2, counter=WC)
-    assert all(
-        b - a == 1 or sum(doc.unit_token_counts(WC)[a:b]) <= 15
-        for lvl in trace.levels
-        for a, b in lvl.candidate_ranges
-    )
-    assert trace.result_unit == 3
+def test_premise_cap_flag_triggers_widening(fixture_dir, tmp_path):
+    docs, claims = fixture_dir / "documents.jsonl", fixture_dir / "claims.jsonl"
+    out = tmp_path / "r.json"
+    assert main(["retrieve", "--documents", str(docs), "--claims", str(claims),
+                 "--premise-cap", "20", "--trace", "--out", str(out)]) == 0
+    corpus = load_corpus(docs, claims)
+    doc_of = {c.id: corpus.document(c.doc_id) for c in corpus.claims}
+    retrievals = json.loads(out.read_text())["results"]["retrievals"]
+    assert any(len(e["trace"][0]["candidate_ranges"]) > 2 for e in retrievals)
+    for entry in retrievals:
+        counts = doc_of[entry["claim_id"]].unit_token_counts(WC)
+        for level in entry["trace"]:
+            for a, b in level["candidate_ranges"]:
+                assert b - a == 1 or sum(counts[a:b]) <= 20
 
 
-def test_oversized_single_units_still_descend():
-    doc, backend = relevance_fixture("d", [0.3, 0.9], words_per_unit=50)
+def test_units_at_the_cap_still_descend():
+    # pairs of 10-token units exceed a cap of 10, so the root widens to singletons
+    doc, backend = relevance_fixture("d", [0.3, 0.9, 0.5], words_per_unit=10)
     trace = retrieve(doc, _claim("d"), backend, k=2, budget=10, counter=WC)
+    assert trace.levels[0].candidate_ranges == [(0, 1), (1, 2), (2, 3)]
     assert trace.result_unit == 1
 
 
+def test_oversized_single_unit_is_rejected_before_scoring():
+    doc = make_doc("d", 2, words_per_unit=50)
+    backend = ScriptedBackend({}, default=0.5)
+    for run in (
+        lambda: retrieve(doc, _claim("d"), backend, k=2, budget=10, counter=WC),
+        lambda: brute_force_retrieve(doc, _claim("d"), backend, budget=10, counter=WC),
+    ):
+        with pytest.raises(PremiseTooLargeError, match="premise has 50 tokens"):
+            run()
+    assert backend.calls == 0
+    assert retrieve(doc, _claim("d"), backend, k=2, budget=50, counter=WC).scorer_calls == 2
+
+
 def test_parts_default_to_the_counter_that_enforces_the_cap(data_dir):
-    # Each unit is 4 whitespace tokens but 9 mini_vocab tokens: measured in
-    # whitespace tokens, halves of 4 units look like they fit a cap of 12.
+    # Each unit is 4 whitespace tokens but 9 mini_vocab tokens.
     units = [Unit(index=i, text=f"unbelievable tokens number{i} unbelievable") for i in range(8)]
     doc = Document(id="d", units=units)
+    vocab = VocabCounter(data_dir / "vocab" / "mini_vocab.txt")
     backend = LexicalOverlapBackend()
-    backend.max_premise_tokens = 12
-    backend.budget_counter = VocabCounter(data_dir / "vocab" / "mini_vocab.txt")
     claim = _claim("d", "number3 unbelievable")
-    implicit = retrieve(doc, claim, backend)
-    explicit = retrieve(doc, claim, backend, counter=backend.budget_counter)
-    assert implicit.to_dict() == explicit.to_dict()
-    assert implicit.result_unit == 3
-    assert len(doc._token_cache) == 1  # one counter object, one cache entry
+    # whitespace by default: 4-token units fit a cap of 8, and so do their pairs
+    implicit = retrieve(doc, claim, backend, budget=8)
+    assert implicit.to_dict() == retrieve(doc, claim, backend, budget=8, counter=WC).to_dict()
+    assert len(implicit.levels[-1].candidate_ranges) == 2
+    with pytest.raises(PremiseTooLargeError, match="premise has 9 tokens"):
+        retrieve(doc, claim, backend, budget=8, counter=vocab)
+    explicit = retrieve(doc, claim, backend, budget=12, counter=vocab)
+    assert explicit.result_unit == 3
+    assert all(
+        b - a == 1 or sum(doc.unit_token_counts(vocab)[a:b]) <= 12
+        for lvl in explicit.levels
+        for a, b in lvl.candidate_ranges
+    )
 
 
 # ---------------------------------------------------------------------------

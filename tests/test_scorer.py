@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from chunkcheck.backends import UnitRelevanceBackend
 from chunkcheck.chunking import premise_text
+from chunkcheck.corpus import Claim, Document, GeneratedText, Unit, WhitespaceCounter
+from chunkcheck.engine import score_text
 from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.scoring import (
     ScoreCache,
@@ -18,6 +20,8 @@ from chunkcheck.scoring import (
     score_pair,
 )
 from helpers import FlakyBackend, ScriptedBackend, relevance_fixture
+
+WC = WhitespaceCounter()
 
 # ---------------------------------------------------------------------------
 # Prompt template
@@ -147,13 +151,25 @@ def test_score_pair_uses_cache():
     assert cache.hits == 4
 
 
-def test_score_pair_rejects_oversized_premise():
+def _capped_doc():
+    """Two single-unit chunks at budget 1: 1 token, then 4 tokens."""
+    units = [Unit(index=0, text="one"), Unit(index=1, text="one two three four")]
+    return Document(id="d", units=units)
+
+
+def _text(*sentences):
+    claims = [Claim(id=f"c{i}", doc_id="d", text=t) for i, t in enumerate(sentences)]
+    return GeneratedText(doc_id="d", sentences=claims)
+
+
+def test_score_text_rejects_oversized_chunk():
     backend = ScriptedBackend({}, default=0.5)
-    backend.max_premise_tokens = 3
-    with pytest.raises(PremiseTooLargeError):
-        score_pair(backend, "one two three four", "h")
+    message = "premise has 4 tokens, backend 'scripted' admits 3"
+    with pytest.raises(PremiseTooLargeError, match=message):
+        score_text(_capped_doc(), _text("h"), 1, backend, WC, cap=3)
+    assert backend.calls == 0
     # at the cap is fine
-    assert score_pair(backend, "one two three", "h") == 0.5
+    assert score_text(_capped_doc(), _text("h"), 1, backend, WC, cap=4).aggregate == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +218,8 @@ def test_batch_isolates_per_item_failures():
 
 def test_batch_raises_on_invalid_inputs_before_scoring():
     backend = ScriptedBackend({}, default=0.5)
-    backend.max_premise_tokens = 3
     with pytest.raises(PremiseTooLargeError):
-        score_batch(backend, [("a", "h"), ("one two three four", "h")])
+        score_text(_capped_doc(), _text("h", "g"), 1, backend, WC, cap=3)
     with pytest.raises(ValidationError):
         score_batch(backend, [("a", "h"), ("a", "   ")])
     assert backend.calls == 0
