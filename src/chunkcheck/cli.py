@@ -26,7 +26,11 @@ from .corpus import Corpus, load_corpus
 from .engine import AGGREGATIONS, score_text
 from .errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from .metrics import calibration_curve, ece, evaluate_scores, retrieval_recall, roc_auc
-from .retrieval import brute_force_retrieve, retrieval_hit, retrieve
+# ``retrieve`` is no longer called here, but perfbench/spans.py wraps the name
+# ``cli.retrieve``, so it stays importable. That span never fires now: traced
+# runs report no retrieval.retrieve_s, retrieval.self_s or
+# retrieval.levels_per_claim until the benchmark wraps ``cli.descend``.
+from .retrieval import brute_force_retrieve, descend, retrieval_hit, retrieve  # noqa: F401
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -104,13 +108,31 @@ def _score_corpus(corpus, config, counter, backend, cache, budget, explain=False
 
 
 def _retrievals(claims, corpus, config, counter, backend, cache):
-    """Yield (claim, document, greedy trace under the premise cap) per claim, in order."""
-    for claim in claims:
-        doc = corpus.document(claim.doc_id)
-        yield claim, doc, retrieve(
-            doc, claim, backend, k=config.k, budget=config.premise_cap, counter=counter,
-            cache=cache, max_workers=config.concurrency,
+    """Yield (claim, document, greedy trace under the premise cap) per claim, in
+    order. The claims of one document descend together. If a descent fails,
+    the claims before the first failing one are yielded, then its error raised."""
+    by_doc: dict[str, list[int]] = {}
+    for i, claim in enumerate(claims):
+        by_doc.setdefault(claim.doc_id, []).append(i)
+    traces = [None] * len(claims)
+    failed, error = len(claims), None
+    for doc_id, positions in by_doc.items():
+        positions = [i for i in positions if i < failed]
+        if not positions:
+            continue
+        done, exc = descend(
+            corpus.document(doc_id), [claims[i] for i in positions], backend, k=config.k,
+            budget=config.premise_cap, counter=counter, cache=cache,
+            max_workers=config.concurrency,
         )
+        for i, trace in zip(positions, done):
+            traces[i] = trace
+        if exc is not None:
+            failed, error = positions[len(done)], exc
+    for claim, trace in zip(claims[:failed], traces):
+        yield claim, corpus.document(claim.doc_id), trace
+    if error is not None:
+        raise error
 
 
 # Each cmd_* gets the set-up ``main`` built once and returns (results, meta),

@@ -174,14 +174,20 @@ def macro_f1(predictions, labels) -> float:
     return float(_macro_f1(tp, fp, fn, tn))
 
 
+def _thresholds(ordered: np.ndarray) -> np.ndarray:
+    """``candidate_thresholds`` of sorted float64 scores, as an array."""
+    # Which of two equal zeros is kept cannot show: z - 0.5, z + 0.5 and
+    # (z + b) / 2 for b != 0 are the same for z = +0.0 and z = -0.0.
+    uniq = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    with np.errstate(over="ignore"):  # a midpoint of two huge scores is inf, as in floats
+        mids = (uniq[:-1] + uniq[1:]) / 2.0
+    return np.concatenate(([uniq[0] - 0.5], mids, [uniq[-1] + 0.5]))
+
+
 def candidate_thresholds(scores) -> list[float]:
     """Midpoints between adjacent sorted unique scores, plus sentinels below
     the minimum and above the maximum."""
-    uniq = sorted(set(float(v) for v in scores))
-    cands = [uniq[0] - 0.5]
-    cands.extend((a + b) / 2.0 for a, b in zip(uniq, uniq[1:]))
-    cands.append(uniq[-1] + 0.5)
-    return cands
+    return _thresholds(np.sort(np.asarray(scores, dtype=np.float64))).tolist()
 
 
 def f1_macro_optimal(scores, labels) -> tuple[float, float]:
@@ -193,16 +199,17 @@ def f1_macro_optimal(scores, labels) -> tuple[float, float]:
     """
     s, y = _scores_and_labels(scores, labels)
     order = np.argsort(s, kind="stable")
+    ordered = s[order]
     positives_below = np.concatenate(([0], np.cumsum(y[order])))
-    thresholds = candidate_thresholds(s)
-    n_below = np.searchsorted(s[order], thresholds, "left")
+    thresholds = _thresholds(ordered)
+    n_below = np.searchsorted(ordered, thresholds, "left")
     fn = positives_below[n_below]
     tn = n_below - fn
     tp = int(positives_below[-1]) - fn
     fp = (len(s) - n_below) - tp
     f1s = _macro_f1(tp, fp, fn, tn)
     best = int(np.argmax(f1s))  # the first maximum: the lowest threshold on ties
-    return float(f1s[best]), thresholds[best]
+    return float(f1s[best]), float(thresholds[best])
 
 
 # ---------------------------------------------------------------------------

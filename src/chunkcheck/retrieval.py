@@ -5,6 +5,16 @@ token-balanced parts, score each part against the claim, descend into the
 best one, stop at a single unit. Needs O(log n) scorer calls where the
 exhaustive baseline needs n.
 
+The claims of one document descend together (``descend``): each level is
+one ``score_batch`` over the parts of every claim still descending, so the
+``max_workers`` threads are shared across the document's claims, and a
+claim that reaches a single unit drops out of later batches. Each distinct
+range is split, and each distinct part joined, once per level. Claims with
+the same text on one document share their pairs through the batch's
+deduplication. Every claim's trace is the one it would get descending
+alone; a failure is the error of the first failing claim in claim order,
+though other claims' pairs may have been scored by then.
+
 Exactness caveat: descent is provably equal to the exhaustive argmax when
 the scorer is max-composable (a range scores the max of its units), as the
 UnitRelevanceBackend is by construction. Real entailment scorers are not,
@@ -16,12 +26,21 @@ single-branch greedy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .chunking import premise_text, split_range
 from .corpus import Claim, Document, TokenCounter, WhitespaceCounter
-from .errors import ScoringError, ValidationError
-from .scoring import ScoreCache, ScorerBackend, check_cap, first_max, score_batch
+from .errors import ChunkcheckError, ScoringError, ValidationError
+from .scoring import (
+    BatchFailure,
+    ScoreCache,
+    ScorerBackend,
+    check_cap,
+    first_max,
+    score_batch,
+)
 
 _WHITESPACE = WhitespaceCounter()  # one default instance: a document caches counts per counter
 
@@ -65,23 +84,117 @@ class BruteForceResult:
     scorer_calls: int
 
 
+def _score_level(doc, claims, parts, backend, cap, counter, cache, max_workers, levels):
+    """Score every claim's parts (``parts[i]`` for ``claims[i]``, whose levels
+    so far are ``levels[i]``) in one batch, rejecting first any part of more
+    than ``cap`` tokens, counted from the prefix sums. Returns the scores of
+    the claims before the first whose scoring fails, and the error that
+    claim's parts raise when scored alone (None if no claim fails)."""
+    texts = {r: premise_text(doc, *r) for r in dict.fromkeys(r for ps in parts for r in ps)}
+    pairs = [(texts[r], claim.text) for claim, ps in zip(claims, parts) for r in ps]
+    try:
+        if cap is not None:
+            prefix = doc._token_prefix_sums(counter)
+            check_cap(backend, pairs, (prefix[b] - prefix[a] for ps in parts for a, b in ps), cap)
+        batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
+    except ValidationError as exc:
+        if len(claims) == 1:
+            return [], exc
+        # Some claim's pairs fail the input checks: score claim by claim to
+        # find the first such claim.
+        out = []
+        for claim, ps, partial in zip(claims, parts, levels):
+            scores, error = _score_level(
+                doc, [claim], [ps], backend, cap, counter, cache, max_workers, [partial]
+            )
+            out += scores
+            if error is not None:
+                return out, error
+        return out, None
+    offsets = list(accumulate((len(ps) for ps in parts), initial=0))
+    scores = [batch.scores[a:b] for a, b in zip(offsets, offsets[1:])]
+    if batch.ok:
+        return scores, None
+    i = bisect_right(offsets, batch.failures[0].index) - 1
+    lo, hi = offsets[i], offsets[i + 1]
+    failures = [
+        BatchFailure(index=f.index - lo, error=f.error) for f in batch.failures if f.index < hi
+    ]
+    return scores[:i], ScoringError(
+        f"claim {claims[i].id!r}: retrieval scoring failed at ranges {parts[i]} "
+        f"({failures[0].error})",
+        claim_id=claims[i].id,
+        partial=levels[i],
+        failures=failures,
+    )
+
+
 def _score_ranges(doc, claim, backend, ranges, cap, counter, cache, max_workers, partial_levels):
-    """Score each unit range against the claim, rejecting first any range of
-    more than ``cap`` tokens, counted from the prefix sums."""
-    pairs = [(premise_text(doc, a, b), claim.text) for a, b in ranges]
-    if cap is not None:
-        prefix = doc._token_prefix_sums(counter)
-        check_cap(backend, pairs, (prefix[b] - prefix[a] for a, b in ranges), cap)
-    batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
-    if not batch.ok:
-        raise ScoringError(
-            f"claim {claim.id!r}: retrieval scoring failed at ranges {ranges} "
-            f"({batch.failures[0].error})",
-            claim_id=claim.id,
-            partial=partial_levels,
-            failures=batch.failures,
+    """``_score_level`` for one claim: its scores, or its error raised."""
+    scores, exc = _score_level(
+        doc, [claim], [ranges], backend, cap, counter, cache, max_workers, [partial_levels]
+    )
+    if exc is not None:
+        raise exc
+    return scores[0]
+
+
+def descend(
+    doc: Document,
+    claims: list[Claim],
+    backend: ScorerBackend,
+    k: int = 2,
+    budget: int | None = None,
+    counter: TokenCounter = _WHITESPACE,
+    cache: ScoreCache | None = None,
+    max_workers: int = 1,
+) -> tuple[list[RetrievalTrace], ChunkcheckError | None]:
+    """``retrieve`` for every claim on ``doc``, descending together: one
+    batch per level over the parts of every claim still descending.
+
+    Returns the traces of the claims before the first one, in order, whose
+    descent fails, and that claim's error (None when every claim reaches a
+    unit). Claims after a failing one stop descending; the ones before it
+    go on, since one of them may fail later.
+    """
+    if not doc.units:
+        raise ValidationError(f"document {doc.id!r} has no units")
+    if k < 2:
+        raise ValidationError(f"branching factor must be >= 2, got {k}")
+
+    ranges = {i: (0, len(doc.units)) for i in range(len(claims))}  # still descending
+    levels: list[list[TraceLevel]] = [[] for _ in claims]
+    traces: list[RetrievalTrace | None] = [None] * len(claims)
+    failed, error = len(claims), None
+    while ranges:
+        active = list(ranges)
+        splits = {
+            r: _split_under_cap(doc, *r, k, counter, budget)
+            for r in dict.fromkeys(ranges.values())
+        }
+        parts = [splits[ranges[i]] for i in active]
+        scores, exc = _score_level(
+            doc, [claims[i] for i in active], parts, backend, budget, counter, cache,
+            max_workers, [levels[i] for i in active],
         )
-    return batch.scores
+        if exc is not None:
+            failed, error = active[len(scores)], exc
+            for i in active[len(scores):]:
+                del ranges[i]
+        for i, ps, sc in zip(active, parts, scores):
+            chosen = first_max(sc)
+            levels[i].append(TraceLevel(candidate_ranges=ps, scores=sc, chosen=chosen))
+            start, end = ranges[i] = ps[chosen]
+            if end - start == 1:
+                del ranges[i]
+                traces[i] = RetrievalTrace(
+                    claim_id=claims[i].id,
+                    levels=levels[i],
+                    result_unit=start,
+                    result_score=sc[chosen],
+                    scorer_calls=sum(len(lvl.scores) for lvl in levels[i]),
+                )
+    return traces[:failed], error
 
 
 def retrieve(
@@ -103,31 +216,10 @@ def retrieve(
     ``counter`` (whitespace by default). A one-unit document yields one level
     that scores its lone unit.
     """
-    if not doc.units:
-        raise ValidationError(f"document {doc.id!r} has no units")
-    if k < 2:
-        raise ValidationError(f"branching factor must be >= 2, got {k}")
-
-    levels: list[TraceLevel] = []
-    calls = 0
-    start, end = 0, len(doc.units)
-    while True:
-        parts = _split_under_cap(doc, start, end, k, counter, budget)
-        scores = _score_ranges(
-            doc, claim, backend, parts, budget, counter, cache, max_workers, levels
-        )
-        calls += len(parts)
-        chosen = first_max(scores)
-        levels.append(TraceLevel(candidate_ranges=parts, scores=scores, chosen=chosen))
-        start, end = parts[chosen]
-        if end - start == 1:
-            return RetrievalTrace(
-                claim_id=claim.id,
-                levels=levels,
-                result_unit=start,
-                result_score=scores[chosen],
-                scorer_calls=calls,
-            )
+    traces, error = descend(doc, [claim], backend, k, budget, counter, cache, max_workers)
+    if error is not None:
+        raise error
+    return traces[0]
 
 
 def _split_under_cap(doc, start, end, k, counter, cap):

@@ -65,10 +65,11 @@ class ScoreCache:
     """Thread-safe LRU keyed on (backend, premise hash, hypothesis hash).
 
     Keys include the hypothesis, so an entry is reused only when the same
-    claim text meets the same premise again: in practice, the retrieval of a
-    claim whose text repeats on the same document re-reads the ranges an
-    earlier retrieval of that text scored. Within one batch identical pairs
-    are already deduplicated before the cache is consulted.
+    claim text meets the same premise in a later batch. Within one batch
+    identical pairs are deduplicated before the cache is consulted. Scoring
+    sends all claims of a text in one batch, and retrieval all claims of a
+    document at each level, so reuse is rare: a retrieval part equal to a
+    chunk the same run has scored.
     """
 
     def __init__(self, capacity: int = 4096):

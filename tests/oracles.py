@@ -1,6 +1,7 @@
 """Independent naive-formula oracles for the metrics module, reference
-versions of the rank-metric kernels, and reference versions of the
-retrieval splitters.
+versions of the rank-metric kernels and the threshold candidates, and
+reference versions of the retrieval splitters and of claim-by-claim
+retrieval.
 
 The oracles are pure-python, loop-based, written directly from the defining
 formulas so they share no code path with the implementations they check.
@@ -14,6 +15,12 @@ from bisect import bisect_left
 from math import ceil, sqrt
 
 import numpy as np
+
+from chunkcheck.chunking import premise_text
+from chunkcheck.corpus import WhitespaceCounter
+from chunkcheck.errors import ScoringError, ValidationError
+from chunkcheck.retrieval import RetrievalTrace, TraceLevel, _split_under_cap
+from chunkcheck.scoring import check_cap, first_max, score_batch
 
 
 def auc_pair_counting(scores, labels) -> float:
@@ -130,6 +137,15 @@ def kendall_tau_reference(x, y) -> float:
     return concordant_minus_discordant / denom
 
 
+def candidate_thresholds_reference(scores) -> list[float]:
+    """Midpoints over a Python set of the scores, sorted, plus the sentinels."""
+    uniq = sorted(set(float(v) for v in scores))
+    cands = [uniq[0] - 0.5]
+    cands.extend((a + b) / 2.0 for a, b in zip(uniq, uniq[1:]))
+    cands.append(uniq[-1] + 0.5)
+    return cands
+
+
 def _f1_reference(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -240,6 +256,58 @@ def split_under_cap_reference(doc, start, end, k, counter, cap):
         kk += 1
         parts = split_range_reference(doc, start, end, kk, counter)
     return parts
+
+
+def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None, cache=None,
+                       max_workers=1) -> RetrievalTrace:
+    """Greedy descent of one claim on its own: one ``score_batch`` of the
+    claim's parts per level, each part split and joined for this claim."""
+    if not doc.units:
+        raise ValidationError(f"document {doc.id!r} has no units")
+    if k < 2:
+        raise ValidationError(f"branching factor must be >= 2, got {k}")
+    counter = WhitespaceCounter() if counter is None else counter
+    levels = []
+    start, end = 0, len(doc.units)
+    while True:
+        parts = _split_under_cap(doc, start, end, k, counter, budget)
+        pairs = [(premise_text(doc, a, b), claim.text) for a, b in parts]
+        if budget is not None:
+            prefix = doc._token_prefix_sums(counter)
+            check_cap(backend, pairs, (prefix[b] - prefix[a] for a, b in parts), budget)
+        batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
+        if not batch.ok:
+            raise ScoringError(
+                f"claim {claim.id!r}: retrieval scoring failed at ranges {parts} "
+                f"({batch.failures[0].error})",
+                claim_id=claim.id,
+                partial=levels,
+                failures=batch.failures,
+            )
+        chosen = first_max(batch.scores)
+        levels.append(TraceLevel(candidate_ranges=parts, scores=batch.scores, chosen=chosen))
+        start, end = parts[chosen]
+        if end - start == 1:
+            return RetrievalTrace(
+                claim_id=claim.id,
+                levels=levels,
+                result_unit=start,
+                result_score=batch.scores[chosen],
+                scorer_calls=sum(len(lvl.scores) for lvl in levels),
+            )
+
+
+def retrievals_reference(claims, corpus, backend, k=2, budget=None, counter=None, cache=None,
+                         max_workers=1) -> list[tuple]:
+    """(claim, document, trace) per claim, retrieving one claim after another
+    in order, so the first failing claim's error is the one raised."""
+    out = []
+    for claim in claims:
+        doc = corpus.document(claim.doc_id)
+        out.append((claim, doc, retrieve_reference(
+            doc, claim, backend, k, budget, counter, cache, max_workers
+        )))
+    return out
 
 
 def check_pairs_reference(backend, pairs) -> None:

@@ -24,6 +24,7 @@ from chunkcheck.metrics import (
 from oracles import (
     auc_pair_counting,
     best_macro_f1_by_cuts,
+    candidate_thresholds_reference,
     curve_by_hand,
     ece_by_hand,
     f1_macro_optimal_reference,
@@ -169,6 +170,23 @@ def test_candidate_thresholds_cover_all_cuts():
     cands = candidate_thresholds([0.2, 0.6, 0.9])
     assert cands == [pytest.approx(-0.3), pytest.approx(0.4), pytest.approx(0.75),
                      pytest.approx(1.4)]
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.5,
+                float(np.nextafter(0.5, 1.0)), 1.7976931348623157e308, -1.7976931348623157e308]
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS))
+
+
+@given(st.one_of(
+    st.lists(_finite, min_size=1, max_size=60),
+    st.lists(st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=12),  # duplicates, both zeros
+))
+@settings(max_examples=500, deadline=None)
+def test_candidate_thresholds_equal_the_set_based_reference(scores):
+    got = candidate_thresholds(scores)
+    want = candidate_thresholds_reference(scores)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in want]  # signed zeros included
 
 
 def test_f1_value_invariant_under_monotone_transform():
