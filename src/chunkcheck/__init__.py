@@ -20,9 +20,8 @@ from .corpus import (
     VocabCounter,
     WhitespaceCounter,
     load_corpus,
-    split_sentences,
 )
-from .engine import SentenceScore, TextScore, classify, score_sentence, score_text
+from .engine import SentenceScore, TextScore, score_sentence, score_text
 from .errors import (
     BackendError,
     ChunkcheckError,
@@ -49,7 +48,6 @@ from .retrieval import (
     brute_force_retrieve,
     retrieval_hit,
     retrieve,
-    verify_trace,
 )
 from .scoring import (
     BatchResult,
@@ -79,10 +77,8 @@ __all__ = [
     "VocabCounter",
     "WhitespaceCounter",
     "load_corpus",
-    "split_sentences",
     "SentenceScore",
     "TextScore",
-    "classify",
     "score_sentence",
     "score_text",
     "BackendError",
@@ -106,7 +102,6 @@ __all__ = [
     "brute_force_retrieve",
     "retrieval_hit",
     "retrieve",
-    "verify_trace",
     "BatchResult",
     "ScoreCache",
     "ScorerBackend",

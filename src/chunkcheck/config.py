@@ -69,7 +69,27 @@ class RunConfig:
             raise ValidationError(f"backoff must be >= 0, got {self.backoff}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The config as reports embed it, with the auth header's value masked."""
+        out = asdict(self)
+        if self.auth_header is not None:
+            name, sep, _ = self.auth_header.partition(":")
+            out["auth_header"] = f"{name.strip()}: ***" if sep else "***"
+        return out
+
+
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_ADMITS = {"str": str, "int": int, "float": (int, float)}
+
+
+def _check_types(values: dict) -> None:
+    """Reject a value of the wrong type: a bool anywhere, a float for an
+    int field, a str for a number; only the "| None" fields take None."""
+    for key, value in values.items():
+        base, _, optional = _FIELD_TYPES[key].partition(" | ")
+        if value is None and optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _ADMITS[base]):
+            raise ValidationError(f"config key {key!r} must be {_FIELD_TYPES[key]}, got {value!r}")
 
 
 def resolve_config(config_path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -83,8 +103,9 @@ def resolve_config(config_path: str | None = None, overrides: dict | None = None
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(loaded) - known
+        if not isinstance(loaded, dict):
+            raise ValidationError(f"config file {path} must hold a JSON object")
+        unknown = set(loaded) - _FIELD_TYPES.keys()
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
@@ -95,6 +116,7 @@ def resolve_config(config_path: str | None = None, overrides: dict | None = None
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
+    _check_types(values)
     cfg = RunConfig(**values)
     cfg.validate()
     return cfg

@@ -1,18 +1,17 @@
 """Data model and ingestion for source documents, claims, and annotations.
 
 A document is an ordered list of atomic units: one sentence for prose, one
-speaker turn for dialogue (granularity is a per-document property, inferred
-at ingestion from the presence of speakers). A claim is a single generated
-sentence to be verified against one document; it may carry a gold
+speaker turn for dialogue. A claim is a single generated sentence, already
+split, to be verified against one document; it may carry a gold
 consistency label and the set of source-unit indices annotated as relevant
-evidence.
+evidence. Unknown fields of a record are kept on load and counted in the
+corpus hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -146,10 +145,6 @@ class Document:
                     f"document {self.id!r}: unit index {unit.index} at position {pos}"
                 )
 
-    @property
-    def granularity(self) -> str:
-        return "utterance" if any(u.speaker for u in self.units) else "sentence"
-
     @cached_property
     def _unit_lines(self) -> list[str]:
         """The formatted premise line of each unit (``format_unit``), computed once."""
@@ -173,9 +168,6 @@ class Document:
             cached = list(accumulate(self.unit_token_counts(counter), initial=0))
             self._prefix_cache[counter] = cached
         return cached
-
-    def total_tokens(self, counter: TokenCounter) -> int:
-        return sum(self.unit_token_counts(counter))
 
 
 @dataclass
@@ -221,16 +213,6 @@ class GeneratedText:
                 )
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    n_documents: int
-    n_claims: int
-    n_units: int
-    mean_units_per_doc: float
-    mean_tokens_per_doc: float
-    counter: str
-
-
 @dataclass
 class Corpus:
     documents: list[Document]
@@ -267,19 +249,6 @@ class Corpus:
             groups.setdefault(claim.doc_id, []).append(claim)
         return [GeneratedText(doc_id, claims) for doc_id, claims in groups.items()]
 
-    def stats(self, counter: TokenCounter) -> CorpusStats:
-        n_docs = len(self.documents)
-        n_units = sum(len(d.units) for d in self.documents)
-        total_tokens = sum(d.total_tokens(counter) for d in self.documents)
-        return CorpusStats(
-            n_documents=n_docs,
-            n_claims=len(self.claims),
-            n_units=n_units,
-            mean_units_per_doc=n_units / n_docs if n_docs else 0.0,
-            mean_tokens_per_doc=total_tokens / n_docs if n_docs else 0.0,
-            counter=counter.name,
-        )
-
     def content_hash(self) -> str:
         """sha256 over the canonical serialized corpus; stable across runs."""
         payload = {
@@ -291,7 +260,7 @@ class Corpus:
 
 
 # ---------------------------------------------------------------------------
-# JSONL serialization (unknown fields are preserved on round-trip)
+# JSONL records (unknown fields are kept in ``extra``)
 
 _UNIT_KEYS = {"speaker", "text"}
 _DOC_KEYS = {"id", "units"}
@@ -382,18 +351,6 @@ def read_claims_jsonl(path: str | Path) -> list[Claim]:
     return _read_jsonl(path, claim_from_record, {"id", "doc_id", "text"})
 
 
-def write_documents_jsonl(documents: list[Document], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc in documents:
-            fh.write(json.dumps(document_to_record(doc), ensure_ascii=False) + "\n")
-
-
-def write_claims_jsonl(claims: list[Claim], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for claim in claims:
-            fh.write(json.dumps(claim_to_record(claim), ensure_ascii=False) + "\n")
-
-
 def load_corpus(documents_path: str | Path, claims_path: str | Path) -> Corpus:
     """Load and cross-validate a documents file plus a claims file.
 
@@ -407,60 +364,3 @@ def load_corpus(documents_path: str | Path, claims_path: str | Path) -> Corpus:
     corpus.validate()
     return corpus
 
-
-# ---------------------------------------------------------------------------
-# Sentence segmentation
-
-# Words that end with a period without ending a sentence. Compared lowercase,
-# with the final period stripped.
-_ABBREVIATIONS = {
-    "dr", "mr", "mrs", "ms", "prof", "sr", "jr", "st", "vs", "etc",
-    "e.g", "i.e", "cf", "al", "inc", "ltd", "co", "corp", "dept",
-    "approx", "fig", "figs", "eq", "eqs", "sec", "ch", "vol", "pp",
-    "capt", "gen", "sen", "rep", "rev", "hon", "gov", "pres",
-    "jan", "feb", "mar", "apr", "jun", "jul", "aug", "sep", "sept", "oct", "nov", "dec",
-    "a.m", "p.m", "u.s", "u.k", "u.n",
-}
-
-_BOUNDARY = re.compile(r"[.?!]+[\"')\]]*\s+")
-
-
-def _is_abbreviation(word: str) -> bool:
-    return word.rstrip(".?!\"')]").lower() in _ABBREVIATIONS
-
-
-def split_sentences(text: str) -> list[str]:
-    """Split text on terminal punctuation, keeping known abbreviations intact.
-
-    Joining the result with single spaces and collapsing whitespace always
-    reproduces the whitespace-collapsed input.
-    """
-    sentences = []
-    start = 0
-    for m in _BOUNDARY.finditer(text):
-        if "." in m.group(0):
-            prev = text[start : m.end()].split()
-            if prev and _is_abbreviation(prev[-1]):
-                continue
-        nxt = text[m.end() : m.end() + 1]
-        if nxt and nxt.islower():
-            continue  # lowercase continuation: treat as mid-sentence punctuation
-        piece = text[start : m.end()].strip()
-        if piece:
-            sentences.append(piece)
-        start = m.end()
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
-
-
-def text_to_claims(doc_id: str, text: str, id_prefix: str = "s") -> GeneratedText:
-    """Segment a raw generated text into one claim per sentence."""
-    sentences = split_sentences(text)
-    claims = [
-        Claim(id=f"{id_prefix}{i}", doc_id=doc_id, text=s) for i, s in enumerate(sentences)
-    ]
-    gt = GeneratedText(doc_id=doc_id, sentences=claims)
-    gt.validate()
-    return gt

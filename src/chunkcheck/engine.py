@@ -174,12 +174,3 @@ def score_text(
         aggregate=agg,
         aggregation=aggregation,
     )
-
-
-def classify(score: float, threshold: float) -> bool:
-    """Consistent iff score >= threshold."""
-    if not (0.0 <= score <= 1.0):
-        raise ValidationError(f"score {score} outside [0, 1]")
-    if not (0.0 <= threshold <= 1.0):
-        raise ValidationError(f"threshold {threshold} outside [0, 1]")
-    return score >= threshold

@@ -129,16 +129,6 @@ def _score_level(doc, claims, parts, backend, cap, counter, cache, max_workers, 
     )
 
 
-def _score_ranges(doc, claim, backend, ranges, cap, counter, cache, max_workers, partial_levels):
-    """``_score_level`` for one claim: its scores, or its error raised."""
-    scores, exc = _score_level(
-        doc, [claim], [ranges], backend, cap, counter, cache, max_workers, [partial_levels]
-    )
-    if exc is not None:
-        raise exc
-    return scores[0]
-
-
 def descend(
     doc: Document,
     claims: list[Claim],
@@ -260,7 +250,12 @@ def brute_force_retrieve(
     if not doc.units:
         raise ValidationError(f"document {doc.id!r} has no units")
     ranges = [(i, i + 1) for i in range(len(doc.units))]
-    scores = _score_ranges(doc, claim, backend, ranges, budget, counter, cache, max_workers, [])
+    scored, exc = _score_level(
+        doc, [claim], [ranges], backend, budget, counter, cache, max_workers, [[]]
+    )
+    if exc is not None:
+        raise exc
+    scores = scored[0]
     best = first_max(scores)
     return BruteForceResult(unit=best, score=scores[best], scorer_calls=len(ranges))
 
@@ -281,33 +276,3 @@ def call_count_bound(n: int, k: int) -> int:
         depth += 1
     return k * depth + k
 
-
-def verify_trace(
-    doc: Document,
-    claim: Claim,
-    backend: ScorerBackend,
-    trace: RetrievalTrace,
-    cache: ScoreCache | None = None,
-) -> None:
-    """Replay a trace: re-score its recorded ranges and check every recorded
-    score and choice reproduces. Raises ValidationError on any mismatch."""
-    calls = 0
-    for depth, level in enumerate(trace.levels):
-        scores = _score_ranges(
-            doc, claim, backend, level.candidate_ranges, None, None, cache, 1, trace.levels
-        )
-        calls += len(scores)
-        if scores != level.scores:
-            raise ValidationError(
-                f"trace replay mismatch at level {depth}: {scores} != {level.scores}"
-            )
-        if first_max(scores) != level.chosen:
-            raise ValidationError(f"trace replay picked a different branch at level {depth}")
-    if calls != trace.scorer_calls:
-        raise ValidationError(
-            f"trace records {trace.scorer_calls} scorer calls, replay used {calls}"
-        )
-    last = trace.levels[-1]
-    a, b = last.candidate_ranges[last.chosen]
-    if (b - a) != 1 or a != trace.result_unit:
-        raise ValidationError("trace does not terminate at its result unit")

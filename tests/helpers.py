@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 from chunkcheck.backends import UnitRelevanceBackend
-from chunkcheck.corpus import Document, Unit
+from chunkcheck.corpus import Corpus, Document, Unit, claim_to_record, document_to_record
 from chunkcheck.scoring import ScorerBackend
 
 
@@ -25,6 +27,14 @@ def make_sized_doc(doc_id: str, unit_token_counts: list[int]) -> Document:
         for i, c in enumerate(unit_token_counts)
     ]
     return Document(id=doc_id, units=units)
+
+
+def write_corpus_jsonl(corpus: Corpus, documents_path: Path, claims_path: Path) -> None:
+    """Write a corpus as the documents and claims JSONL files ``load_corpus`` reads."""
+    for path, records in ((documents_path, map(document_to_record, corpus.documents)),
+                          (claims_path, map(claim_to_record, corpus.claims))):
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                        encoding="utf-8")
 
 
 def relevance_fixture(doc_id: str, base_scores: list[float], words_per_unit: int = 3):

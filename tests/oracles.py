@@ -1,7 +1,7 @@
 """Independent naive-formula oracles for the metrics module, reference
 versions of the rank-metric kernels and the threshold candidates, and
 reference versions of the retrieval splitters and of claim-by-claim
-retrieval.
+retrieval; and a replay check for retrieval traces.
 
 The oracles are pure-python, loop-based, written directly from the defining
 formulas so they share no code path with the implementations they check.
@@ -308,6 +308,28 @@ def retrievals_reference(claims, corpus, backend, k=2, budget=None, counter=None
             doc, claim, backend, k, budget, counter, cache, max_workers
         )))
     return out
+
+
+def verify_trace(doc, claim, backend, trace) -> None:
+    """Replay a trace: re-score each recorded level's ranges, joined with
+    ``premise_text`` and scored with ``score_batch``, and check that every
+    recorded score, choice and call count reproduces and that the chosen
+    ranges nest down to the result unit. Raises AssertionError on any
+    mismatch."""
+    calls = 0
+    lo, hi = 0, len(doc.units)
+    for depth, level in enumerate(trace.levels):
+        ranges = level.candidate_ranges
+        assert all(lo <= a < b <= hi for a, b in ranges), f"level {depth} leaves {(lo, hi)}"
+        batch = score_batch(backend, [(premise_text(doc, a, b), claim.text) for a, b in ranges])
+        assert batch.ok, f"replay failed at level {depth}: {batch.failures}"
+        assert batch.scores == level.scores, f"level {depth}: {batch.scores} != {level.scores}"
+        assert batch.scores.index(max(batch.scores)) == level.chosen, f"level {depth} choice"
+        calls += len(ranges)
+        lo, hi = ranges[level.chosen]
+    assert calls == trace.scorer_calls, f"{trace.scorer_calls} calls recorded, {calls} replayed"
+    assert (lo, hi) == (trace.result_unit, trace.result_unit + 1), "trace ends off its unit"
+    assert trace.levels[-1].scores[trace.levels[-1].chosen] == trace.result_score
 
 
 def check_pairs_reference(backend, pairs) -> None:

@@ -285,13 +285,17 @@ def test_bad_budgets_rejected(fixture_dir, tmp_path, capsys):
 
 def test_config_file_with_flag_override(fixture_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"budget": 64, "aggregation": "mean"}))
+    # null suits an optional field, and an int a float field
+    cfg_path.write_text(json.dumps({"budget": 64, "aggregation": "mean",
+                                    "premise_cap": None, "timeout": 5}))
     out = tmp_path / "report.json"
-    _run(["score", *_fixture_args(fixture_dir), "--config", cfg_path,
-          "--budget", "128", "--out", out])
+    assert _run(["score", *_fixture_args(fixture_dir), "--config", cfg_path,
+                 "--budget", "128", "--out", out]) == 0
     config = _load_report(out)["config"]
     assert config["budget"] == 128  # flag wins
     assert config["aggregation"] == "mean"  # file survives
+    assert config["premise_cap"] is None
+    assert config["timeout"] == 5
 
 
 def test_endpoint_from_environment(fixture_dir, tmp_path, monkeypatch, capsys):
@@ -310,6 +314,45 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg_path.write_text(json.dumps({"budgett": 64}))
     with pytest.raises(ValidationError, match="budgett"):
         resolve_config(str(cfg_path), {})
+
+
+@pytest.mark.parametrize(
+    ("command", "content", "named"),
+    [
+        ("score", '{"budget": "512"}', "budget"),
+        ("score", '{"concurrency": "4"}', "concurrency"),
+        ("score", "null", "JSON object"),
+        ("retrieve", '{"k": 2.5}', "'k'"),
+        ("retrieve", '{"premise_cap": true}', "premise_cap"),
+        ("score", '{"budget": 64.0}', "budget"),
+    ],
+)
+def test_wrong_typed_config_exits_one(fixture_dir, tmp_path, capsys, command, content, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(content)
+    out = tmp_path / "r.json"
+    code = _run([command, *_fixture_args(fixture_dir), "--config", cfg_path, "--out", out])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert named in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_report_masks_auth_header_value(fixture_dir, tmp_path, monkeypatch, source):
+    header = "Authorization: Bearer sk-secret"
+    flags = []
+    if source == "flag":
+        flags = ["--auth-header", header]
+    else:
+        monkeypatch.setenv("CHUNKCHECK_AUTH_HEADER", header)
+    out = tmp_path / "r.json"
+    assert _run(["score", *_fixture_args(fixture_dir), *flags, "--out", out]) == 0
+    raw = out.read_bytes()
+    assert b"sk-secret" not in raw
+    assert b"Bearer" not in raw
+    assert json.loads(raw)["config"]["auth_header"] == "Authorization: ***"
 
 
 def test_invalid_flag_combo_exits_one(fixture_dir, tmp_path, capsys):

@@ -18,12 +18,9 @@ from chunkcheck.corpus import (
     load_corpus,
     make_counter,
     read_claims_jsonl,
-    split_sentences,
-    text_to_claims,
-    write_claims_jsonl,
-    write_documents_jsonl,
 )
 from chunkcheck.errors import CorpusError, ValidationError
+from helpers import write_corpus_jsonl
 
 # ---------------------------------------------------------------------------
 # Loading and validation
@@ -104,28 +101,20 @@ def test_duplicate_document_id_rejected():
         Corpus(documents=[d1, d2], claims=[]).validate()
 
 
-def test_granularity_inferred():
-    dialogue = Document(id="a", units=[Unit(index=0, text="hi", speaker="X")])
-    prose = Document(id="b", units=[Unit(index=0, text="hi")])
-    assert dialogue.granularity == "utterance"
-    assert prose.granularity == "sentence"
-
-
 # ---------------------------------------------------------------------------
 # Fixture statistics (hand counts)
 
 
 def test_fixture_stats_match_hand_counts(fixture_corpus, whitespace_counter):
-    stats = fixture_corpus.stats(whitespace_counter)
-    assert stats.n_documents == 3
-    assert stats.n_claims == 13
-    assert stats.n_units == 8 + 6 + 10
-    assert stats.mean_units_per_doc == pytest.approx(8.0)
-    # hand-counted whitespace tokens of the formatted lines: 69 + 45 + 85
-    assert stats.mean_tokens_per_doc == pytest.approx(199 / 3)
+    docs = fixture_corpus.documents
+    assert len(docs) == 3
+    assert len(fixture_corpus.claims) == 13
+    assert [len(d.units) for d in docs] == [8, 6, 10]
+    # hand-counted whitespace tokens of the formatted lines
+    assert [sum(d.unit_token_counts(whitespace_counter)) for d in docs] == [69, 45, 85]
 
 
-def test_stats_on_large_synthetic_dialogue_corpus(tmp_path, whitespace_counter):
+def test_stats_on_large_synthetic_dialogue_corpus(tmp_path):
     # 52 dialogues averaging 309 utterances each, 12 claims per dialogue.
     docs = []
     claims = []
@@ -147,10 +136,9 @@ def test_stats_on_large_synthetic_dialogue_corpus(tmp_path, whitespace_counter):
     claims_path.write_text("".join(json.dumps(r) + "\n" for r in claims))
 
     corpus = load_corpus(docs_path, claims_path)
-    stats = corpus.stats(whitespace_counter)
-    assert stats.n_documents == 52
-    assert stats.n_claims == 624
-    assert round(stats.mean_units_per_doc) == 309
+    assert len(corpus.documents) == 52
+    assert len(corpus.claims) == 624
+    assert sum(len(d.units) for d in corpus.documents) == 52 * 309
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +201,7 @@ def test_round_trip_is_lossless(tmp_path_factory, corpus):
     tmp = tmp_path_factory.mktemp("rt")
     docs_path = tmp / "docs.jsonl"
     claims_path = tmp / "claims.jsonl"
-    write_documents_jsonl(corpus.documents, docs_path)
-    write_claims_jsonl(corpus.claims, claims_path)
+    write_corpus_jsonl(corpus, docs_path, claims_path)
     loaded = load_corpus(docs_path, claims_path)
     assert loaded.documents == corpus.documents
     assert loaded.claims == corpus.claims
@@ -234,52 +221,6 @@ def test_unknown_fields_survive_record_round_trip():
     back_doc = document_to_record(document_from_record(doc_rec))
     assert back_doc["show"] == "harbor"
     assert back_doc["units"][0]["scene"] == 4
-
-
-# ---------------------------------------------------------------------------
-# Sentence segmentation
-
-
-def test_terminal_punctuation_split():
-    assert split_sentences("A. B? C!") == ["A.", "B?", "C!"]
-
-
-def test_abbreviation_not_split():
-    assert split_sentences("Dr. Smith left.") == ["Dr. Smith left."]
-
-
-def test_empty_input():
-    assert split_sentences("") == []
-    assert split_sentences("   ") == []
-
-
-def test_hand_segmented_fixture(fixture_dir):
-    cases = json.loads((fixture_dir / "sentences.json").read_text())
-    total = 0
-    for case in cases:
-        assert split_sentences(case["text"]) == case["sentences"]
-        total += len(case["sentences"])
-    assert total == 20
-
-
-def test_segmentation_idempotent_on_fixture(fixture_dir):
-    cases = json.loads((fixture_dir / "sentences.json").read_text())
-    for case in cases:
-        for sentence in case["sentences"]:
-            assert split_sentences(sentence) == [sentence]
-
-
-@given(st.text(max_size=200))
-@settings(max_examples=150, deadline=None)
-def test_split_preserves_collapsed_text(text):
-    joined = " ".join(split_sentences(text))
-    assert " ".join(joined.split()) == " ".join(text.split())
-
-
-def test_text_to_claims():
-    gt = text_to_claims("doc1", "First thing. Second thing?")
-    assert [c.text for c in gt.sentences] == ["First thing.", "Second thing?"]
-    assert all(c.doc_id == "doc1" for c in gt.sentences)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from chunkcheck.chunking import make_chunks, premise_text
 from chunkcheck.corpus import Claim, Document, GeneratedText, Unit, WhitespaceCounter
-from chunkcheck.engine import aggregate_scores, classify, score_sentence, score_text
+from chunkcheck.engine import aggregate_scores, score_sentence, score_text
 from chunkcheck.errors import ScoringError, ValidationError
 from chunkcheck.scoring import ScoreCache, score_pair
 from helpers import FlakyBackend, ScriptedBackend, make_doc, relevance_fixture
@@ -252,16 +252,3 @@ def test_determinism_with_cache_and_workers():
         assert again.score == baseline.score
         assert again.argmax_chunk == baseline.argmax_chunk
 
-
-# ---------------------------------------------------------------------------
-# classify
-
-
-def test_classify_boundaries():
-    assert classify(0.7, 0.5) is True
-    assert classify(0.5, 0.5) is True
-    assert classify(0.49, 0.5) is False
-    with pytest.raises(ValidationError):
-        classify(1.2, 0.5)
-    with pytest.raises(ValidationError):
-        classify(0.5, -0.1)

@@ -20,10 +20,10 @@ from chunkcheck.retrieval import (
     call_count_bound,
     retrieval_hit,
     retrieve,
-    verify_trace,
 )
 from chunkcheck.scoring import score_pair
 from helpers import ScriptedBackend, make_doc, relevance_fixture
+from oracles import verify_trace
 
 WC = WhitespaceCounter()
 
@@ -131,6 +131,25 @@ def test_trace_replays_deterministically():
         doc, backend = relevance_fixture(f"d{trial}", scores)
         trace = retrieve(doc, _claim(f"d{trial}"), backend, k=3)
         verify_trace(doc, _claim(f"d{trial}"), backend, trace)
+
+
+@pytest.mark.parametrize("field", ["score", "chosen", "range", "calls", "unit"])
+def test_trace_replay_rejects_a_tampered_trace(field):
+    doc, backend = relevance_fixture("d", [0.2, 0.8, 0.5, 0.1, 0.9, 0.3])
+    trace = retrieve(doc, _claim("d"), backend, k=2)
+    level = trace.levels[0]
+    if field == "score":
+        level.scores[1] += 0.01
+    elif field == "chosen":
+        level.chosen = 1 - level.chosen
+    elif field == "range":
+        level.candidate_ranges[0] = (0, 1)
+    elif field == "calls":
+        trace.scorer_calls += 1
+    else:
+        trace.result_unit = (trace.result_unit + 1) % len(doc.units)
+    with pytest.raises(AssertionError):
+        verify_trace(doc, _claim("d"), backend, trace)
 
 
 def test_trace_shape_invariants():
