@@ -26,14 +26,23 @@ from .corpus import Corpus, load_corpus
 from .engine import AGGREGATIONS, score_text
 from .errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from .metrics import calibration_curve, ece, evaluate_scores, retrieval_recall, roc_auc
-# ``retrieve`` is no longer called here, but perfbench/spans.py wraps the name
-# ``cli.retrieve``, so it stays importable. That span never fires now: traced
-# runs report no retrieval.retrieve_s, retrieval.self_s or
-# retrieval.levels_per_claim until the benchmark wraps ``cli.descend``.
-from .retrieval import brute_force_retrieve, descend, retrieval_hit, retrieve  # noqa: F401
+# ``retrieve`` and ``brute_force_retrieve`` are no longer called here, but
+# perfbench/spans.py wraps both names in ``cli``, so they stay importable.
+# Those spans never fire now: traced runs report no retrieval.retrieve_s,
+# retrieval.self_s or retrieval.levels_per_claim until the benchmark wraps
+# ``cli.descend``.
+from .retrieval import (  # noqa: F401
+    brute_force_all,
+    brute_force_retrieve,
+    descend,
+    retrieval_hit,
+    retrieve,
+)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, as a parent parser."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--documents", required=True, help="documents JSONL path")
     p.add_argument("--claims", required=True, help="claims JSONL path")
     p.add_argument("--out", help="report path (default: stdout)")
@@ -54,6 +63,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float)
     p.add_argument("--retries", type=int)
     p.add_argument("--backoff", type=float)
+    return p
 
 
 def _setup(args: argparse.Namespace):
@@ -107,32 +117,37 @@ def _score_corpus(corpus, config, counter, backend, cache, budget, explain=False
     return text_scores, [by_claim[c.id] for c in corpus.claims], time.perf_counter() - t0
 
 
-def _retrievals(claims, corpus, config, counter, backend, cache):
-    """Yield (claim, document, greedy trace under the premise cap) per claim, in
-    order. The claims of one document descend together. If a descent fails,
-    the claims before the first failing one are yielded, then its error raised."""
+def _per_document(claims, corpus, run):
+    """Apply ``run(document, its claims)`` to the claims of each document.
+    ``run`` returns the results of the claims before its first failing one
+    and that claim's error (None if none fails), like ``descend``. Returns
+    the results in claim order up to the first failing claim, and its error.
+    Claims after a failing one are not run."""
     by_doc: dict[str, list[int]] = {}
     for i, claim in enumerate(claims):
         by_doc.setdefault(claim.doc_id, []).append(i)
-    traces = [None] * len(claims)
+    results = [None] * len(claims)
     failed, error = len(claims), None
     for doc_id, positions in by_doc.items():
         positions = [i for i in positions if i < failed]
         if not positions:
             continue
-        done, exc = descend(
-            corpus.document(doc_id), [claims[i] for i in positions], backend, k=config.k,
-            budget=config.premise_cap, counter=counter, cache=cache,
-            max_workers=config.concurrency,
-        )
-        for i, trace in zip(positions, done):
-            traces[i] = trace
+        done, exc = run(corpus.document(doc_id), [claims[i] for i in positions])
+        for i, result in zip(positions, done):
+            results[i] = result
         if exc is not None:
             failed, error = positions[len(done)], exc
-    for claim, trace in zip(claims[:failed], traces):
-        yield claim, corpus.document(claim.doc_id), trace
-    if error is not None:
-        raise error
+    return results[:failed], error
+
+
+def _retrievals(claims, corpus, config, counter, backend, cache):
+    """Greedy traces under the premise cap, the claims of one document
+    descending together: (the traces of the claims before the first failing
+    one, in order; its error, or None)."""
+    return _per_document(claims, corpus, lambda doc, doc_claims: descend(
+        doc, doc_claims, backend, k=config.k, budget=config.premise_cap, counter=counter,
+        cache=cache, max_workers=config.concurrency,
+    ))
 
 
 # Each cmd_* gets the set-up ``main`` built once and returns (results, meta),
@@ -160,10 +175,23 @@ def cmd_score(args, config, corpus, counter, backend):
 
 
 def cmd_retrieve(args, config, corpus, counter, backend):
-    cache = build_cache(config)
     t0 = time.perf_counter()
+    claims = corpus.claims
+    traces, error = _retrievals(claims, corpus, config, counter, backend, build_cache(config))
+    if args.brute_force:
+        # Only the claims before the first greedy failure, so that for one
+        # claim the greedy error comes first.
+        brute, brute_error = _per_document(
+            claims[: len(traces)], corpus, lambda doc, doc_claims: brute_force_all(
+                doc, doc_claims, backend, budget=config.premise_cap, counter=counter,
+                max_workers=config.concurrency,
+            ),
+        )
+        error = error if brute_error is None else brute_error
+    if error is not None:
+        raise error
     entries = []
-    for claim, doc, trace in _retrievals(corpus.claims, corpus, config, counter, backend, cache):
+    for i, (claim, trace) in enumerate(zip(claims, traces)):
         entry = {
             "claim_id": claim.id,
             "result_unit": trace.result_unit,
@@ -173,9 +201,7 @@ def cmd_retrieve(args, config, corpus, counter, backend):
         if args.trace:
             entry["trace"] = trace.to_dict()["levels"]
         if args.brute_force:
-            bf = brute_force_retrieve(
-                doc, claim, backend, budget=config.premise_cap, counter=counter
-            )
+            bf = brute[i]
             entry["brute_force"] = {
                 "unit": bf.unit,
                 "score": bf.score,
@@ -218,15 +244,14 @@ def cmd_evaluate(args, config, corpus, counter, backend):
         if not annotated:
             raise ValidationError("no claims carry relevant_units annotations")
         r0 = time.perf_counter()
-        hits = []
-        calls = 0
-        for claim, _, trace in _retrievals(annotated, corpus, config, counter, backend, cache):
-            hits.append(retrieval_hit(trace, claim.relevant_units))
-            calls += trace.scorer_calls
+        traces, error = _retrievals(annotated, corpus, config, counter, backend, cache)
+        if error is not None:
+            raise error
+        hits = [retrieval_hit(t, c.relevant_units) for c, t in zip(annotated, traces)]
         results["retrieval"] = {
             "n": len(hits),
             "recall": retrieval_recall(hits),
-            "scorer_calls": calls,
+            "scorer_calls": sum(t.scorer_calls for t in traces),
         }
         meta["retrieval_wall_clock_s"] = time.perf_counter() - r0
     return results, meta
@@ -243,8 +268,9 @@ def _parse_budgets(raw: str) -> list[int]:
 
 
 def _sweep(corpus, config, counter, backend, budgets):
-    """Score the corpus at each budget, with a fresh cache per budget (no
-    cross-budget reuse): [(budget, claim-ordered scores, scorer calls, wall s)]."""
+    """Score the corpus at each budget, with a fresh cache per budget when one
+    is configured (no cross-budget reuse): [(budget, claim-ordered scores,
+    scorer calls, wall s)]."""
     out = []
     for budget in budgets:
         _, sentences, wall = _score_corpus(
@@ -305,37 +331,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
 
-    p = sub.add_parser("score", help="score every claim against its source document")
-    _common_flags(p)
+    p = sub.add_parser("score", parents=common,
+                       help="score every claim against its source document")
     p.add_argument("--explain", action="store_true", help="retain per-chunk probabilities")
     p.add_argument("--dump-chunks", dest="dump_chunks", action="store_true",
                    help="embed chunk plans in the report")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("retrieve", help="find the best-supporting unit per claim")
-    _common_flags(p)
+    p = sub.add_parser("retrieve", parents=common,
+                       help="find the best-supporting unit per claim")
     p.add_argument("--trace", action="store_true", help="include full descent traces")
     p.add_argument("--brute-force", dest="brute_force", action="store_true",
                    help="also run the exhaustive baseline and report agreement")
     p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("evaluate", help="accuracy metrics against gold labels")
-    _common_flags(p)
+    p = sub.add_parser("evaluate", parents=common,
+                       help="accuracy metrics against gold labels")
     p.add_argument("--retrieval-recall", dest="retrieval_recall", action="store_true",
                    help="also compute retrieval recall on annotated claims")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("calibrate", help="ECE across a chunk-budget sweep")
-    _common_flags(p)
+    p = sub.add_parser("calibrate", parents=common,
+                       help="ECE across a chunk-budget sweep")
     p.add_argument("--budgets", required=True, help="comma-separated budgets, e.g. 64,128,512")
     p.add_argument("--csv", help="write budget,ece,scorer_calls rows")
     p.add_argument("--curve-csv", dest="curve_csv",
                    help="write the calibration curve (x,y,bin_size) at the configured budget")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("bench", help="ROC-AUC and wall clock across a chunk-budget sweep")
-    _common_flags(p)
+    p = sub.add_parser("bench", parents=common,
+                       help="ROC-AUC and wall clock across a chunk-budget sweep")
     p.add_argument("--budgets", required=True, help="comma-separated budgets, e.g. 64,128,512")
     p.add_argument("--csv", help="write budget,roc_auc,wall_clock_s,scorer_calls rows")
     p.set_defaults(func=cmd_bench)

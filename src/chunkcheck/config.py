@@ -5,6 +5,7 @@ file, environment variables, and command-line flags (highest wins).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -34,7 +35,7 @@ class RunConfig:
     ece_bins: int = 10
     decision_threshold: float = 0.5
     concurrency: int = 1
-    cache_size: int = 4096
+    cache_size: int = 0
     premise_cap: int | None = None
     timeout: float = 10.0
     retries: int = 3
@@ -61,12 +62,12 @@ class RunConfig:
             raise ValidationError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.premise_cap is not None and self.premise_cap < 1:
             raise ValidationError(f"premise_cap must be >= 1, got {self.premise_cap}")
-        if self.timeout <= 0:
-            raise ValidationError(f"timeout must be > 0, got {self.timeout}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValidationError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.retries < 0:
             raise ValidationError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0:
-            raise ValidationError(f"backoff must be >= 0, got {self.backoff}")
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValidationError(f"backoff must be finite and >= 0, got {self.backoff}")
 
     def to_dict(self) -> dict:
         """The config as reports embed it, with the auth header's value masked."""

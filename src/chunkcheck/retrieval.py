@@ -13,7 +13,9 @@ range is split, and each distinct part joined, once per level. Claims with
 the same text on one document share their pairs through the batch's
 deduplication. Every claim's trace is the one it would get descending
 alone; a failure is the error of the first failing claim in claim order,
-though other claims' pairs may have been scored by then.
+though other claims' pairs may have been scored by then. The exhaustive
+baseline, ``brute_force_all``, likewise scores every claim of a document
+against all of its units in one batch, each unit joined once.
 
 Exactness caveat: descent is provably equal to the exhaustive argmax when
 the scorer is max-composable (a range scores the max of its units), as the
@@ -236,6 +238,36 @@ def _split_under_cap(doc, start, end, k, counter, cap):
         kk += 1
 
 
+def brute_force_all(
+    doc: Document,
+    claims: list[Claim],
+    backend: ScorerBackend,
+    budget: int | None = None,
+    counter: TokenCounter = _WHITESPACE,
+    cache: ScoreCache | None = None,
+    max_workers: int = 1,
+) -> tuple[list[BruteForceResult], ChunkcheckError | None]:
+    """``brute_force_retrieve`` for every claim on ``doc``: one batch of every
+    claim against every unit, each unit joined once.
+
+    Returns the results of the claims before the first one, in order, whose
+    scoring fails, and that claim's error (None when none fails); the other
+    claims' pairs may have been scored by then.
+    """
+    if not doc.units:
+        raise ValidationError(f"document {doc.id!r} has no units")
+    ranges = [(i, i + 1) for i in range(len(doc.units))]
+    scored, exc = _score_level(
+        doc, claims, [ranges] * len(claims), backend, budget, counter, cache, max_workers,
+        [[] for _ in claims],
+    )
+    results = []
+    for scores in scored:
+        best = first_max(scores)
+        results.append(BruteForceResult(unit=best, score=scores[best], scorer_calls=len(ranges)))
+    return results, exc
+
+
 def brute_force_retrieve(
     doc: Document,
     claim: Claim,
@@ -247,17 +279,10 @@ def brute_force_retrieve(
 ) -> BruteForceResult:
     """Score every unit individually; argmax with ties to the lowest index.
     A unit over the premise cap ``budget`` raises as in ``retrieve``."""
-    if not doc.units:
-        raise ValidationError(f"document {doc.id!r} has no units")
-    ranges = [(i, i + 1) for i in range(len(doc.units))]
-    scored, exc = _score_level(
-        doc, [claim], [ranges], backend, budget, counter, cache, max_workers, [[]]
-    )
-    if exc is not None:
-        raise exc
-    scores = scored[0]
-    best = first_max(scores)
-    return BruteForceResult(unit=best, score=scores[best], scorer_calls=len(ranges))
+    results, error = brute_force_all(doc, [claim], backend, budget, counter, cache, max_workers)
+    if error is not None:
+        raise error
+    return results[0]
 
 
 def retrieval_hit(trace: RetrievalTrace, relevant_units: frozenset[int] | set[int]) -> bool:

@@ -64,12 +64,14 @@ def _sha256(text: str) -> bytes:
 class ScoreCache:
     """Thread-safe LRU keyed on (backend, premise hash, hypothesis hash).
 
-    Keys include the hypothesis, so an entry is reused only when the same
-    claim text meets the same premise in a later batch. Within one batch
-    identical pairs are deduplicated before the cache is consulted. Scoring
-    sends all claims of a text in one batch, and retrieval all claims of a
-    document at each level, so reuse is rare: a retrieval part equal to a
-    chunk the same run has scored.
+    Off by default: the CLI builds one only for ``--cache-size N`` with
+    N >= 1; without one, no pair is hashed and no lock is taken. Keys
+    include the hypothesis, so an entry is reused only when the same claim
+    text meets the same premise in a later batch. Within one batch identical
+    pairs are deduplicated before the cache is consulted. Scoring sends all
+    claims of a text in one batch, and retrieval all claims of a document at
+    each level, so reuse is rare: a retrieval part of ``evaluate
+    --retrieval-recall`` equal to a chunk the same run has scored.
     """
 
     def __init__(self, capacity: int = 4096):

@@ -1,7 +1,7 @@
 """Independent naive-formula oracles for the metrics module, reference
 versions of the rank-metric kernels and the threshold candidates, and
 reference versions of the retrieval splitters and of claim-by-claim
-retrieval; and a replay check for retrieval traces.
+greedy and exhaustive retrieval; and a replay check for retrieval traces.
 
 The oracles are pure-python, loop-based, written directly from the defining
 formulas so they share no code path with the implementations they check.
@@ -19,7 +19,7 @@ import numpy as np
 from chunkcheck.chunking import premise_text
 from chunkcheck.corpus import WhitespaceCounter
 from chunkcheck.errors import ScoringError, ValidationError
-from chunkcheck.retrieval import RetrievalTrace, TraceLevel, _split_under_cap
+from chunkcheck.retrieval import BruteForceResult, RetrievalTrace, TraceLevel, _split_under_cap
 from chunkcheck.scoring import check_cap, first_max, score_batch
 
 
@@ -308,6 +308,29 @@ def retrievals_reference(claims, corpus, backend, k=2, budget=None, counter=None
             doc, claim, backend, k, budget, counter, cache, max_workers
         )))
     return out
+
+
+def brute_force_reference(doc, claim, backend, budget=None, counter=None) -> BruteForceResult:
+    """Exhaustive retrieval of one claim on its own: one ``score_batch`` of
+    the claim against every unit, each unit joined for this claim."""
+    if not doc.units:
+        raise ValidationError(f"document {doc.id!r} has no units")
+    counter = WhitespaceCounter() if counter is None else counter
+    ranges = [(i, i + 1) for i in range(len(doc.units))]
+    pairs = [(premise_text(doc, a, b), claim.text) for a, b in ranges]
+    if budget is not None:
+        check_cap(backend, pairs, doc.unit_token_counts(counter), budget)
+    batch = score_batch(backend, pairs)
+    if not batch.ok:
+        raise ScoringError(
+            f"claim {claim.id!r}: retrieval scoring failed at ranges {ranges} "
+            f"({batch.failures[0].error})",
+            claim_id=claim.id,
+            partial=[],
+            failures=batch.failures,
+        )
+    best = first_max(batch.scores)
+    return BruteForceResult(unit=best, score=batch.scores[best], scorer_calls=len(ranges))
 
 
 def verify_trace(doc, claim, backend, trace) -> None:

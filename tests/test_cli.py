@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import chunkcheck.scoring as scoring
 from chunkcheck.backends import LexicalOverlapBackend
 from chunkcheck.chunking import make_chunks
 from chunkcheck.cli import build_parser, main
@@ -337,6 +338,74 @@ def test_wrong_typed_config_exits_one(fixture_dir, tmp_path, capsys, command, co
     assert err["type"] == "validation"
     assert named in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--timeout", "--backoff"])
+def test_non_finite_timeout_or_backoff_exits_one(fixture_dir, tmp_path, capsys, flag, value):
+    # Rejected before the remote backend is built, so nothing is sent.
+    remote = ["--backend", "remote", "--endpoint", "http://127.0.0.1:9/x", "--retries", "1"]
+    out = tmp_path / "r.json"
+    code = _run(["score", *_fixture_args(fixture_dir), *remote, flag, value, "--out", out])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert flag[2:] in err["message"]
+    assert not out.exists()
+
+
+def test_non_finite_config_value_exits_one(fixture_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"timeout": NaN}')  # Python's json module reads NaN
+    out = tmp_path / "r.json"
+    assert _run(["score", *_fixture_args(fixture_dir), "--config", cfg_path, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert "timeout" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["score"],
+    ["retrieve", "--premise-cap", "40"],
+    ["evaluate", "--retrieval-recall"],
+    ["calibrate", "--budgets", "16,64,512"],
+    ["bench", "--budgets", "16,64,512"],
+], ids=lambda command: command[0])
+def test_score_cache_is_off_by_default_and_changes_no_report(
+    fixture_dir, tmp_path, monkeypatch, command
+):
+    """By default no ScoreCache is built and no pair is hashed; with
+    ``--cache-size 64`` both happen, and the report differs only in
+    ``config.cache_size``."""
+    counts = {}
+    init, sha256 = scoring.ScoreCache.__init__, scoring._sha256
+
+    def counted_init(self, *args, **kwargs):
+        counts["caches"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_sha256(text):
+        counts["hashes"] += 1
+        return sha256(text)
+
+    monkeypatch.setattr(scoring.ScoreCache, "__init__", counted_init)
+    monkeypatch.setattr(scoring, "_sha256", counted_sha256)
+    reports = []
+    for flags in ([], ["--cache-size", "64"]):
+        counts.update(caches=0, hashes=0)
+        out = tmp_path / "r.json"
+        assert _run([*command, *_fixture_args(fixture_dir), *flags, "--out", out]) == 0
+        report = _load_report(out)
+        report.pop("meta")
+        reports.append(report)
+        if flags:
+            assert counts["caches"] > 0 and counts["hashes"] > 0
+            assert report["config"].pop("cache_size") == 64
+        else:
+            assert counts == {"caches": 0, "hashes": 0}
+            assert report["config"].pop("cache_size") == 0
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 import chunkcheck.retrieval as retrieval
 from chunkcheck.backends import LexicalOverlapBackend
-from chunkcheck.cli import _retrievals
+from chunkcheck.chunking import UNIT_SEPARATOR
+from chunkcheck.cli import _retrievals, cmd_retrieve
 from chunkcheck.corpus import Claim, Corpus, Document, Unit, VocabCounter, WhitespaceCounter
 from chunkcheck.errors import ChunkcheckError
 from chunkcheck.retrieval import descend, retrieve
 from chunkcheck.scoring import ScoreCache
 
 from helpers import make_sized_doc
-from oracles import retrievals_reference, retrieve_reference
+from oracles import brute_force_reference, retrievals_reference, retrieve_reference
 
 WC = WhitespaceCounter()
 MINI_VOCAB = VocabCounter(Path(__file__).parents[1] / "data" / "vocab" / "mini_vocab.txt")
@@ -27,26 +28,30 @@ _WORDS = ["alpha", "beta", "gamma", "delta", "unbelievable", "tokens", "zap"]
 
 class FailingOverlap(LexicalOverlapBackend):
     """Word overlap that fails every premise holding the word 'zap' for the
-    chosen claim texts; counts evaluate calls."""
+    chosen claim texts, or with ``units_only`` every such one-unit premise,
+    so that brute force can fail on a claim whose descent succeeds; counts
+    evaluate calls."""
 
     name = "failing-overlap"
 
-    def __init__(self, failing_texts=()):
+    def __init__(self, failing_texts=(), units_only=False):
         super().__init__()
         self.failing_texts = frozenset(failing_texts)
+        self.units_only = units_only
         self.calls = 0
 
     def evaluate(self, premise, hypothesis):
         self.calls += 1
-        if hypothesis in self.failing_texts and "zap" in premise.split():
+        if (hypothesis in self.failing_texts and "zap" in premise.split()
+                and not (self.units_only and UNIT_SEPARATOR in premise)):
             raise RuntimeError(f"scripted failure for {hypothesis!r}")
         return super().evaluate(premise, hypothesis)
 
 
 def _outcome(run):
-    """('ok', rows) or ('error', what identifies the raised error)."""
+    """('ok', what ``run`` returns) or ('error', what identifies the raised error)."""
     try:
-        rows = run()
+        return "ok", run()
     except ChunkcheckError as exc:
         return "error", (
             type(exc),
@@ -55,7 +60,6 @@ def _outcome(run):
             getattr(exc, "partial", None),
             getattr(exc, "failures", None),
         )
-    return "ok", [(claim.id, doc.id, trace.to_dict()) for claim, doc, trace in rows]
 
 
 _unit = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12).map(" ".join)
@@ -64,13 +68,12 @@ _claim_text = st.one_of(
 )
 
 
-@given(
-    st.lists(st.lists(_unit, min_size=1, max_size=30), min_size=1, max_size=3),
-    st.lists(_claim_text, min_size=1, max_size=4, unique=True),
-    st.data(),
-)
-@settings(max_examples=250, deadline=None)
-def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
+_corpus_units = st.lists(st.lists(_unit, min_size=1, max_size=30), min_size=1, max_size=3)
+_texts = st.lists(_claim_text, min_size=1, max_size=4, unique=True)
+
+
+def _draw_case(docs_units, texts, data):
+    """(corpus, k, cap, counter, failing claim texts, workers)."""
     docs = [
         Document(id=f"d{j}", units=[Unit(index=i, text=t) for i, t in enumerate(units)])
         for j, units in enumerate(docs_units)
@@ -80,25 +83,132 @@ def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
         min_size=1, max_size=12,
     ), label="claims")
     claims = [Claim(id=f"c{i}", doc_id=f"d{j}", text=t) for i, (j, t) in enumerate(picks)]
-    corpus = Corpus(documents=docs, claims=claims)
-    k = data.draw(st.integers(2, 4), label="k")
-    cap = data.draw(st.one_of(st.none(), st.integers(4, 30)), label="cap")
-    counter = data.draw(st.sampled_from([WC, MINI_VOCAB]), label="counter")
-    failing = data.draw(st.sets(st.sampled_from(texts)), label="failing texts")
+    return (
+        Corpus(documents=docs, claims=claims),
+        data.draw(st.integers(2, 4), label="k"),
+        data.draw(st.one_of(st.none(), st.integers(4, 30)), label="cap"),
+        data.draw(st.sampled_from([WC, MINI_VOCAB]), label="counter"),
+        data.draw(st.sets(st.sampled_from(texts)), label="failing texts"),
+        data.draw(st.sampled_from([1, 2]), label="workers"),
+    )
+
+
+@given(_corpus_units, _texts, st.data())
+@settings(max_examples=250, deadline=None)
+def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
+    corpus, k, cap, counter, failing, workers = _draw_case(docs_units, texts, data)
+    claims = corpus.claims
     cache_size = data.draw(st.sampled_from([None, 64]), label="cache")
-    workers = data.draw(st.sampled_from([1, 2]), label="workers")
 
     def cache():
         return None if cache_size is None else ScoreCache(cache_size)
 
-    want = _outcome(lambda: retrievals_reference(
-        claims, corpus, FailingOverlap(failing), k, cap, counter, cache(), workers
-    ))
+    want = _outcome(lambda: [
+        (claim.id, doc.id, trace.to_dict())
+        for claim, doc, trace in retrievals_reference(
+            claims, corpus, FailingOverlap(failing), k, cap, counter, cache(), workers
+        )
+    ])
     config = SimpleNamespace(k=k, premise_cap=cap, concurrency=workers)
-    got = _outcome(lambda: list(_retrievals(
-        claims, corpus, config, counter, FailingOverlap(failing), cache()
-    )))
-    assert got == want
+
+    def together():
+        traces, error = _retrievals(
+            claims, corpus, config, counter, FailingOverlap(failing), cache()
+        )
+        if error is not None:
+            raise error
+        return [(c.id, c.doc_id, t.to_dict()) for c, t in zip(claims, traces)]
+
+    assert _outcome(together) == want
+
+
+def _cli_retrieve(corpus, backend, k, cap, counter, workers, brute_force=True):
+    """``retrieve --trace`` entries, through the CLI's command."""
+    args = SimpleNamespace(trace=True, brute_force=brute_force)
+    config = SimpleNamespace(k=k, premise_cap=cap, concurrency=workers, cache_size=0)
+    results, _ = cmd_retrieve(args, config, corpus, counter, backend)
+    return results["retrievals"]
+
+
+@given(_corpus_units, _texts, st.data())
+@settings(max_examples=150, deadline=None)
+def test_brute_force_per_document_matches_claim_by_claim(docs_units, texts, data):
+    """``retrieve --brute-force`` scores a document's claims in one exhaustive
+    batch, yet reports, and raises, what retrieving one claim after another,
+    greedy then brute force, does; it makes no more backend calls."""
+    corpus, k, cap, counter, failing, workers = _draw_case(docs_units, texts, data)
+    units_only = data.draw(st.booleans(), label="units only")
+    alone = FailingOverlap(failing, units_only)
+
+    def by_claim():
+        rows = []
+        for claim in corpus.claims:
+            doc = corpus.document(claim.doc_id)
+            trace = retrieve_reference(doc, claim, alone, k, cap, counter)
+            bf = brute_force_reference(doc, claim, alone, cap, counter)
+            rows.append((trace.to_dict(), (bf.unit, bf.score, bf.scorer_calls,
+                                           bf.unit == trace.result_unit)))
+        return rows
+
+    together = FailingOverlap(failing, units_only)
+
+    def batched():
+        return [
+            ({"claim_id": e["claim_id"], "result_unit": e["result_unit"],
+              "result_score": e["result_score"], "scorer_calls": e["scorer_calls"],
+              "levels": e["trace"]},
+             tuple(e["brute_force"][key] for key in ("unit", "score", "scorer_calls", "agrees")))
+            for e in _cli_retrieve(corpus, together, k, cap, counter, workers)
+        ]
+
+    want = _outcome(by_claim)
+    assert _outcome(batched) == want
+    if want[0] == "ok":
+        assert together.calls <= alone.calls
+
+
+def test_brute_force_error_before_a_later_claims_descent_error():
+    doc = Document(id="d", units=[
+        Unit(index=i, text=t) for i, t in enumerate(["alpha", "beta", "gamma", "delta", "zap"])
+    ])
+    claims = [Claim(id="c0", doc_id="d", text="alpha"), Claim(id="c1", doc_id="d", text="zap")]
+    corpus = Corpus(documents=[doc], claims=claims)
+    backend = FailingOverlap({"alpha", "zap"}, units_only=True)
+    # c0 descends without meeting the 'zap' unit, c1 ends on it, and brute
+    # force meets it for both: c0's brute-force error is the first.
+    assert _outcome(lambda: retrieve_reference(doc, claims[0], backend))[0] == "ok"
+    assert _outcome(lambda: retrieve_reference(doc, claims[1], backend))[0] == "error"
+    kind, (_, message, claim_id, _, _) = _outcome(
+        lambda: _cli_retrieve(corpus, backend, 2, None, WC, 1)
+    )
+    assert (kind, claim_id) == ("error", "c0")
+    assert "(4, 5)]" in message
+
+
+def test_brute_force_joins_each_unit_once_per_document(monkeypatch):
+    rng = random.Random(11)
+    docs = [make_sized_doc(d, [rng.randint(4, 12) for _ in range(n)])
+            for d, n in (("a", 300), ("b", 120))]
+    claims = [
+        Claim(id=f"c{i}", doc_id=doc.id, text=" ".join(doc.units[u].text.split()[:4]))
+        for i, (doc, u) in enumerate(
+            (doc, rng.randrange(len(doc.units))) for doc in docs for _ in range(15)
+        )
+    ]
+    corpus = Corpus(documents=docs, claims=claims)
+    counts = {}
+    for brute_force in (False, True):
+        batches = _counted(monkeypatch, "score_batch")
+        joins = _counted(monkeypatch, "premise_text")
+        entries = _cli_retrieve(corpus, FailingOverlap(), 2, 64, WC, 1, brute_force)
+        counts[brute_force] = len(batches), len(joins)
+        monkeypatch.undo()
+    assert counts[True][0] - counts[False][0] == len(docs)
+    assert counts[True][1] - counts[False][1] == sum(len(doc.units) for doc in docs)
+    for claim, entry in zip(claims, entries):
+        bf = brute_force_reference(corpus.document(claim.doc_id), claim, FailingOverlap(), 64)
+        assert entry["brute_force"]["unit"] == bf.unit
+        assert entry["brute_force"]["score"] == bf.score
 
 
 def _counted(monkeypatch, name):
