@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import fields
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -73,6 +74,13 @@ def _setup(args: argparse.Namespace):
     corpus = load_corpus(args.documents, args.claims)
     counter = build_counter(config)
     return config, corpus, counter, build_backend(config, corpus)
+
+
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Fail before any work when an output file's directory does not exist."""
+    for path in (getattr(args, name, None) for name in ("out", "csv", "curve_csv")):
+        if path and not Path(path).parent.is_dir():
+            raise ValidationError(f"cannot write {path}: {Path(path).parent} is not a directory")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -324,7 +332,10 @@ def cmd_bench(args, config, corpus, counter, backend):
     return {"sweep": entries, "budgets": budgets}, {"wall_clock_s_by_budget": timing}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call:
+    parsing leaves it unchanged, and callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="chunkcheck",
         description="Factual-consistency scoring over chunked long documents",
@@ -385,6 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         # backend/transport failures here.
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_output_dirs(args)
         config, corpus, counter, backend = _setup(args)
         results, meta = args.func(args, config, corpus, counter, backend)
         _emit(_report(args.command, config, corpus, results, meta), args.out)

@@ -255,55 +255,84 @@ class Corpus:
             "documents": [document_to_record(d) for d in self.documents],
             "claims": [claim_to_record(c) for c in self.claims],
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        # The records are fresh containers over loaded JSON values: they hold no cycle.
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                          check_circular=False)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # JSONL records (unknown fields are kept in ``extra``)
 
-_UNIT_KEYS = {"speaker", "text"}
-_DOC_KEYS = {"id", "units"}
-_CLAIM_KEYS = {"id", "doc_id", "text", "label", "relevant_units"}
+_UNIT_KEYS = frozenset({"speaker", "text"})
+_DOC_KEYS = frozenset({"id", "units"})
+_CLAIM_KEYS = frozenset({"id", "doc_id", "text", "label", "relevant_units"})
+_CLAIM_REQUIRED = frozenset({"id", "doc_id", "text"})
+_INT_ONLY = frozenset({int})
 
 
 def _unit_from_record(rec: dict, pos: int) -> Unit:
-    extra = {k: v for k, v in rec.items() if k not in _UNIT_KEYS}
-    return Unit(index=pos, text=rec["text"], speaker=rec.get("speaker"), extra=extra)
-
-
-def document_from_record(rec: dict) -> Document:
-    units = [_unit_from_record(u, i) for i, u in enumerate(rec["units"])]
-    extra = {k: v for k, v in rec.items() if k not in _DOC_KEYS}
-    return Document(id=rec["id"], units=units, extra=extra)
-
-
-def document_to_record(doc: Document) -> dict:
-    units = []
-    for u in doc.units:
-        rec = {"speaker": u.speaker, "text": u.text}
-        rec.update(u.extra)
-        units.append(rec)
-    out = {"id": doc.id, "units": units}
-    out.update(doc.extra)
-    return out
-
-
-def claim_from_record(rec: dict) -> Claim:
-    relevant = rec.get("relevant_units")
-    extra = {k: v for k, v in rec.items() if k not in _CLAIM_KEYS}
-    return Claim(
-        id=rec["id"],
-        doc_id=rec["doc_id"],
-        text=rec["text"],
-        gold_label=rec.get("label"),
-        relevant_units=None if relevant is None else frozenset(relevant),
-        extra=extra,
+    if isinstance(rec, dict):
+        text, speaker = rec.get("text"), rec.get("speaker")
+        if isinstance(text, str) and (speaker is None or isinstance(speaker, str)):
+            extra = {} if rec.keys() <= _UNIT_KEYS else {
+                k: v for k, v in rec.items() if k not in _UNIT_KEYS
+            }
+            return Unit(index=pos, text=text, speaker=speaker, extra=extra)
+    raise ValidationError(
+        f"unit {pos} must be an object with a string 'text' and a string or null "
+        f"'speaker', got {rec!r:.60}"
     )
 
 
+def document_from_record(rec: dict) -> Document:
+    doc_id, units = rec["id"], rec["units"]
+    if not isinstance(doc_id, str):
+        raise ValidationError(f"document 'id' must be a string, got {doc_id!r:.40}")
+    if not isinstance(units, list):
+        raise ValidationError(f"document {doc_id!r} 'units' must be an array, got {units!r:.40}")
+    extra = {} if rec.keys() <= _DOC_KEYS else {
+        k: v for k, v in rec.items() if k not in _DOC_KEYS
+    }
+    return Document(id=doc_id, units=[_unit_from_record(u, i) for i, u in enumerate(units)],
+                    extra=extra)
+
+
+def document_to_record(doc: Document) -> dict:
+    return {
+        "id": doc.id,
+        "units": [{"speaker": u.speaker, "text": u.text, **u.extra} for u in doc.units],
+        **doc.extra,
+    }
+
+
+def claim_from_record(rec: dict) -> Claim:
+    claim_id, doc_id, text = rec["id"], rec["doc_id"], rec["text"]
+    if not (isinstance(claim_id, str) and isinstance(doc_id, str) and isinstance(text, str)):
+        key = next(k for k in ("id", "doc_id", "text") if not isinstance(rec[k], str))
+        raise ValidationError(f"claim '{key}' must be a string, got {rec[key]!r:.40}")
+    label, relevant = rec.get("label"), rec.get("relevant_units")
+    if label is not None and not isinstance(label, bool):
+        raise ValidationError(
+            f"claim {claim_id!r} 'label' must be true, false or null, got {label!r:.40}"
+        )
+    if relevant is not None:
+        # Element types, not isinstance: a JSON true is not unit 1.
+        if not isinstance(relevant, list) or not {*map(type, relevant)} <= _INT_ONLY:
+            raise ValidationError(
+                f"claim {claim_id!r} 'relevant_units' must be null or an array of integers, "
+                f"got {relevant!r:.40}"
+            )
+        relevant = frozenset(relevant)
+    extra = {} if rec.keys() <= _CLAIM_KEYS else {
+        k: v for k, v in rec.items() if k not in _CLAIM_KEYS
+    }
+    return Claim(id=claim_id, doc_id=doc_id, text=text, gold_label=label,
+                 relevant_units=relevant, extra=extra)
+
+
 def claim_to_record(claim: Claim) -> dict:
-    out = {
+    return {
         "id": claim.id,
         "doc_id": claim.doc_id,
         "text": claim.text,
@@ -311,44 +340,62 @@ def claim_to_record(claim: Claim) -> dict:
         "relevant_units": None
         if claim.relevant_units is None
         else sorted(claim.relevant_units),
+        **claim.extra,
     }
-    out.update(claim.extra)
-    return out
 
 
-def _read_jsonl(path: str | Path, build, required: set[str]):
+def _read_jsonl(path: str | Path, build, required: frozenset[str]):
     out = []
     path = Path(path)
-    if not path.exists():
-        raise CorpusError("file not found", path=str(path))
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"invalid JSON ({exc.msg})", path=str(path), line=lineno) from exc
-            if not isinstance(rec, dict):
-                raise CorpusError("record is not an object", path=str(path), line=lineno)
-            missing = required - rec.keys()
-            if missing:
-                raise CorpusError(
-                    f"missing required fields {sorted(missing)}", path=str(path), line=lineno
-                )
-            try:
-                out.append(build(rec))
-            except (TypeError, ValueError, ValidationError) as exc:
-                raise CorpusError(str(exc), path=str(path), line=lineno) from exc
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(
+                        f"invalid JSON ({exc.msg})", path=str(path), line=lineno
+                    ) from exc
+                if not isinstance(rec, dict):
+                    raise CorpusError("record is not an object", path=str(path), line=lineno)
+                if not required <= rec.keys():
+                    raise CorpusError(
+                        f"missing required fields {sorted(required - rec.keys())}",
+                        path=str(path), line=lineno,
+                    )
+                try:
+                    out.append(build(rec))
+                except (TypeError, ValueError, ValidationError) as exc:
+                    raise CorpusError(str(exc), path=str(path), line=lineno) from exc
+    except FileNotFoundError as exc:
+        raise CorpusError("file not found", path=str(path)) from exc
+    except OSError as exc:
+        raise CorpusError(f"cannot read file ({exc.strerror})", path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
     return out
+
+
+def _not_utf8(path: Path) -> CorpusError:
+    """The error for a file that is not UTF-8, at the physical line of its
+    first bad byte (the streaming decoder reports only an offset in a chunk)."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return CorpusError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                           path=str(path), line=data.count(b"\n", 0, exc.start) + 1)
+    return CorpusError("not UTF-8 text", path=str(path))
 
 
 def read_documents_jsonl(path: str | Path) -> list[Document]:
-    return _read_jsonl(path, document_from_record, {"id", "units"})
+    return _read_jsonl(path, document_from_record, _DOC_KEYS)
 
 
 def read_claims_jsonl(path: str | Path) -> list[Claim]:
-    return _read_jsonl(path, claim_from_record, {"id", "doc_id", "text"})
+    return _read_jsonl(path, claim_from_record, _CLAIM_REQUIRED)
 
 
 def load_corpus(documents_path: str | Path, claims_path: str | Path) -> Corpus:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import chunkcheck.cli as cli
 import chunkcheck.scoring as scoring
 from chunkcheck.backends import LexicalOverlapBackend
 from chunkcheck.chunking import make_chunks
@@ -488,3 +489,134 @@ def test_every_subcommand_takes_every_config_field():
         actions = {a.dest: a for a in sub._actions}
         assert {f.name for f in fields(RunConfig)} <= set(actions), name
         assert tuple(actions["backend"].choices) == BACKENDS
+
+
+def test_parser_is_built_once_and_reused(fixture_dir, tmp_path, capsys):
+    """Parsing leaves the cached parser unchanged: each command gives the
+    same report, and a usage error the same message, as a fresh parser."""
+    commands = [
+        ["score", "--explain"],
+        ["score"],
+        ["score", "--budget"],  # usage error: a flag without its value
+        ["retrieve", "--trace", "--brute-force"],
+        ["retrieve"],
+    ]
+
+    def run_all(fresh):
+        outputs = []
+        for i, command in enumerate(commands):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{i}.json"
+            code = _run([*command, *_fixture_args(fixture_dir), "--out", out])
+            outputs.append((code, capsys.readouterr().err,
+                            _sans_meta(_load_report(out)) if code == 0 else None))
+        return outputs
+
+    build_parser.cache_clear()
+    reused = run_all(fresh=False)
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0]
+    assert "expected one argument" in reused[2][1]
+    assert reused == run_all(fresh=True)
+
+
+def _corpus_files(tmp_path, doc=None, unit=None, claim=None):
+    """A two-line documents file and a two-line claims file, with ``doc``,
+    ``unit`` and ``claim`` merged into the records on line 2."""
+    docs, claims = tmp_path / "docs.jsonl", tmp_path / "claims.jsonl"
+    units = [{"text": "The ferry docked."},
+             {"speaker": "Mara", "text": "It rained.", **(unit or {})}]
+    docs.write_text(json.dumps({"id": "d0", "units": [{"text": "x"}]}) + "\n"
+                    + json.dumps({"id": "d", "units": units, **(doc or {})}) + "\n")
+    claims.write_text(json.dumps({"id": "c0", "doc_id": "d", "text": "x"}) + "\n"
+                      + json.dumps({"id": "c", "doc_id": "d", "text": "A ferry.", **(claim or {})})
+                      + "\n")
+    return docs, claims
+
+
+_UNIT_TYPES = "unit 1 must be an object with a string 'text' and a string or null 'speaker'"
+_RELEVANT_TYPES = "'relevant_units' must be null or an array of integers"
+
+
+@pytest.mark.parametrize(("which", "record", "named"), [
+    ("doc", {"id": 7}, "document 'id' must be a string"),
+    ("doc", {"units": {"text": "x"}}, "'units' must be an array"),
+    ("doc", {"units": [{"text": "x"}, "y"]}, "unit 1 must be an object"),
+    ("unit", {"text": 5}, _UNIT_TYPES),
+    ("unit", {"text": None}, _UNIT_TYPES),
+    ("unit", {"speaker": 3}, _UNIT_TYPES),
+    ("claim", {"doc_id": ["d"]}, "claim 'doc_id' must be a string"),
+    ("claim", {"id": 7}, "claim 'id' must be a string"),
+    ("claim", {"text": None}, "claim 'text' must be a string"),
+    ("claim", {"relevant_units": ["1"]}, _RELEVANT_TYPES),
+    ("claim", {"relevant_units": [True]}, _RELEVANT_TYPES),
+    ("claim", {"relevant_units": [1.5]}, _RELEVANT_TYPES),
+    ("claim", {"relevant_units": 1}, _RELEVANT_TYPES),
+    ("claim", {"label": "no"}, "'label' must be true, false or null"),
+    ("claim", {"label": 1}, "'label' must be true, false or null"),
+])
+def test_wrong_typed_record_field_exits_one_at_its_line(tmp_path, capsys, which, record, named):
+    docs, claims = _corpus_files(tmp_path, **{which: record})
+    out = tmp_path / "r.json"
+    assert _run(["score", "--documents", docs, "--claims", claims, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert err["message"].startswith(f"{claims if which == 'claim' else docs}:2: ")
+    assert named in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("unit", "claim"), [
+    ({"speaker": None}, {"label": None, "relevant_units": None}),
+    ({"speaker": "Mara"}, {"label": False, "relevant_units": [1, 0, 1]}),
+    ({"text": "Rain.", "scene": [1]}, {"relevant_units": [], "annotator": "w7"}),
+])
+def test_well_typed_record_fields_load(tmp_path, unit, claim):
+    docs, claims = _corpus_files(tmp_path, unit=unit, claim=claim)
+    assert _run(["score", "--documents", docs, "--claims", claims,
+                 "--out", tmp_path / "r.json"]) == 0
+
+
+@pytest.mark.parametrize("which", ["documents", "claims"])
+def test_unreadable_corpus_file_exits_one(fixture_dir, tmp_path, capsys, which):
+    args = dict(zip(("documents", "claims"), _fixture_args(fixture_dir)[1::2]))
+    args[which] = tmp_path  # a directory
+    out = tmp_path / "r.json"
+    assert _run(["score", "--documents", args["documents"], "--claims", args["claims"],
+                 "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation",
+                   "message": f"{tmp_path}: cannot read file (Is a directory)"}
+
+    bad = tmp_path / "latin1.jsonl"
+    first = (fixture_dir / f"{which}.jsonl").read_bytes().splitlines(keepends=True)[0]
+    bad.write_bytes(first + '{"id": "café"}\n'.encode("latin-1"))
+    args[which] = bad
+    assert _run(["score", "--documents", args["documents"], "--claims", args["claims"],
+                 "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert err["message"].startswith(f"{bad}:2: not UTF-8 text")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("command", "flag"), [
+    (["score"], "--out"),
+    (["calibrate", "--budgets", "16,64"], "--csv"),
+    (["calibrate", "--budgets", "16,64"], "--curve-csv"),
+    (["bench", "--budgets", "16,64"], "--csv"),
+])
+def test_missing_output_directory_fails_before_scoring(
+    fixture_dir, tmp_path, monkeypatch, capsys, command, flag
+):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored before checking the output directory")
+
+    monkeypatch.setattr(cli, "score_text", no_scoring)
+    target = tmp_path / "missing" / "out.file"
+    assert _run([*command, *_fixture_args(fixture_dir), flag, target]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation", "message": (
+        f"cannot write {target}: {target.parent} is not a directory"
+    )}

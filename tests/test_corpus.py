@@ -223,6 +223,51 @@ def test_unknown_fields_survive_record_round_trip():
     assert back_doc["units"][0]["scene"] == 4
 
 
+
+def test_content_hash_is_pinned(tmp_path):
+    """Unknown fields at every level, a unit without speaker, a claim without
+    label and unsorted duplicate relevant units: the hash keeps its value."""
+    docs = [
+        {"id": "d1", "source": "wiki", "units": [
+            {"speaker": "Mara", "text": "The ferry docked at noon.", "turn": 1},
+            {"text": "Rain fell on the pier — café closed."},
+            {"speaker": None, "text": "Everyone went home.", "tags": ["x", {"k": 2}]},
+        ]},
+        {"id": "d2", "units": [{"text": "Only one unit."}]},
+    ]
+    claims = [
+        {"id": "c1", "doc_id": "d1", "text": "A ferry arrived.", "label": True,
+         "relevant_units": [2, 0, 2], "model": "m1"},
+        {"id": "c2", "doc_id": "d2", "text": "One unit only."},
+        {"id": "c3", "doc_id": "d1", "text": "It rained.", "label": False,
+         "relevant_units": None},
+    ]
+    paths = tmp_path / "docs.jsonl", tmp_path / "claims.jsonl"
+    for path, records in zip(paths, (docs, claims)):
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                        encoding="utf-8")
+    assert load_corpus(*paths).content_hash() == (
+        "27511f434b6067f8b8ee9a0cd89b578ce822db8a77077ee5f060c43d3b51b64d"
+    )
+
+
+def test_loaded_records_do_not_share_extra_dicts():
+    doc = document_from_record({"id": "d", "units": [{"text": "a"}, {"text": "b"}]})
+    claims = [claim_from_record({"id": c, "doc_id": "d", "text": "t"}) for c in "ab"]
+    extras = [doc.extra, *(u.extra for u in doc.units), *(c.extra for c in claims)]
+    assert extras == [{}] * 5
+    assert len({id(e) for e in extras}) == 5
+
+
+def test_undecodable_byte_reports_its_line(tmp_path):
+    bad = tmp_path / "claims.jsonl"
+    line = json.dumps({"id": "ok", "doc_id": "d", "text": "t" * 50}) + "\n"
+    bad.write_bytes(line.encode() * 500 + b'{"id": "caf\xe9"}\n')
+    with pytest.raises(CorpusError, match="not UTF-8") as err:
+        read_claims_jsonl(bad)
+    assert err.value.line == 501
+
+
 # ---------------------------------------------------------------------------
 # Token counters
 
