@@ -77,10 +77,15 @@ def _setup(args: argparse.Namespace):
 
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
-    """Fail before any work when an output file's directory does not exist."""
+    """Fail before any work when an output file's directory does not exist, or
+    the file is a directory."""
     for path in (getattr(args, name, None) for name in ("out", "csv", "curve_csv")):
-        if path and not Path(path).parent.is_dir():
+        if not path:
+            continue
+        if not Path(path).parent.is_dir():
             raise ValidationError(f"cannot write {path}: {Path(path).parent} is not a directory")
+        if Path(path).is_dir():
+            raise ValidationError(f"cannot write {path}: it is a directory")
 
 
 def _emit(payload: dict, out: str | None) -> None:

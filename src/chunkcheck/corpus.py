@@ -225,7 +225,11 @@ class Corpus:
             if doc.id in seen:
                 raise ValidationError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
+        seen = set()
         for claim in self.claims:
+            if claim.id in seen:
+                raise ValidationError(f"duplicate claim id {claim.id!r}")
+            seen.add(claim.id)
             if claim.doc_id not in self._by_id:
                 raise CorpusError(
                     f"claim {claim.id!r} references unknown document {claim.doc_id!r}"

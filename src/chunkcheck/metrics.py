@@ -97,26 +97,26 @@ def _tied_pairs(counts: np.ndarray) -> int:
 def _inversions(r: np.ndarray, m: int) -> int:
     """Pairs i < j with r[i] > r[j], for integer ranks 0 <= r < m.
 
-    Bottom-up merge sort: at width w every block of 2w holds two sorted
-    halves, and each element of a right half counts the left-half elements
-    above it. Offsetting ranks by block id (pid * m + r) makes all left
-    halves one sorted array, so one searchsorted serves every block.
+    MSD radix over the bits of m - 1, highest first. Before round b, r is
+    stably ordered by r >> (b + 1), so each run of equal high bits keeps
+    its original order, and a pair inside a run that differs at bit b is
+    an inversion when its 1 comes first: each 0 counts the 1-bits before
+    it in its run. A stable sort by r >> b then splits every run in two.
+    Binary ranks take one round and no sort.
     """
-    n = len(r)
-    idx = np.arange(n)
+    # numpy's stable sort is a radix sort on keys of 16 bits or fewer
+    r = r.astype(np.min_scalar_type(m - 1))
     total = 0
-    w = 1
-    while w < n:
-        pid = idx // (2 * w)
-        keys = pid * m + r
-        left = (idx % (2 * w)) < w
-        left_keys = keys[left]
-        right_pid = pid[~left]
-        block_end = np.searchsorted(left_keys, (right_pid + 1) * m, "left")
-        at_most = np.searchsorted(left_keys, keys[~left], "right")
-        total += int((block_end - at_most).sum())
-        r = np.sort(keys, kind="stable") - pid * m  # merge each block
-        w *= 2
+    starts = np.ones(len(r), dtype=bool)
+    for b in reversed(range((m - 1).bit_length())):
+        high = r >> (b + 1)
+        ones = (r >> b) & 1
+        before = np.cumsum(ones) - ones  # 1-bits before each element
+        np.not_equal(high[1:], high[:-1], out=starts[1:])
+        base = np.maximum.accumulate(np.where(starts, before, 0))  # at its run's start
+        total += int((before - base)[ones == 0].sum())
+        if b:
+            r = r[np.argsort(r >> b, kind="stable")]
     return total
 
 
@@ -244,9 +244,9 @@ class CalibrationReport:
         }
 
 
-def _binned(probs, labels, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked probabilities in [0, 1], labels, and each probability's bin
-    among `bins` equal widths."""
+def _binned(probs, labels, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Checked probabilities in [0, 1], labels, each probability's bin among
+    `bins` equal widths, and the bin sizes."""
     p = _as_float_array(probs, "probs")
     y = _as_label_array(labels)
     if len(p) != len(y):
@@ -256,7 +256,20 @@ def _binned(probs, labels, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if len(p) and (p.min() < 0.0 or p.max() > 1.0):
         raise ValidationError("probabilities must lie in [0, 1]")
     idx = np.clip(np.floor(p * bins).astype(int), 0, bins - 1)  # 1.0: top bin, right-closed
-    return p, y, idx
+    return p, y, idx, np.bincount(idx, minlength=bins)
+
+
+def _bin_means(p: np.ndarray, idx: np.ndarray, sizes: np.ndarray) -> list[float]:
+    """Mean probability per bin, 0.0 for an empty bin.
+
+    Sorted stably by bin, bin b's slice holds its members in their original
+    order, so its (pairwise) sum is the one ``p[idx == b].mean()`` takes.
+    """
+    narrow = idx.astype(np.min_scalar_type(len(sizes) - 1))  # radix-sorted, as in _inversions
+    by_bin = p[np.argsort(narrow, kind="stable")]
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
+    return [float(by_bin[s:e].sum() / (e - s)) if e > s else 0.0 for s, e in zip(starts, ends)]
 
 
 def ece(probs, labels, bins: int = 10, decision_threshold: float = 0.5) -> CalibrationReport:
@@ -265,20 +278,18 @@ def ece(probs, labels, bins: int = 10, decision_threshold: float = 0.5) -> Calib
     Per bin: acc = mean agreement between [p >= decision_threshold] and the
     label, conf = mean p. ECE is the bin-size-weighted mean absolute gap.
     """
-    p, y, idx = _binned(probs, labels, bins)
-    predicted = p >= decision_threshold
+    p, y, idx, sizes = _binned(probs, labels, bins)
+    agree = np.bincount(idx, weights=(p >= decision_threshold) == y, minlength=bins)
     out = []
     total = 0.0
     n = len(p)
-    for b in range(bins):
-        members = idx == b
-        size = int(members.sum())
+    means = _bin_means(p, idx, sizes)
+    for b, (size, agreed, conf) in enumerate(zip(sizes.tolist(), agree.tolist(), means)):
         if size:
-            acc = float((predicted[members] == y[members]).mean())
-            conf = float(p[members].mean())
+            acc = agreed / size
             total += (size / n) * abs(acc - conf)
         else:
-            acc = conf = 0.0
+            acc = 0.0
         out.append(CalibrationBin(lo=b / bins, hi=(b + 1) / bins, size=size, acc=acc, conf=conf))
     return CalibrationReport(
         bins=tuple(out), ece=total, n=n, decision_threshold=decision_threshold
@@ -295,20 +306,13 @@ class CurvePoint:
 def calibration_curve(probs, labels, bins: int = 10) -> list[CurvePoint]:
     """Reliability curve: per non-empty bin, (mean score, fraction of
     positive labels, bin size). Diagonal means calibrated."""
-    p, y, idx = _binned(probs, labels, bins)
-    points = []
-    for b in range(bins):
-        members = idx == b
-        size = int(members.sum())
-        if size:
-            points.append(
-                CurvePoint(
-                    mean_prob=float(p[members].mean()),
-                    frac_positive=float(y[members].mean()),
-                    size=size,
-                )
-            )
-    return points
+    p, y, idx, sizes = _binned(probs, labels, bins)
+    positives = np.bincount(idx, weights=y, minlength=bins)
+    return [
+        CurvePoint(mean_prob=mean, frac_positive=pos / size, size=size)
+        for size, pos, mean in zip(sizes.tolist(), positives.tolist(), _bin_means(p, idx, sizes))
+        if size
+    ]
 
 
 # ---------------------------------------------------------------------------

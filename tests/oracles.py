@@ -1,6 +1,6 @@
-"""Independent naive-formula oracles for the metrics module, reference
-versions of the rank-metric kernels and the threshold candidates, and
-reference versions of the retrieval splitters and of claim-by-claim
+"""Independent naive-formula oracles for the metrics module; reference
+versions of the rank-metric kernels, the inversion count, the calibration
+bins, the threshold candidates, the retrieval splitters, and claim-by-claim
 greedy and exhaustive retrieval; and a replay check for retrieval traces.
 
 The oracles are pure-python, loop-based, written directly from the defining
@@ -19,6 +19,7 @@ import numpy as np
 from chunkcheck.chunking import premise_text
 from chunkcheck.corpus import WhitespaceCounter
 from chunkcheck.errors import ScoringError, ValidationError
+from chunkcheck.metrics import CalibrationBin, CalibrationReport, CurvePoint
 from chunkcheck.retrieval import BruteForceResult, RetrievalTrace, TraceLevel, _split_under_cap
 from chunkcheck.scoring import check_cap, first_max, score_batch
 
@@ -214,6 +215,74 @@ def curve_by_hand(probs, labels, bins):
             mean_p = sum(probs[i] for i in member) / len(member)
             frac = sum(1 for i in member if labels[i]) / len(member)
             points.append((mean_p, frac, len(member)))
+    return points
+
+
+def inversions_reference(r, m: int) -> int:
+    """Pairs i < j with r[i] > r[j], for integer ranks 0 <= r < m.
+
+    Bottom-up merge sort: at width w every block of 2w holds two sorted
+    halves, and each element of a right half counts the left-half elements
+    above it. Offsetting ranks by block id (pid * m + r) makes all left
+    halves one sorted array, so one searchsorted serves every block.
+    """
+    r = np.asarray(r, dtype=np.int64)
+    n = len(r)
+    idx = np.arange(n)
+    total = 0
+    w = 1
+    while w < n:
+        pid = idx // (2 * w)
+        keys = pid * m + r
+        left = (idx % (2 * w)) < w
+        left_keys = keys[left]
+        right_pid = pid[~left]
+        block_end = np.searchsorted(left_keys, (right_pid + 1) * m, "left")
+        at_most = np.searchsorted(left_keys, keys[~left], "right")
+        total += int((block_end - at_most).sum())
+        r = np.sort(keys, kind="stable") - pid * m  # merge each block
+        w *= 2
+    return total
+
+
+def _bins_reference(probs, labels, bins):
+    p = np.asarray(probs, dtype=float)
+    y = np.asarray([bool(v) for v in labels], dtype=bool)
+    return p, y, np.clip(np.floor(p * bins).astype(int), 0, bins - 1)
+
+
+def ece_reference(probs, labels, bins=10, decision_threshold=0.5) -> CalibrationReport:
+    """One boolean member mask per bin, means by ``ndarray.mean``."""
+    p, y, idx = _bins_reference(probs, labels, bins)
+    predicted = p >= decision_threshold
+    out = []
+    total = 0.0
+    n = len(p)
+    for b in range(bins):
+        members = idx == b
+        size = int(members.sum())
+        if size:
+            acc = float((predicted[members] == y[members]).mean())
+            conf = float(p[members].mean())
+            total += (size / n) * abs(acc - conf)
+        else:
+            acc = conf = 0.0
+        out.append(CalibrationBin(lo=b / bins, hi=(b + 1) / bins, size=size, acc=acc, conf=conf))
+    return CalibrationReport(
+        bins=tuple(out), ece=total, n=n, decision_threshold=decision_threshold
+    )
+
+
+def calibration_curve_reference(probs, labels, bins=10) -> list[CurvePoint]:
+    """One boolean member mask per non-empty bin, means by ``ndarray.mean``."""
+    p, y, idx = _bins_reference(probs, labels, bins)
+    points = []
+    for b in range(bins):
+        members = idx == b
+        size = int(members.sum())
+        if size:
+            points.append(CurvePoint(mean_prob=float(p[members].mean()),
+                                     frac_positive=float(y[members].mean()), size=size))
     return points
 
 

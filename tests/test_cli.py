@@ -620,3 +620,33 @@ def test_missing_output_directory_fails_before_scoring(
     assert err == {"type": "validation", "message": (
         f"cannot write {target}: {target.parent} is not a directory"
     )}
+
+
+@pytest.mark.parametrize(("command", "flag"), [
+    (["score"], "--out"),
+    (["calibrate", "--budgets", "16,64"], "--csv"),
+    (["calibrate", "--budgets", "16,64"], "--curve-csv"),
+])
+def test_output_path_that_is_a_directory_fails_before_loading(
+    fixture_dir, tmp_path, monkeypatch, capsys, command, flag
+):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the corpus before checking the output path")
+
+    monkeypatch.setattr(cli, "load_corpus", no_loading)
+    assert _run([*command, *_fixture_args(fixture_dir), flag, tmp_path]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation", "message": f"cannot write {tmp_path}: it is a directory"}
+
+
+def test_duplicate_claim_id_exits_one(tmp_path, capsys):
+    docs, claims = tmp_path / "docs.jsonl", tmp_path / "claims.jsonl"
+    docs.write_text(json.dumps({"id": "d1", "units": [{"text": "the cat sat"}]}) + "\n"
+                    + json.dumps({"id": "d2", "units": [{"text": "a dog ran"}]}) + "\n")
+    claims.write_text(json.dumps({"id": "c", "doc_id": "d1", "text": "the cat sat"}) + "\n"
+                      + json.dumps({"id": "c", "doc_id": "d2", "text": "the cat sat"}) + "\n")
+    out = tmp_path / "r.json"
+    assert _run(["score", "--documents", docs, "--claims", claims, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation", "message": "duplicate claim id 'c'"}
+    assert not out.exists()

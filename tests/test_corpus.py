@@ -101,6 +101,13 @@ def test_duplicate_document_id_rejected():
         Corpus(documents=[d1, d2], claims=[]).validate()
 
 
+def test_duplicate_claim_id_rejected():
+    docs = [Document(id=d, units=[Unit(index=0, text="a")]) for d in ("d1", "d2")]
+    claims = [Claim(id="c", doc_id="d1", text="x"), Claim(id="c", doc_id="d2", text="y")]
+    with pytest.raises(ValidationError, match="duplicate claim id 'c'"):
+        Corpus(documents=docs, claims=claims).validate()
+
+
 # ---------------------------------------------------------------------------
 # Fixture statistics (hand counts)
 

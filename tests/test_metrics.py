@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chunkcheck.errors import ValidationError
 from chunkcheck.metrics import (
     EvalReport,
+    _inversions,
     calibration_curve,
     candidate_thresholds,
     ece,
@@ -24,10 +25,13 @@ from chunkcheck.metrics import (
 from oracles import (
     auc_pair_counting,
     best_macro_f1_by_cuts,
+    calibration_curve_reference,
     candidate_thresholds_reference,
     curve_by_hand,
     ece_by_hand,
+    ece_reference,
     f1_macro_optimal_reference,
+    inversions_reference,
     kendall_tau_reference,
     macro_f1_naive,
     pearson_naive,
@@ -318,34 +322,74 @@ def test_macro_f1_against_naive():
 # O(n log n) kernels vs the quadratic reference kernels, float for float
 
 
+_UNIT = st.floats(0, 1, allow_nan=False)
+_ONE_BITS = int(np.float64(1.0).view(np.uint64))  # bit patterns 0 .. this: the floats in [0, 1]
+_UNIT_EDGES = [v for v in _EDGE_FLOATS if 0.0 <= v <= 1.0]
+
+
+def _words(draw, n: int, dtype: str) -> np.ndarray:
+    """n unsigned integers: one byte draw XOR a seeded pseudo-random stream.
+    The bytes can be any, so every sequence can come out; the stream keeps
+    the values spread where hypothesis draws degenerate bytes (all zero,
+    repeated) that would make most of them equal."""
+    size = np.dtype(dtype).itemsize * n
+    drawn = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=dtype)
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).bytes(size)
+    return drawn ^ np.frombuffer(stream, dtype=dtype)
+
+
+def _pick(draw, pool, n: int) -> list:
+    """n draws from a pool of at most 256 values; every sequence can come out."""
+    return np.asarray(pool)[_words(draw, n, "u1") % len(pool)].tolist()
+
+
+def _unit_floats(draw, n: int) -> list[float]:
+    """n floats in [0, 1] from one ``_words`` draw, where ``st.floats(0, 1)``
+    would take n draws, one per float. The top 4 bits of each word
+    pick: (14 of 16) a uniform double in [0, 1), as distinct as continuous
+    scores are; (1 of 16) the float whose bit pattern is the word modulo
+    1.0's, so that every float in [0, 1] can come out, subnormals and 1.0
+    included; (1 of 16) one of the edge floats in [0, 1] or of up to four
+    values of ``st.floats(0, 1)``."""
+    pool = np.array(_UNIT_EDGES + draw(st.lists(_UNIT, min_size=1, max_size=4)))
+    words = _words(draw, n, "<u8")
+    kind = words >> np.uint64(60)
+    uniform = (words & np.uint64(2**53 - 1)) * 2.0**-53
+    any_float = (words % np.uint64(_ONE_BITS + 1)).view(np.float64)
+    pooled = pool[words % np.uint64(len(pool))]
+    return np.select([kind < 14, kind == 14], [uniform, any_float], pooled).tolist()
+
+
+def _bools(draw, n: int) -> list[bool]:
+    return (_words(draw, n, "u1") & 1).astype(bool).tolist()
+
+
 @st.composite
 def rank_inputs(draw):
     """Scores, binary labels (both classes) and a y for tau: heavy ties,
     repeated values, adjacent doubles, or continuous values."""
-    n = draw(st.integers(2, 200))
-    unit = st.floats(0, 1, allow_nan=False)
+    n = draw(st.sampled_from(range(2, 201)))  # st.integers draws n = 2 far more often
     shape = draw(st.sampled_from(["1dp", "2dp", "repeated", "adjacent", "continuous"]))
     if shape in ("1dp", "2dp"):
         digits = 1 if shape == "1dp" else 2
-        scores = [round(v, digits) for v in draw(st.lists(unit, min_size=n, max_size=n))]
+        scores = [round(v, digits) for v in _unit_floats(draw, n)]
     elif shape == "repeated":
-        pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5))
-        scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        scores = _pick(draw, draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5)), n)
     elif shape == "adjacent":  # (a + b) / 2 rounds onto a or b
-        run = [draw(unit)]
+        run = [draw(_UNIT)]
         while len(run) < 4:
             run.append(float(np.nextafter(run[-1], np.inf)))
-        scores = draw(st.lists(st.sampled_from(run), min_size=n, max_size=n))
+        scores = _pick(draw, run, n)
     else:
-        scores = draw(st.lists(unit, min_size=n, max_size=n))
-    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        scores = _unit_floats(draw, n)
+    labels = _bools(draw, n)
     if all(labels) or not any(labels):
         labels[0] = not labels[0]
     y_kind = draw(st.sampled_from(["binary", "1dp", "continuous"]))
     if y_kind == "binary":
         y = [1.0 if v else 0.0 for v in labels]
     else:
-        y = draw(st.lists(unit, min_size=n, max_size=n))
+        y = _unit_floats(draw, n)
         if y_kind == "1dp":
             y = [round(v, 1) for v in y]
     return scores, labels, y
@@ -362,6 +406,53 @@ def test_rank_kernels_equal_the_reference_kernels(case):
     else:
         with pytest.raises(ValidationError):
             kendall_tau(scores, y)
+
+
+@st.composite
+def ranks(draw):
+    """Ranks 0 <= r < m, with m one, two (binary labels), small, or n."""
+    n = draw(st.sampled_from(range(301)))
+    kind = draw(st.sampled_from(["one", "two", "small", "n"]))
+    m = {"one": 1, "two": 2, "n": max(n, 1)}.get(kind) or draw(st.integers(3, 17))
+    return (_words(draw, n, "<u2") % m).astype(np.intp), m
+
+
+@given(ranks())
+@settings(max_examples=300, deadline=None)
+def test_inversions_equal_the_merge_sort_reference(case):
+    r, m = case
+    got = _inversions(r, m)
+    assert type(got) is int
+    assert got == inversions_reference(r, m) == int(np.triu(r[:, None] > r[None, :]).sum())
+
+
+@st.composite
+def calibration_inputs(draw):
+    """Probabilities, labels, 1-20 bins and any decision threshold. The
+    probabilities are continuous, on and beside bin edges (0.0 and 1.0
+    included), or a few values that leave most bins empty."""
+    n = draw(st.sampled_from(range(301)))
+    bins = draw(st.integers(1, 20))
+    shape = draw(st.sampled_from(["continuous", "edges", "few"]))
+    if shape == "continuous":
+        probs = _unit_floats(draw, n)
+    elif shape == "edges":
+        edges = [k / bins for k in range(bins + 1)]
+        probs = _pick(draw, edges + [float(np.nextafter(v, t)) for v in edges for t in (0, 1)], n)
+    else:
+        probs = _pick(draw, draw(st.lists(_UNIT, min_size=1, max_size=3)), n)
+    threshold = draw(st.one_of(st.floats(), st.sampled_from([0.0, 0.5, 1.0])))
+    return probs, _bools(draw, n), bins, threshold
+
+
+@given(calibration_inputs())
+@settings(max_examples=300, deadline=None)
+def test_calibration_equals_the_per_bin_mask_reference(case):
+    probs, labels, bins, threshold = case
+    assert ece(probs, labels, bins, threshold) == ece_reference(probs, labels, bins, threshold)
+    assert calibration_curve(probs, labels, bins) == calibration_curve_reference(
+        probs, labels, bins
+    )
 
 
 def test_f1_threshold_when_a_midpoint_rounds_onto_a_score():
@@ -388,10 +479,14 @@ def test_rank_metrics_at_1e5_claims_stay_small_and_agree_with_oracles():
         auc = roc_auc(scores, labels)
         tau = kendall_tau(scores, y)
         f1, threshold = f1_macro_optimal(scores, labels)
+        calibration = ece(scores, labels)
+        curve = calibration_curve(scores, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20  # one n x n sign matrix would take 80 GB
+    assert calibration == ece_reference(scores, labels)
+    assert curve == calibration_curve_reference(scores, labels)
 
     # with binary y, tau-b's numerator is n_pos * n_neg * (2 AUC - 1) and
     # its y-side factor is n_pos * n_neg
