@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from functools import lru_cache
@@ -112,6 +113,17 @@ def _retry_after_seconds(value: str | None) -> float | None:
     except (TypeError, ValueError):
         return None
     return seconds if 0.0 <= seconds < float("inf") else None
+
+
+def _json_number(value) -> float | None:
+    """A JSON number (an int or a float, not a bool) as a float, None for any
+    other value. An int too large for a float is infinite, as 1e999 parses."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 class RemoteBackend(ScorerBackend):
@@ -214,14 +226,21 @@ class RemoteBackend(ScorerBackend):
             ) from exc
         if isinstance(body, dict) and "logits" in body:
             logits = body["logits"]
-            if not (isinstance(logits, list) and len(logits) == 2):
+            values = [_json_number(v) for v in logits] if isinstance(logits, list) else []
+            if len(values) != 2 or None in values:
                 raise BackendError(
-                    f"expected two logits, got {logits!r}", attempts=attempts,
+                    f"expected two numeric logits, got {logits!r}", attempts=attempts,
                     endpoint=self.endpoint,
                 )
-            return entail_prob(float(logits[0]), float(logits[1]))
+            return entail_prob(*values)
         if isinstance(body, dict) and "probability" in body:
-            return float(body["probability"])
+            probability = _json_number(body["probability"])
+            if probability is None:
+                raise BackendError(
+                    f"expected a numeric probability, got {body['probability']!r}",
+                    attempts=attempts, endpoint=self.endpoint,
+                )
+            return probability
         raise BackendError(
             f"response missing 'logits' or 'probability': {body!r}",
             attempts=attempts,

@@ -14,11 +14,14 @@ Conventions, pinned once here:
   purpose for bins below the decision threshold.
 - Every float input must be finite: NaN or an infinity raises
   ValidationError.
+- Labels are one-dimensional, and each element is read by its truthiness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +37,16 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _as_label_array(labels) -> np.ndarray:
-    if isinstance(labels, np.ndarray) and labels.dtype == bool and labels.ndim == 1:
-        return labels
-    return np.asarray([bool(v) for v in labels], dtype=bool)
+def _as_label_array(labels, name: str = "labels") -> np.ndarray:
+    """A one-dimensional boolean array. One C pass checks the shape and reads
+    each element by its truthiness, as ``bool(v)`` does."""
+    try:
+        y = np.asarray(labels, dtype=bool)
+    except ValueError:  # ragged nesting, such as [[1], []]
+        y = None
+    if y is None or y.ndim != 1:
+        raise ValidationError(f"{name} must be one-dimensional")
+    return y
 
 
 def _scores_and_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -66,16 +75,48 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
 # Ranking and correlation
 
 
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """True at the first element of each run of equal values, and the run lengths."""
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first, np.diff(np.flatnonzero(first), append=len(first))
+
+
+class _Ranked(NamedTuple):
+    order: np.ndarray  # indices that sort the values
+    ordered: np.ndarray  # the sorted values
+    rank: np.ndarray  # dense rank of each value: np.unique's inverse
+    counts: np.ndarray  # size of each run of equal values: np.unique's counts
+
+
+def _ranks(values: np.ndarray) -> _Ranked:
+    """Every rank fact the rank metrics need, from one sort of `values`.
+
+    -0.0 and 0.0 share a run, as in np.unique. No metric depends on the order
+    within a run of equal values.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    first, counts = _runs(ordered)
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return _Ranked(order, ordered, rank, counts)
+
+
+def _auc(x: _Ranked, y: np.ndarray) -> float:
+    starts = np.cumsum(x.counts) - x.counts
+    midranks = (2 * starts + x.counts - 1) / 2.0 + 1.0  # 1-based
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    rank_sum = float(midranks[x.rank[y]].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outranks a random negative."""
     s, y = _scores_and_labels(scores, labels)
-    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
-    starts = np.cumsum(counts) - counts
-    ranks = ((2 * starts + counts - 1) / 2.0 + 1.0)[group]  # midrank, 1-based
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    rank_sum = float(ranks[y].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _auc(_ranks(s), y)
 
 
 def pearson(x, y) -> float:
@@ -120,6 +161,23 @@ def _inversions(r: np.ndarray, m: int) -> int:
     return total
 
 
+def _tau(x: _Ranked, ry: np.ndarray, cy: np.ndarray) -> float:
+    """Tau-b of x's ranks against y's dense ranks `ry` with run sizes `cy`."""
+    n = len(ry)
+    ry = ry[x.order]
+    key = x.rank[x.order] * len(cy) + ry  # the (x, y) rank, already sorted by x
+    by_key = np.argsort(key, kind="stable")  # timsort merges the sorted x runs
+    _, cxy = _runs(key[by_key])
+    discordant = _inversions(ry[by_key], len(cy))
+    tx, ty, txy = _tied_pairs(x.counts), _tied_pairs(cy), _tied_pairs(cxy)
+    n0 = n * (n - 1) / 2.0
+    concordant = n0 - tx - ty + txy - discordant
+    denom = np.sqrt((n0 - tx) * (n0 - ty))
+    if denom == 0.0:
+        raise ValidationError("constant input has undefined tau")
+    return float((concordant - discordant) / denom)
+
+
 def kendall_tau(x, y) -> float:
     """Tau-b: (concordant - discordant) / sqrt((n0 - tx) * (n0 - ty)).
 
@@ -128,19 +186,8 @@ def kendall_tau(x, y) -> float:
     equal x, equal y and equal (x, y).
     """
     xa, ya = _paired(x, y)
-    n = len(xa)
-    _, rx, cx = np.unique(xa, return_inverse=True, return_counts=True)
-    _, ry, cy = np.unique(ya, return_inverse=True, return_counts=True)
-    rxy = rx * len(cy) + ry
-    _, cxy = np.unique(rxy, return_counts=True)
-    discordant = _inversions(ry[np.argsort(rxy, kind="stable")], len(cy))
-    tx, ty, txy = _tied_pairs(cx), _tied_pairs(cy), _tied_pairs(cxy)
-    n0 = n * (n - 1) / 2.0
-    concordant = n0 - tx - ty + txy - discordant
-    denom = np.sqrt((n0 - tx) * (n0 - ty))
-    if denom == 0.0:
-        raise ValidationError("constant input has undefined tau")
-    return float((concordant - discordant) / denom)
+    ranked_y = _ranks(ya)
+    return _tau(_ranks(xa), ranked_y.rank, ranked_y.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +210,7 @@ def _macro_f1(tp, fp, fn, tn):
 
 def macro_f1(predictions, labels) -> float:
     """Unweighted mean of the per-class F1 scores."""
-    pred = _as_label_array(predictions)
+    pred = _as_label_array(predictions, "predictions")
     y = _as_label_array(labels)
     if len(pred) != len(y):
         raise ValidationError(f"length mismatch: {len(pred)} vs {len(y)}")
@@ -174,11 +221,11 @@ def macro_f1(predictions, labels) -> float:
     return float(_macro_f1(tp, fp, fn, tn))
 
 
-def _thresholds(ordered: np.ndarray) -> np.ndarray:
-    """``candidate_thresholds`` of sorted float64 scores, as an array."""
+def _thresholds(x: _Ranked) -> np.ndarray:
+    """``candidate_thresholds`` of ranked float64 scores, as an array."""
     # Which of two equal zeros is kept cannot show: z - 0.5, z + 0.5 and
     # (z + b) / 2 for b != 0 are the same for z = +0.0 and z = -0.0.
-    uniq = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    uniq = x.ordered[np.cumsum(x.counts) - x.counts]
     with np.errstate(over="ignore"):  # a midpoint of two huge scores is inf, as in floats
         mids = (uniq[:-1] + uniq[1:]) / 2.0
     return np.concatenate(([uniq[0] - 0.5], mids, [uniq[-1] + 0.5]))
@@ -187,7 +234,7 @@ def _thresholds(ordered: np.ndarray) -> np.ndarray:
 def candidate_thresholds(scores) -> list[float]:
     """Midpoints between adjacent sorted unique scores, plus sentinels below
     the minimum and above the maximum."""
-    return _thresholds(np.sort(np.asarray(scores, dtype=np.float64))).tolist()
+    return _thresholds(_ranks(np.asarray(scores, dtype=np.float64))).tolist()
 
 
 def f1_macro_optimal(scores, labels) -> tuple[float, float]:
@@ -198,15 +245,17 @@ def f1_macro_optimal(scores, labels) -> tuple[float, float]:
     even where a midpoint rounds onto a score.
     """
     s, y = _scores_and_labels(scores, labels)
-    order = np.argsort(s, kind="stable")
-    ordered = s[order]
-    positives_below = np.concatenate(([0], np.cumsum(y[order])))
-    thresholds = _thresholds(ordered)
-    n_below = np.searchsorted(ordered, thresholds, "left")
+    return _f1_optimal(_ranks(s), y)
+
+
+def _f1_optimal(x: _Ranked, y: np.ndarray) -> tuple[float, float]:
+    positives_below = np.concatenate(([0], np.cumsum(y[x.order])))
+    thresholds = _thresholds(x)
+    n_below = np.searchsorted(x.ordered, thresholds, "left")
     fn = positives_below[n_below]
     tn = n_below - fn
     tp = int(positives_below[-1]) - fn
-    fp = (len(s) - n_below) - tp
+    fp = (len(y) - n_below) - tp
     f1s = _macro_f1(tp, fp, fn, tn)
     best = int(np.argmax(f1s))  # the first maximum: the lowest threshold on ties
     return float(f1s[best]), float(thresholds[best])
@@ -251,8 +300,8 @@ def _binned(probs, labels, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     y = _as_label_array(labels)
     if len(p) != len(y):
         raise ValidationError(f"length mismatch: {len(p)} probs, {len(y)} labels")
-    if bins < 1:
-        raise ValidationError(f"bin count must be >= 1, got {bins}")
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValidationError(f"bin count must be an int >= 1, got {bins!r}")
     if len(p) and (p.min() < 0.0 or p.max() > 1.0):
         raise ValidationError("probabilities must lie in [0, 1]")
     idx = np.clip(np.floor(p * bins).astype(int), 0, bins - 1)  # 1.0: top bin, right-closed
@@ -278,6 +327,8 @@ def ece(probs, labels, bins: int = 10, decision_threshold: float = 0.5) -> Calib
     Per bin: acc = mean agreement between [p >= decision_threshold] and the
     label, conf = mean p. ECE is the bin-size-weighted mean absolute gap.
     """
+    if not math.isfinite(decision_threshold):
+        raise ValidationError(f"decision_threshold must be finite, got {decision_threshold}")
     p, y, idx, sizes = _binned(probs, labels, bins)
     agree = np.bincount(idx, weights=(p >= decision_threshold) == y, minlength=bins)
     out = []
@@ -354,17 +405,18 @@ class EvalReport:
 def evaluate_scores(
     scores, labels, wall_clock_s: float = 0.0, scorer_calls_total: int = 0
 ) -> EvalReport:
-    """Assemble the full accuracy report for scored, labeled claims, converting
-    the inputs to arrays once for every metric."""
-    s = _as_float_array(scores, "scores")
-    y = _as_label_array(labels)
-    y_float = y.astype(float)
-    f1, threshold = f1_macro_optimal(s, y)
+    """Assemble the full accuracy report for scored, labeled claims: the
+    inputs are checked once, and one sort of the scores serves every rank
+    metric. Binary labels are their own dense ranks."""
+    s, y = _scores_and_labels(scores, labels)
+    x = _ranks(s)
+    n_pos = int(y.sum())
+    f1, threshold = _f1_optimal(x, y)
     return EvalReport(
         n=len(s),
-        roc_auc=roc_auc(s, y),
-        pearson=pearson(s, y_float),
-        kendall_tau=kendall_tau(s, y_float),
+        roc_auc=_auc(x, y),
+        pearson=pearson(s, y.astype(float)),
+        kendall_tau=_tau(x, y.astype(np.intp), np.array([len(y) - n_pos, n_pos])),
         f1_macro=f1,
         optimal_threshold=threshold,
         wall_clock_s=wall_clock_s,

@@ -6,6 +6,9 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
+from hypothesis import strategies as st
+
 from chunkcheck.backends import UnitRelevanceBackend
 from chunkcheck.corpus import Corpus, Document, Unit, claim_to_record, document_to_record
 from chunkcheck.scoring import ScorerBackend
@@ -82,3 +85,20 @@ class FlakyBackend(ScorerBackend):
         if self.marker in hypothesis or self.marker in premise:
             raise RuntimeError("scripted failure")
         return self.score
+
+
+def drawn_ints(draw, n: int, dtype: str) -> np.ndarray:
+    """n unsigned integers: one byte draw XOR a seeded pseudo-random stream.
+    The bytes can be any, so every sequence can come out; the stream keeps
+    the values spread where hypothesis draws degenerate bytes (all zero,
+    repeated) that would make most of them equal. One draw of n values costs
+    about what one ``st.integers`` draw does."""
+    size = np.dtype(dtype).itemsize * n
+    drawn = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=dtype)
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).bytes(size)
+    return drawn ^ np.frombuffer(stream, dtype=dtype)
+
+
+def drawn_picks(draw, pool, n: int) -> list:
+    """n draws from a pool of at most 256 values; every sequence can come out."""
+    return np.asarray(pool)[drawn_ints(draw, n, "u1") % len(pool)].tolist()

@@ -98,6 +98,8 @@ class FixtureServer:
             return 200, {"probability": 1.5}
         if "PROB_NAN" in prompt:
             return 200, b'{"probability": NaN}'
+        if "BODY:" in prompt:  # the response body is the prompt's text after the marker
+            return 200, prompt.split("BODY:", 1)[1].split(" Question:", 1)[0].encode()
         if "ALWAYS_429" in prompt or self.rate_limited > 0:
             self.rate_limited -= 1
             headers = {} if self.retry_after is None else {"Retry-After": self.retry_after}
@@ -187,6 +189,31 @@ def test_missing_payload_is_fatal(server):
         score_pair(backend, "p NO_PAYLOAD", "h")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"probability": "0.7"}',
+        '{"probability": true}',
+        '{"probability": null}',
+        '{"logits": ["2", "0"]}',
+        '{"logits": [null, 0]}',
+        '{"logits": [true, false]}',
+    ],
+)
+def test_non_numeric_values_are_fatal(server, body):
+    backend = _backend(server)
+    with pytest.raises(BackendError, match="numeric") as err:
+        score_pair(backend, f"p BODY:{body}", "h")
+    assert err.value.attempts == 1
+    assert err.value.endpoint == server.url
+
+
+def test_integer_values_are_numbers(server):
+    backend = _backend(server)
+    assert score_pair(backend, 'p BODY:{"probability": 1}', "h") == 1.0
+    assert abs(score_pair(backend, 'p BODY:{"logits": [2, 0]}', "h") - 0.8807970779778823) < 1e-12
+
+
 def test_unreachable_endpoint(tmp_path):
     backend = RemoteBackend(
         "http://127.0.0.1:1/score", timeout=0.2, max_retries=1, backoff_base=0.01
@@ -213,8 +240,14 @@ def test_batch_items_fail_independently(server):
         ("INF_LOGITS", "ValidationError: logits must be finite, got (inf, 0.0)"),
         ("PROB_ABOVE_ONE", "BackendError: backend 'remote:{url}' returned probability 1.5"),
         ("PROB_NAN", "BackendError: backend 'remote:{url}' returned probability nan"),
+        # integers too large for a float are infinite, as 1e999 is
+        (f'BODY:{{"logits": [{10**400}, 0]}}',
+         "ValidationError: logits must be finite, got (inf, 0.0)"),
+        (f'BODY:{{"probability": {-10**400}}}',
+         "BackendError: backend 'remote:{url}' returned probability -inf"),
     ],
-    ids=["infinite-logits", "probability-above-one", "nan-probability"],
+    ids=["infinite-logits", "probability-above-one", "nan-probability", "huge-int-logits",
+         "huge-int-probability"],
 )
 def test_batch_isolates_bad_probability_bodies(server, marker, error):
     backend = _backend(server)

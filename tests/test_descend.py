@@ -18,7 +18,7 @@ from chunkcheck.errors import ChunkcheckError
 from chunkcheck.retrieval import descend, retrieve
 from chunkcheck.scoring import ScoreCache
 
-from helpers import make_sized_doc
+from helpers import drawn_picks, make_sized_doc
 from oracles import brute_force_reference, retrievals_reference, retrieve_reference
 
 WC = WhitespaceCounter()
@@ -62,14 +62,36 @@ def _outcome(run):
         )
 
 
-_unit = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12).map(" ".join)
-_claim_text = st.one_of(
-    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join), st.just(" ")
-)
+# Examples are drawn in bulk: each list of units, words or picks below is one
+# byte draw (``drawn_picks``), where ``st.lists`` would draw every element on
+# its own. Every corpus, claim list and failing set can still come out.
 
 
-_corpus_units = st.lists(st.lists(_unit, min_size=1, max_size=30), min_size=1, max_size=3)
-_texts = st.lists(_claim_text, min_size=1, max_size=4, unique=True)
+def _joined(draw, lengths) -> list[str]:
+    """Texts of the given word counts over ``_WORDS``; 0 words is a blank " "."""
+    words = iter(drawn_picks(draw, _WORDS, sum(lengths)))
+    return [" ".join(next(words) for _ in range(n)) or " " for n in lengths]
+
+
+@st.composite
+def _corpus_units(draw):
+    """1-3 documents of 1-30 units, each unit 1-12 words."""
+    return [
+        _joined(draw, drawn_picks(draw, range(1, 13), draw(st.integers(1, 30))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+@st.composite
+def _texts(draw):
+    """1-4 distinct claim texts, each 1-3 words or a blank " "."""
+    lengths = drawn_picks(draw, range(4), draw(st.integers(1, 4)))
+    return list(dict.fromkeys(_joined(draw, lengths)))
+
+
+@st.composite
+def _picks(draw, pool, n):
+    return drawn_picks(draw, pool, n)
 
 
 def _draw_case(docs_units, texts, data):
@@ -78,22 +100,22 @@ def _draw_case(docs_units, texts, data):
         Document(id=f"d{j}", units=[Unit(index=i, text=t) for i, t in enumerate(units)])
         for j, units in enumerate(docs_units)
     ]
-    picks = data.draw(st.lists(
-        st.tuples(st.integers(0, len(docs) - 1), st.sampled_from(texts)),
-        min_size=1, max_size=12,
-    ), label="claims")
+    n_claims = data.draw(st.integers(1, 12), label="claims")
+    picks = zip(data.draw(_picks(range(len(docs)), n_claims), label="claim documents"),
+                data.draw(_picks(texts, n_claims), label="claim texts"))
     claims = [Claim(id=f"c{i}", doc_id=f"d{j}", text=t) for i, (j, t) in enumerate(picks)]
+    failing = data.draw(_picks([False, True], len(texts)), label="failing texts")
     return (
         Corpus(documents=docs, claims=claims),
         data.draw(st.integers(2, 4), label="k"),
         data.draw(st.one_of(st.none(), st.integers(4, 30)), label="cap"),
         data.draw(st.sampled_from([WC, MINI_VOCAB]), label="counter"),
-        data.draw(st.sets(st.sampled_from(texts)), label="failing texts"),
+        {t for t, fails in zip(texts, failing) if fails},
         data.draw(st.sampled_from([1, 2]), label="workers"),
     )
 
 
-@given(_corpus_units, _texts, st.data())
+@given(_corpus_units(), _texts(), st.data())
 @settings(max_examples=250, deadline=None)
 def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
     corpus, k, cap, counter, failing, workers = _draw_case(docs_units, texts, data)
@@ -130,7 +152,7 @@ def _cli_retrieve(corpus, backend, k, cap, counter, workers, brute_force=True):
     return results["retrievals"]
 
 
-@given(_corpus_units, _texts, st.data())
+@given(_corpus_units(), _texts(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_brute_force_per_document_matches_claim_by_claim(docs_units, texts, data):
     """``retrieve --brute-force`` scores a document's claims in one exhaustive

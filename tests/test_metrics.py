@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chunkcheck.metrics as metrics
 from chunkcheck.errors import ValidationError
 from chunkcheck.metrics import (
     EvalReport,
     _inversions,
+    _ranks,
     calibration_curve,
     candidate_thresholds,
     ece,
@@ -22,6 +24,7 @@ from chunkcheck.metrics import (
     retrieval_recall,
     roc_auc,
 )
+from helpers import drawn_ints, drawn_picks
 from oracles import (
     auc_pair_counting,
     best_macro_f1_by_cuts,
@@ -241,6 +244,19 @@ def test_ece_validates_inputs():
         ece([0.5], [1], bins=0)
 
 
+def test_ece_rejects_a_non_finite_decision_threshold():
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="decision_threshold must be finite"):
+            ece([0.1, 0.9], [True, False], decision_threshold=threshold)
+
+
+@pytest.mark.parametrize("bins", [2.5, True, 2.0, "2"], ids=["float", "bool", "whole-float", "str"])
+def test_bin_count_must_be_an_int(bins):
+    for calibration in (ece, calibration_curve):
+        with pytest.raises(ValidationError, match="bin count must be an int >= 1"):
+            calibration([0.1, 0.9], [True, False], bins=bins)
+
+
 def test_top_bin_right_closed():
     report = ece([1.0], [1], bins=10)
     assert report.bins[-1].size == 1
@@ -327,24 +343,8 @@ _ONE_BITS = int(np.float64(1.0).view(np.uint64))  # bit patterns 0 .. this: the 
 _UNIT_EDGES = [v for v in _EDGE_FLOATS if 0.0 <= v <= 1.0]
 
 
-def _words(draw, n: int, dtype: str) -> np.ndarray:
-    """n unsigned integers: one byte draw XOR a seeded pseudo-random stream.
-    The bytes can be any, so every sequence can come out; the stream keeps
-    the values spread where hypothesis draws degenerate bytes (all zero,
-    repeated) that would make most of them equal."""
-    size = np.dtype(dtype).itemsize * n
-    drawn = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=dtype)
-    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).bytes(size)
-    return drawn ^ np.frombuffer(stream, dtype=dtype)
-
-
-def _pick(draw, pool, n: int) -> list:
-    """n draws from a pool of at most 256 values; every sequence can come out."""
-    return np.asarray(pool)[_words(draw, n, "u1") % len(pool)].tolist()
-
-
 def _unit_floats(draw, n: int) -> list[float]:
-    """n floats in [0, 1] from one ``_words`` draw, where ``st.floats(0, 1)``
+    """n floats in [0, 1] from one ``drawn_ints`` draw, where ``st.floats(0, 1)``
     would take n draws, one per float. The top 4 bits of each word
     pick: (14 of 16) a uniform double in [0, 1), as distinct as continuous
     scores are; (1 of 16) the float whose bit pattern is the word modulo
@@ -352,7 +352,7 @@ def _unit_floats(draw, n: int) -> list[float]:
     included; (1 of 16) one of the edge floats in [0, 1] or of up to four
     values of ``st.floats(0, 1)``."""
     pool = np.array(_UNIT_EDGES + draw(st.lists(_UNIT, min_size=1, max_size=4)))
-    words = _words(draw, n, "<u8")
+    words = drawn_ints(draw, n, "<u8")
     kind = words >> np.uint64(60)
     uniform = (words & np.uint64(2**53 - 1)) * 2.0**-53
     any_float = (words % np.uint64(_ONE_BITS + 1)).view(np.float64)
@@ -361,7 +361,7 @@ def _unit_floats(draw, n: int) -> list[float]:
 
 
 def _bools(draw, n: int) -> list[bool]:
-    return (_words(draw, n, "u1") & 1).astype(bool).tolist()
+    return (drawn_ints(draw, n, "u1") & 1).astype(bool).tolist()
 
 
 @st.composite
@@ -374,12 +374,12 @@ def rank_inputs(draw):
         digits = 1 if shape == "1dp" else 2
         scores = [round(v, digits) for v in _unit_floats(draw, n)]
     elif shape == "repeated":
-        scores = _pick(draw, draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5)), n)
+        scores = drawn_picks(draw, draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5)), n)
     elif shape == "adjacent":  # (a + b) / 2 rounds onto a or b
         run = [draw(_UNIT)]
         while len(run) < 4:
             run.append(float(np.nextafter(run[-1], np.inf)))
-        scores = _pick(draw, run, n)
+        scores = drawn_picks(draw, run, n)
     else:
         scores = _unit_floats(draw, n)
     labels = _bools(draw, n)
@@ -414,7 +414,7 @@ def ranks(draw):
     n = draw(st.sampled_from(range(301)))
     kind = draw(st.sampled_from(["one", "two", "small", "n"]))
     m = {"one": 1, "two": 2, "n": max(n, 1)}.get(kind) or draw(st.integers(3, 17))
-    return (_words(draw, n, "<u2") % m).astype(np.intp), m
+    return (drawn_ints(draw, n, "<u2") % m).astype(np.intp), m
 
 
 @given(ranks())
@@ -438,9 +438,10 @@ def calibration_inputs(draw):
         probs = _unit_floats(draw, n)
     elif shape == "edges":
         edges = [k / bins for k in range(bins + 1)]
-        probs = _pick(draw, edges + [float(np.nextafter(v, t)) for v in edges for t in (0, 1)], n)
+        beside = [float(np.nextafter(v, t)) for v in edges for t in (0, 1)]
+        probs = drawn_picks(draw, edges + beside, n)
     else:
-        probs = _pick(draw, draw(st.lists(_UNIT, min_size=1, max_size=3)), n)
+        probs = drawn_picks(draw, draw(st.lists(_UNIT, min_size=1, max_size=3)), n)
     threshold = draw(st.one_of(st.floats(), st.sampled_from([0.0, 0.5, 1.0])))
     return probs, _bools(draw, n), bins, threshold
 
@@ -449,7 +450,11 @@ def calibration_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_calibration_equals_the_per_bin_mask_reference(case):
     probs, labels, bins, threshold = case
-    assert ece(probs, labels, bins, threshold) == ece_reference(probs, labels, bins, threshold)
+    if math.isfinite(threshold):
+        assert ece(probs, labels, bins, threshold) == ece_reference(probs, labels, bins, threshold)
+    else:
+        with pytest.raises(ValidationError, match="decision_threshold"):
+            ece(probs, labels, bins, threshold)
     assert calibration_curve(probs, labels, bins) == calibration_curve_reference(
         probs, labels, bins
     )
@@ -508,6 +513,77 @@ def test_rank_metrics_at_1e5_claims_stay_small_and_agree_with_oracles():
         assert f1_macro_optimal(s, lab)[0] == pytest.approx(
             best_macro_f1_by_cuts(s, lab), abs=1e-9
         )
+
+
+@given(rank_inputs())
+@settings(max_examples=300, deadline=None)
+def test_ranks_equal_np_unique(case):
+    scores, _, y = case
+    for values in (scores, y, [-v for v in scores]):  # -v swaps 0.0 and -0.0
+        values = np.asarray(values, dtype=float)
+        ranked = _ranks(values)
+        _, rank, counts = np.unique(values, return_inverse=True, return_counts=True)
+        assert np.array_equal(ranked.rank, rank.reshape(-1))
+        assert np.array_equal(ranked.counts, counts)
+        assert np.array_equal(ranked.ordered, values[ranked.order])
+        assert np.all(ranked.ordered[1:] >= ranked.ordered[:-1])
+
+
+def test_evaluate_scores_sorts_the_scores_once(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return _ranks(values)
+
+    monkeypatch.setattr(metrics, "_ranks", counted)
+    scores, labels = [0.1, 0.4, 0.35, 0.8, 0.9], [0, 0, 1, 1, 1]
+    y = [float(v) for v in labels]
+    for call, sorts in [
+        (lambda: evaluate_scores(scores, labels), 1),
+        (lambda: roc_auc(scores, labels), 1),
+        (lambda: f1_macro_optimal(scores, labels), 1),
+        (lambda: kendall_tau(scores, y), 2),  # x and y
+    ]:
+        calls.clear()
+        call()
+        assert calls == [5] * sorts
+
+
+# ---------------------------------------------------------------------------
+# Labels: one-dimensional, each element read by its truthiness
+
+
+def _auc_of_labels(labels):
+    return roc_auc([0.1, 0.9], labels)
+
+
+def test_a_label_column_is_rejected():
+    with pytest.raises(ValidationError, match="labels must be one-dimensional"):
+        _auc_of_labels(np.array([[True], [False]]))
+
+
+def test_a_label_matrix_is_rejected():
+    with pytest.raises(ValidationError, match="labels must be one-dimensional"):
+        roc_auc([0.1, 0.9], np.array([[True, False], [False, True]]))
+
+
+def test_a_bare_label_is_rejected():
+    with pytest.raises(ValidationError, match="labels must be one-dimensional"):
+        _auc_of_labels(True)
+
+
+def test_ragged_labels_are_rejected():
+    with pytest.raises(ValidationError, match="labels must be one-dimensional"):
+        _auc_of_labels([[1], []])
+
+
+def test_label_elements_are_read_by_truthiness():
+    for labels in ([0, 1], [0.0, 2.5], [None, "x"], ["", "0"], np.array([0, 7]),
+                   np.array([-0.0, np.nan]), np.array([None, 1], dtype=object)):
+        assert _auc_of_labels(labels) == 1.0, labels
+    with pytest.raises(ValidationError, match="predictions must be one-dimensional"):
+        macro_f1([[True]], [True])
 
 
 # ---------------------------------------------------------------------------
