@@ -12,7 +12,7 @@ approximation for subword counters).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import ceil
 
@@ -84,16 +84,14 @@ def make_chunks(doc: Document, budget: int, counter: TokenCounter) -> ChunkPlan:
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
-    counts = doc.unit_token_counts(counter)
+    prefix = doc._token_prefix_sums(counter)
     n = len(doc.units)
     chunks = []
     i = 0
     while i < n:
-        total = counts[i]
-        j = i + 1
-        while j < n and total + counts[j] <= budget:
-            total += counts[j]
-            j += 1
+        # The last j with units [i, j) inside the budget, and at least i + 1.
+        j = max(bisect_right(prefix, prefix[i] + budget, i + 1, n + 1) - 1, i + 1)
+        total = prefix[j] - prefix[i]
         chunks.append(
             Chunk(
                 doc_id=doc.id,
@@ -138,10 +136,9 @@ def split_range(
         boundaries = []
         prev = 0
         for i in range(1, k):
-            # First j in [0, m] whose units [start, start + j) hold >= total*i/k tokens.
-            cut = bisect_left(
-                prefix, total * i / k, lo=start, hi=end + 1, key=lambda p: p - base
-            ) - start
+            # First j in [0, m] whose units [start, start + j) hold >= total*i/k
+            # tokens: prefix sums are integers, so compare with the exact ceiling.
+            cut = bisect_left(prefix, base - (-total * i // k), start, end + 1) - start
             cut = max(cut, prev + 1)
             cut = min(cut, m - (k - i))
             boundaries.append(start + cut)

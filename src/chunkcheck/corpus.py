@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorpusError, ValidationError
 
@@ -102,14 +103,21 @@ def make_counter(kind: str) -> TokenCounter:
 # Domain types
 
 
-@dataclass(frozen=True)
-class Unit:
-    """One atomic unit of a document: a sentence or a speaker turn."""
-
+class _UnitFields(NamedTuple):
     index: int
     text: str
-    speaker: str | None = None
-    extra: dict = field(default_factory=dict, compare=True)
+    speaker: str | None
+    extra: dict
+
+
+class Unit(_UnitFields):
+    """One atomic unit of a document: a sentence or a speaker turn. Immutable;
+    each unit holds its own ``extra`` dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, index, text, speaker=None, extra=None):
+        return tuple.__new__(cls, (index, text, speaker, {} if extra is None else extra))
 
     def validate(self) -> None:
         if not self.text.strip():
@@ -139,8 +147,8 @@ class Document:
         if not self.units:
             raise ValidationError(f"document {self.id!r} has no units")
         for pos, unit in enumerate(self.units):
-            unit.validate()
-            if unit.index != pos:
+            if unit.index != pos or not unit.text.strip():
+                unit.validate()  # raises for blank text or a negative index
                 raise ValidationError(
                     f"document {self.id!r}: unit index {unit.index} at position {pos}"
                 )
@@ -298,8 +306,13 @@ def document_from_record(rec: dict) -> Document:
     extra = {} if rec.keys() <= _DOC_KEYS else {
         k: v for k, v in rec.items() if k not in _DOC_KEYS
     }
-    return Document(id=doc_id, units=[_unit_from_record(u, i) for i, u in enumerate(units)],
-                    extra=extra)
+    # The common shape is built inline: only a string "text" and a string or null "speaker".
+    built = [tuple.__new__(Unit, (pos, text, speaker, {}))
+             if (type(u) is dict and type(text := u.get("text")) is str
+                 and ((speaker := u.get("speaker")) is None or type(speaker) is str)
+                 and len(u) == 1 + ("speaker" in u))
+             else _unit_from_record(u, pos) for pos, u in enumerate(units)]
+    return Document(id=doc_id, units=built, extra=extra)
 
 
 def document_to_record(doc: Document) -> dict:
@@ -348,19 +361,30 @@ def claim_to_record(claim: Claim) -> dict:
     }
 
 
+# A line decodes as json.loads decodes it: one value, with only JSON whitespace around it.
+_JSON_SPACE = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
+_BOM_MSG = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
 def _read_jsonl(path: str | Path, build, required: frozenset[str]):
     out = []
     path = Path(path)
     try:
         with path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                text = line.strip(_JSON_SPACE)
+                if not text or text.isspace():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec, end = _raw_decode(text)
+                    if end != len(text):
+                        raise json.JSONDecodeError("Extra data", text, end)
                 except json.JSONDecodeError as exc:
+                    # json.loads rejects a leading byte-order mark before decoding.
+                    msg = _BOM_MSG if line.startswith("\ufeff") else exc.msg
                     raise CorpusError(
-                        f"invalid JSON ({exc.msg})", path=str(path), line=lineno
+                        f"invalid JSON ({msg})", path=str(path), line=lineno
                     ) from exc
                 if not isinstance(rec, dict):
                     raise CorpusError("record is not an object", path=str(path), line=lineno)

@@ -11,7 +11,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import BackendError, PremiseTooLargeError, ValidationError
 
@@ -132,25 +132,28 @@ def check_cap(backend: ScorerBackend, pairs, token_counts, cap: int | None) -> N
             )
 
 
-def _evaluate(
+def _score_one(
     backend: ScorerBackend,
-    premise: str,
-    hypothesis: str,
     cache: ScoreCache | None,
+    pair: tuple[str, str],
     key: tuple | None,
-) -> float:
+) -> float | Exception:
     """Score a checked pair: a cache hit, or one backend call (``key`` is its
-    cache key when there is a cache)."""
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    prob = backend.evaluate(premise, hypothesis)
-    if not (0.0 <= prob <= 1.0):
-        raise BackendError(f"backend {backend.name!r} returned probability {prob}")
-    if cache is not None:
-        cache.put(key, prob)
-    return prob
+    cache key when there is a cache). A failure is returned, not raised, so
+    one pair's error leaves the rest of a batch to complete."""
+    try:
+        if cache is not None:
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+        prob = backend.evaluate(*pair)
+        if not (0.0 <= prob <= 1.0):
+            raise BackendError(f"backend {backend.name!r} returned probability {prob}")
+        if cache is not None:
+            cache.put(key, prob)
+        return prob
+    except Exception as exc:  # per-item isolation
+        return exc
 
 
 def score_pair(
@@ -162,7 +165,10 @@ def score_pair(
     """Score one (premise, hypothesis) pair through the backend."""
     _check_pairs([(premise, hypothesis)])
     key = ScoreCache.key(backend.name, premise, hypothesis) if cache is not None else None
-    return _evaluate(backend, premise, hypothesis, cache, key)
+    result = _score_one(backend, cache, (premise, hypothesis), key)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -202,26 +208,18 @@ def score_batch(
     else:
         keys = [None] * len(distinct)
 
-    def evaluate_one(pair, key):
-        try:
-            return _evaluate(backend, pair[0], pair[1], cache, key)
-        except Exception as exc:  # per-item isolation
-            return exc
-
+    score_one = partial(_score_one, backend, cache)
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(evaluate_one, distinct, keys))
+            results = list(pool.map(score_one, distinct, keys))
     else:
-        results = [evaluate_one(p, k) for p, k in zip(distinct, keys)]
-    outcomes = dict(zip(distinct, results))
+        results = list(map(score_one, distinct, keys))
+    if len(distinct) < len(pairs):
+        outcomes = dict(zip(distinct, results))
+        results = [outcomes[pair] for pair in pairs]
 
-    scores: list[float | None] = []
-    failures: list[BatchFailure] = []
-    for i, pair in enumerate(pairs):
-        res = outcomes[pair]
-        if isinstance(res, Exception):
-            scores.append(None)
-            failures.append(BatchFailure(index=i, error=f"{type(res).__name__}: {res}"))
-        else:
-            scores.append(res)
-    return BatchResult(scores=scores, failures=failures)
+    failures = [BatchFailure(index=i, error=f"{type(res).__name__}: {res}")
+                for i, res in enumerate(results) if isinstance(res, Exception)]
+    if failures:
+        results = [None if isinstance(res, Exception) else res for res in results]
+    return BatchResult(scores=results, failures=failures)

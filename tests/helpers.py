@@ -16,19 +16,17 @@ from chunkcheck.scoring import ScorerBackend
 
 def make_doc(doc_id: str, n_units: int, words_per_unit: int = 3) -> Document:
     """Uniform-size document with unique, newline-free unit texts."""
-    units = [
-        Unit(index=i, text=" ".join(f"{doc_id}u{i}w{j}" for j in range(words_per_unit)))
-        for i in range(n_units)
-    ]
-    return Document(id=doc_id, units=units)
+    return make_sized_doc(doc_id, [words_per_unit] * n_units)
 
 
 def make_sized_doc(doc_id: str, unit_token_counts: list[int]) -> Document:
-    """Document whose units have exactly the given whitespace token counts."""
-    units = [
-        Unit(index=i, text=" ".join(f"{doc_id}u{i}w{j}" for j in range(c)))
-        for i, c in enumerate(unit_token_counts)
-    ]
+    """Document whose units have exactly the given whitespace token counts:
+    unit i holds the words ``{doc_id}u{i}w{j}`` for j = 0, 1, ..."""
+    numbers = [str(j) for j in range(max(unit_token_counts, default=0))]
+    units = []
+    for i, c in enumerate(unit_token_counts):
+        word = f"{doc_id}u{i}w"
+        units.append(Unit(i, word + f" {word}".join(numbers[:c]) if c else ""))
     return Document(id=doc_id, units=units)
 
 

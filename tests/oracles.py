@@ -1,7 +1,8 @@
 """Independent naive-formula oracles for the metrics module; reference
 versions of the rank-metric kernels, the inversion count, the calibration
-bins, the threshold candidates, the retrieval splitters, and claim-by-claim
-greedy and exhaustive retrieval; and a replay check for retrieval traces.
+bins, the threshold candidates, the chunk packer, the retrieval splitters,
+the corpus loader, and claim-by-claim greedy and exhaustive retrieval; and a
+replay check for retrieval traces.
 
 The oracles are pure-python, loop-based, written directly from the defining
 formulas so they share no code path with the implementations they check.
@@ -11,14 +12,23 @@ current ones must reproduce exactly.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from math import ceil, sqrt
+from pathlib import Path
 
 import numpy as np
 
-from chunkcheck.chunking import premise_text
-from chunkcheck.corpus import WhitespaceCounter
-from chunkcheck.errors import ScoringError, ValidationError
+from chunkcheck.chunking import Chunk, ChunkPlan, premise_text
+from chunkcheck.corpus import (
+    Corpus,
+    Document,
+    Unit,
+    WhitespaceCounter,
+    _not_utf8,
+    claim_from_record,
+)
+from chunkcheck.errors import CorpusError, ScoringError, ValidationError
 from chunkcheck.metrics import CalibrationBin, CalibrationReport, CurvePoint
 from chunkcheck.retrieval import BruteForceResult, RetrievalTrace, TraceLevel, _split_under_cap
 from chunkcheck.scoring import check_cap, first_max, score_batch
@@ -286,6 +296,28 @@ def calibration_curve_reference(probs, labels, bins=10) -> list[CurvePoint]:
     return points
 
 
+def make_chunks_reference(doc, budget, counter) -> ChunkPlan:
+    """Greedy packing unit by unit: extend the chunk while the next unit fits."""
+    if budget < 1:
+        raise ValidationError(f"budget must be >= 1, got {budget}")
+    counts = doc.unit_token_counts(counter)
+    n = len(doc.units)
+    chunks = []
+    i = 0
+    while i < n:
+        total = counts[i]
+        j = i + 1
+        while j < n and total + counts[j] <= budget:
+            total += counts[j]
+            j += 1
+        chunks.append(Chunk(doc_id=doc.id, start=i, end=j, text=premise_text(doc, i, j),
+                            token_count=total, oversized=(j == i + 1 and total > budget)))
+        i = j
+    plan = ChunkPlan(doc_id=doc.id, budget=budget, chunks=chunks)
+    plan.validate(n)
+    return plan
+
+
 def split_range_reference(doc, start, end, k, counter):
     """``split_range`` on a cumulative list rebuilt for the range on every call."""
     m = end - start
@@ -441,3 +473,96 @@ def check_pairs_reference(backend, pairs) -> None:
                 raise PremiseTooLargeError(
                     f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
                 )
+
+
+def _unit_reference(rec, pos) -> Unit:
+    if isinstance(rec, dict):
+        text, speaker = rec.get("text"), rec.get("speaker")
+        if isinstance(text, str) and (speaker is None or isinstance(speaker, str)):
+            extra = {k: v for k, v in rec.items() if k not in ("speaker", "text")}
+            return Unit(index=pos, text=text, speaker=speaker, extra=extra)
+    raise ValidationError(
+        f"unit {pos} must be an object with a string 'text' and a string or null "
+        f"'speaker', got {rec!r:.60}"
+    )
+
+
+def _document_reference(rec) -> Document:
+    doc_id, units = rec["id"], rec["units"]
+    if not isinstance(doc_id, str):
+        raise ValidationError(f"document 'id' must be a string, got {doc_id!r:.40}")
+    if not isinstance(units, list):
+        raise ValidationError(f"document {doc_id!r} 'units' must be an array, got {units!r:.40}")
+    extra = {k: v for k, v in rec.items() if k not in ("id", "units")}
+    return Document(id=doc_id, units=[_unit_reference(u, i) for i, u in enumerate(units)],
+                    extra=extra)
+
+
+def _read_jsonl_reference(path, build, required):
+    out = []
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(
+                        f"invalid JSON ({exc.msg})", path=str(path), line=lineno
+                    ) from exc
+                if not isinstance(rec, dict):
+                    raise CorpusError("record is not an object", path=str(path), line=lineno)
+                if not required <= rec.keys():
+                    raise CorpusError(
+                        f"missing required fields {sorted(required - rec.keys())}",
+                        path=str(path), line=lineno,
+                    )
+                try:
+                    out.append(build(rec))
+                except (TypeError, ValueError, ValidationError) as exc:
+                    raise CorpusError(str(exc), path=str(path), line=lineno) from exc
+    except FileNotFoundError as exc:
+        raise CorpusError("file not found", path=str(path)) from exc
+    except OSError as exc:
+        raise CorpusError(f"cannot read file ({exc.strerror})", path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+    return out
+
+
+def load_corpus_reference(documents_path, claims_path) -> Corpus:
+    """The loader record by record: ``json.loads`` on each line, each unit
+    through the general builder, and every unit's ``validate`` called. Claims
+    and the not-UTF-8 error go through the library's own ``claim_from_record``
+    and ``_not_utf8``, which the fast path leaves as they were."""
+    corpus = Corpus(
+        documents=_read_jsonl_reference(documents_path, _document_reference, {"id", "units"}),
+        claims=_read_jsonl_reference(claims_path, claim_from_record, {"id", "doc_id", "text"}),
+    )
+    seen = set()
+    for doc in corpus.documents:
+        if not doc.id:
+            raise ValidationError("document id must be non-empty")
+        if not doc.units:
+            raise ValidationError(f"document {doc.id!r} has no units")
+        for pos, unit in enumerate(doc.units):
+            unit.validate()
+            if unit.index != pos:
+                raise ValidationError(
+                    f"document {doc.id!r}: unit index {unit.index} at position {pos}"
+                )
+        if doc.id in seen:
+            raise ValidationError(f"duplicate document id {doc.id!r}")
+        seen.add(doc.id)
+    by_id = {doc.id: doc for doc in corpus.documents}
+    seen = set()
+    for claim in corpus.claims:
+        if claim.id in seen:
+            raise ValidationError(f"duplicate claim id {claim.id!r}")
+        seen.add(claim.id)
+        if claim.doc_id not in by_id:
+            raise CorpusError(f"claim {claim.id!r} references unknown document {claim.doc_id!r}")
+        claim.validate(by_id[claim.doc_id])
+    return corpus

@@ -3,15 +3,31 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chunkcheck.chunking import UNIT_SEPARATOR, make_chunks, premise_text, split_range
-from chunkcheck.corpus import WhitespaceCounter
+from chunkcheck.corpus import Document, Unit, WhitespaceCounter
 from chunkcheck.errors import ValidationError
 from helpers import make_doc, make_sized_doc
+from oracles import make_chunks_reference
 
 WC = WhitespaceCounter()
+
+
+def test_synthetic_documents_keep_their_texts():
+    def word_by_word(doc_id, counts):
+        return [" ".join(f"{doc_id}u{i}w{j}" for j in range(c)) for i, c in enumerate(counts)]
+
+    for n, words in ((1, 1), (7, 3), (300, 1), (12, 0), (3, 12)):
+        doc = make_doc("d5", n, words)
+        assert [u.text for u in doc.units] == word_by_word("d5", [words] * n)
+        assert [u.index for u in doc.units] == list(range(n))
+    counts = [0, 1, 11, 2, 0, 3]
+    doc = make_sized_doc("x", counts)
+    assert doc == Document(id="x", units=[Unit(index=i, text=t)
+                                          for i, t in enumerate(word_by_word("x", counts))])
+    assert doc.unit_token_counts(WC) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +105,16 @@ def test_budget_monotonicity(sizes, budget, extra):
     n_small = len(make_chunks(doc, budget, WC).chunks)
     n_large = len(make_chunks(doc, budget + extra, WC).chunks)
     assert n_large <= n_small
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=60), st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+@example([0, 0, 50, 0, 3, 60, 0], 5)
+@example([10, 0], 5)
+def test_make_chunks_matches_unit_by_unit_packing(sizes, budget):
+    # Zero-token units, and units over the budget (budget < 40).
+    doc = make_sized_doc("d", sizes)
+    assert make_chunks(doc, budget, WC) == make_chunks_reference(doc, budget, WC)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chunkcheck.corpus import (
@@ -20,7 +20,8 @@ from chunkcheck.corpus import (
     read_claims_jsonl,
 )
 from chunkcheck.errors import CorpusError, ValidationError
-from helpers import write_corpus_jsonl
+from helpers import drawn_ints, write_corpus_jsonl
+from oracles import load_corpus_reference
 
 # ---------------------------------------------------------------------------
 # Loading and validation
@@ -264,6 +265,156 @@ def test_loaded_records_do_not_share_extra_dicts():
     extras = [doc.extra, *(u.extra for u in doc.units), *(c.extra for c in claims)]
     assert extras == [{}] * 5
     assert len({id(e) for e in extras}) == 5
+
+
+def test_unit_is_an_immutable_record():
+    unit = Unit(index=0, text="a")
+    assert unit == Unit(0, "a", None, {}) == Unit(index=0, text="a", speaker=None, extra={})
+    assert unit != Unit(index=0, text="a", speaker="S")
+    assert unit != Unit(index=0, text="a", extra={"k": 1})
+    assert (unit.index, unit.text, unit.speaker, unit.extra) == (0, "a", None, {})
+    assert unit.extra is not Unit(index=1, text="b").extra
+    for name in ("index", "text", "speaker", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(unit, name, None)
+
+
+# Lines as a writer might leave them: JSON whitespace around a record is
+# allowed; a no-break space or a byte-order mark before it, or anything after
+# it, is an error; lines of only whitespace (Unicode's included) are skipped.
+_SPACE_AROUND = ["", "", " ", "\t", "  \t ", "\r"]
+_BEFORE = _SPACE_AROUND + ["\u00a0", "\ufeff", " \ufeff"]
+_AFTER = _SPACE_AROUND + [" x", "{}", " 1", "\u00a0", "\x85"]
+_BLANK = ["", " ", "\t", "\r", " \u00a0 ", "\u2003", "\x1c", "\x85"]
+_GOOD_TEXTS = ["alpha beta", "Mara said so.", "café\tau lait", "x", " padded ", "a\u2028b"]
+_TEXTS = _GOOD_TEXTS + ["", " ", "\t\u00a0"]
+_SPEAKERS = [None, "A", "Bee", ""]
+
+
+def _bad(pick, valid):
+    """Whether to break this record: never in a valid corpus, one time in four otherwise."""
+    return not valid and pick(range(4)) == 0
+
+
+def _unit_record(pick, valid):
+    text, speaker = pick(_GOOD_TEXTS if valid else _TEXTS), pick(_SPEAKERS)
+    if _bad(pick, valid):
+        return pick([
+            {"speaker": speaker, "text": None}, {"text": 3}, {"text": ["x"]}, {"speaker": "A"},
+            {"text": text, "speaker": 1}, {"text": text, "speaker": True},
+            {"text": text, "speaker": ["A"]}, "text", 3, None, ["x"], True,
+        ])
+    kind = pick(range(5))
+    if kind == 0:  # the common shape without a speaker key
+        return {"text": text}
+    if kind == 1:  # extra keys
+        return {"text": text, "speaker": speaker, pick(["scene", "text "]): 4}
+    return {"speaker": speaker, "text": text}
+
+
+def _document_record(pick, pos, valid):
+    rec = {"id": f"d{pos}" if valid else pick(["d0", "d1", "d2"]),
+           "units": [_unit_record(pick, valid) for _ in range(pick(range(1, 6)))]}
+    if pick((True, False)):
+        rec["genre"] = "dialogue"
+    if _bad(pick, valid):
+        key, value = pick([("id", ""), ("id", 7), ("units", None), ("units", {"text": "x"}),
+                           ("units", [])])
+        rec[key] = value
+    return rec
+
+
+def _claim_record(pick, pos, docs, valid):
+    doc = pick(docs)
+    n_units = len(doc["units"]) if isinstance(doc["units"], list) else 1
+    rec = {"id": f"c{pos}" if valid else pick(["c0", "c1", "c2"]),
+           "doc_id": doc["id"], "text": pick(_GOOD_TEXTS)}
+    if pick((True, False)):
+        rec["label"] = pick([True, False, None])
+    if pick((True, False)):
+        rec["relevant_units"] = pick([None, sorted({pick(range(max(n_units, 1))), 0})])
+    if pick((True, False)):
+        rec["model"] = "m1"
+    if _bad(pick, valid):
+        key, value = pick([
+            ("doc_id", "nowhere"), ("id", 4), ("text", " "), ("label", "yes"),
+            ("relevant_units", [n_units]), ("relevant_units", [True]), ("doc_id", None)])
+        rec[key] = value
+    return rec
+
+
+def _jsonl(pick, records, valid):
+    """One line per record, some framed by whitespace (or, when not valid,
+    by junk), with blank lines in between."""
+    lines = []
+    for rec in records:
+        if pick(range(5)) == 0:
+            lines.append(pick(_BLANK))
+        body = json.dumps(rec, ensure_ascii=pick((True, False)))
+        if pick(range(3)) == 0:
+            around = _SPACE_AROUND if not _bad(pick, valid) else None
+            body = pick(around or _BEFORE) + body + pick(around or _AFTER)
+        lines.append(body)
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def _corpus_files(draw):
+    """A documents file and a claims file: valid, or with malformed records,
+    lines and references mixed in. Every choice is taken from one bulk draw."""
+    choices = iter(drawn_ints(draw, 1024, "u1").tolist())
+
+    def pick(options):
+        return options[next(choices) % len(options)]
+
+    valid = pick((True, False))
+    docs = [_document_record(pick, i, valid) for i in range(pick(range(1, 4)))]
+    claims = [_claim_record(pick, i, docs, valid) for i in range(pick(range(5)))]
+    return _jsonl(pick, docs, valid), _jsonl(pick, claims, valid)
+
+
+_DOC = '{"id": "d0", "units": [{"speaker": "A", "text": "a b"}, {"text": "c"}]}'
+_CLAIM = '{"id": "c0", "doc_id": "d0", "text": "a", "relevant_units": [1]}'
+
+
+@given(_corpus_files())
+@settings(max_examples=300, deadline=None)
+@example((f" \t{_DOC}\t \r\n\n \u00a0\n\u2003\n", f"\r{_CLAIM} \n\t\n"))  # allowed
+@example((f"\u00a0{_DOC}\n", ""))  # a no-break space is not JSON whitespace
+@example((f"{_DOC}\n{_DOC} x\n", ""))  # data after the record, on line 2
+@example((f"{_DOC}\u0085\n", ""))  # a Unicode space that is not JSON whitespace
+@example((f"\ufeff{_DOC}\n", ""))  # a byte-order mark
+@example((f"{_DOC[:-1]}, \"genre\": 1}}\n", f"{_CLAIM[:-1]}, \"model\": null}}\n"))
+@example(('{"id": "d0", "units": [{"text": "a", "speaker": "A", "scene": 2}, {"text": "b"}]}\n',
+          ""))
+@example(('{"id": "d0", "units": [{"text": "a"}, ["b"]]}\n', ""))
+@example(('{"id": "d0", "units": [{"text": "a", "speaker": 1}]}\n', ""))
+@example(('{"id": "d0", "units": [{"text": 1, "speaker": "A"}]}\n', ""))
+@example(('{"id": "d0", "units": [{"text": "a"}, {"text": " \\u00a0"}]}\n', ""))
+def test_load_corpus_matches_reference_loader(tmp_path_factory, files):
+    tmp = tmp_path_factory.mktemp("ingest")
+    paths = tmp / "docs.jsonl", tmp / "claims.jsonl"
+    for path, text in zip(paths, files):
+        path.write_bytes(text.encode("utf-8"))
+    try:
+        want = load_corpus_reference(*paths)
+    except Exception as exc:
+        with pytest.raises(Exception) as err:
+            load_corpus(*paths)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        assert (getattr(err.value, "path", None), getattr(err.value, "line", None)) == (
+            getattr(exc, "path", None), getattr(exc, "line", None))
+        return
+    got = load_corpus(*paths)
+    assert got.documents == want.documents
+    assert [d.extra for d in got.documents] == [d.extra for d in want.documents]
+    units = [u for d in got.documents for u in d.units]
+    assert all(type(u) is Unit for u in units)
+    assert [u.extra for u in units] == [u.extra for d in want.documents for u in d.units]
+    assert len({id(u.extra) for u in units}) == len(units)
+    assert got.claims == want.claims
+    assert got.content_hash() == want.content_hash()
 
 
 def test_undecodable_byte_reports_its_line(tmp_path):

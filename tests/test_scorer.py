@@ -13,6 +13,7 @@ from chunkcheck.corpus import Claim, Document, GeneratedText, Unit, WhitespaceCo
 from chunkcheck.engine import score_text
 from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.scoring import (
+    BatchFailure,
     ScoreCache,
     build_prompt,
     entail_prob,
@@ -214,6 +215,17 @@ def test_batch_isolates_per_item_failures():
     assert out.scores == [0.4, None, 0.4]
     assert [f.index for f in out.failures] == [1]
     assert "RuntimeError" in out.failures[0].error
+
+
+def test_repeated_failing_pair_fails_at_every_index():
+    pairs = [("a", "BOOM"), ("a", "ok"), ("a", "BOOM"), ("b", "ok"), ("a", "BOOM")]
+    for workers in (1, 2):
+        backend = FlakyBackend(marker="BOOM", score=0.4)
+        out = score_batch(backend, pairs, max_workers=workers)
+        assert backend.calls == 3
+        assert out.scores == [None, 0.4, None, 0.4, None]
+        assert out.failures == [BatchFailure(index=i, error="RuntimeError: scripted failure")
+                                for i in (0, 2, 4)]
 
 
 def test_batch_raises_on_invalid_inputs_before_scoring():
