@@ -51,7 +51,6 @@ from .retrieval import (
 )
 from .scoring import (
     BatchResult,
-    ScoreCache,
     ScorerBackend,
     build_prompt,
     entail_prob,
@@ -103,7 +102,6 @@ __all__ = [
     "retrieval_hit",
     "retrieve",
     "BatchResult",
-    "ScoreCache",
     "ScorerBackend",
     "build_prompt",
     "entail_prob",

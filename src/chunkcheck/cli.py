@@ -22,16 +22,21 @@ from pathlib import Path
 
 from . import __version__
 from .chunking import make_chunks
-from .config import BACKENDS, RunConfig, build_backend, build_cache, build_counter, resolve_config
+# ``build_cache``, ``retrieve`` and ``brute_force_retrieve`` are not called here;
+# they stay importable from ``cli`` only because perfbench/spans.py wraps them
+# and perfbench's run.py and layers.py call them.
+from .config import (  # noqa: F401
+    BACKENDS,
+    RunConfig,
+    build_backend,
+    build_cache,
+    build_counter,
+    resolve_config,
+)
 from .corpus import Corpus, load_corpus
 from .engine import AGGREGATIONS, score_text
 from .errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from .metrics import calibration_curve, ece, evaluate_scores, retrieval_recall, roc_auc
-# ``retrieve`` and ``brute_force_retrieve`` are no longer called here, but
-# perfbench/spans.py wraps both names in ``cli``, so they stay importable.
-# Those spans never fire now: traced runs report no retrieval.retrieve_s,
-# retrieval.self_s or retrieval.levels_per_claim until the benchmark wraps
-# ``cli.descend``.
 from .retrieval import (  # noqa: F401
     brute_force_all,
     brute_force_retrieve,
@@ -59,7 +64,6 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--ece-bins", dest="ece_bins", type=int)
     p.add_argument("--decision-threshold", dest="decision_threshold", type=float)
     p.add_argument("--concurrency", type=int)
-    p.add_argument("--cache-size", dest="cache_size", type=int)
     p.add_argument("--premise-cap", dest="premise_cap", type=int)
     p.add_argument("--timeout", type=float)
     p.add_argument("--retries", type=int)
@@ -114,14 +118,14 @@ def _report(command: str, config: RunConfig, corpus: Corpus, results: dict, meta
     }
 
 
-def _score_corpus(corpus, config, counter, backend, cache, budget, explain=False):
+def _score_corpus(corpus, config, counter, backend, budget, explain=False):
     """Score every claim at ``budget`` under the premise cap: (text scores,
     sentence scores in claim order, wall seconds)."""
     t0 = time.perf_counter()
     text_scores = [
         score_text(
             corpus.document(text.doc_id), text, budget, backend, counter,
-            aggregation=config.aggregation, cache=cache, max_workers=config.concurrency,
+            aggregation=config.aggregation, max_workers=config.concurrency,
             explain=explain, cap=config.premise_cap,
         )
         for text in corpus.grouped_texts()
@@ -153,13 +157,13 @@ def _per_document(claims, corpus, run):
     return results[:failed], error
 
 
-def _retrievals(claims, corpus, config, counter, backend, cache):
+def _retrievals(claims, corpus, config, counter, backend):
     """Greedy traces under the premise cap, the claims of one document
     descending together: (the traces of the claims before the first failing
     one, in order; its error, or None)."""
     return _per_document(claims, corpus, lambda doc, doc_claims: descend(
         doc, doc_claims, backend, k=config.k, budget=config.premise_cap, counter=counter,
-        cache=cache, max_workers=config.concurrency,
+        max_workers=config.concurrency,
     ))
 
 
@@ -169,7 +173,7 @@ def _retrievals(claims, corpus, config, counter, backend, cache):
 
 def cmd_score(args, config, corpus, counter, backend):
     text_scores, sentences, wall = _score_corpus(
-        corpus, config, counter, backend, build_cache(config), config.budget, explain=args.explain
+        corpus, config, counter, backend, config.budget, explain=args.explain
     )
     results = {
         "claims": [s.to_dict() for s in sentences],
@@ -190,7 +194,7 @@ def cmd_score(args, config, corpus, counter, backend):
 def cmd_retrieve(args, config, corpus, counter, backend):
     t0 = time.perf_counter()
     claims = corpus.claims
-    traces, error = _retrievals(claims, corpus, config, counter, backend, build_cache(config))
+    traces, error = _retrievals(claims, corpus, config, counter, backend)
     if args.brute_force:
         # Only the claims before the first greedy failure, so that for one
         # claim the greedy error comes first.
@@ -239,8 +243,7 @@ def _require_labels(corpus: Corpus) -> list[bool]:
 
 def cmd_evaluate(args, config, corpus, counter, backend):
     labels = _require_labels(corpus)
-    cache = build_cache(config)
-    _, sentences, wall = _score_corpus(corpus, config, counter, backend, cache, config.budget)
+    _, sentences, wall = _score_corpus(corpus, config, counter, backend, config.budget)
     results = evaluate_scores(
         [s.score for s in sentences],
         labels,
@@ -257,7 +260,7 @@ def cmd_evaluate(args, config, corpus, counter, backend):
         if not annotated:
             raise ValidationError("no claims carry relevant_units annotations")
         r0 = time.perf_counter()
-        traces, error = _retrievals(annotated, corpus, config, counter, backend, cache)
+        traces, error = _retrievals(annotated, corpus, config, counter, backend)
         if error is not None:
             raise error
         hits = [retrieval_hit(t, c.relevant_units) for c, t in zip(annotated, traces)]
@@ -281,14 +284,11 @@ def _parse_budgets(raw: str) -> list[int]:
 
 
 def _sweep(corpus, config, counter, backend, budgets):
-    """Score the corpus at each budget, with a fresh cache per budget when one
-    is configured (no cross-budget reuse): [(budget, claim-ordered scores,
+    """Score the corpus at each budget: [(budget, claim-ordered scores,
     scorer calls, wall s)]."""
     out = []
     for budget in budgets:
-        _, sentences, wall = _score_corpus(
-            corpus, config, counter, backend, build_cache(config), budget
-        )
+        _, sentences, wall = _score_corpus(corpus, config, counter, backend, budget)
         calls = sum(s.scorer_calls for s in sentences)
         out.append((budget, [s.score for s in sentences], calls, wall))
     return out

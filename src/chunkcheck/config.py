@@ -14,7 +14,7 @@ from .backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend
 from .corpus import Corpus, TokenCounter, make_counter
 from .engine import AGGREGATIONS
 from .errors import ValidationError
-from .scoring import ScoreCache, ScorerBackend
+from .scoring import ScorerBackend
 
 ENDPOINT_ENV = "CHUNKCHECK_ENDPOINT"
 AUTH_ENV = "CHUNKCHECK_AUTH_HEADER"
@@ -35,7 +35,6 @@ class RunConfig:
     ece_bins: int = 10
     decision_threshold: float = 0.5
     concurrency: int = 1
-    cache_size: int = 0
     premise_cap: int | None = None
     timeout: float = 10.0
     retries: int = 3
@@ -58,8 +57,6 @@ class RunConfig:
             raise ValidationError(f"decision_threshold {self.decision_threshold} outside [0, 1]")
         if self.concurrency < 1:
             raise ValidationError(f"concurrency must be >= 1, got {self.concurrency}")
-        if self.cache_size < 0:
-            raise ValidationError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.premise_cap is not None and self.premise_cap < 1:
             raise ValidationError(f"premise_cap must be >= 1, got {self.premise_cap}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
@@ -153,5 +150,7 @@ def build_backend(config: RunConfig, corpus: Corpus | None = None) -> ScorerBack
     raise ValidationError(f"unknown backend {config.backend!r}")
 
 
-def build_cache(config: RunConfig) -> ScoreCache | None:
-    return ScoreCache(config.cache_size) if config.cache_size > 0 else None
+def build_cache(config: RunConfig) -> None:
+    """A stub that returns None. Only the benchmark harness in ``perfbench/``
+    uses it; chunkcheck has no score cache."""
+    return None

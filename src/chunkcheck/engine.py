@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .chunking import Chunk, ChunkPlan, make_chunks
 from .corpus import Claim, Document, GeneratedText, TokenCounter
 from .errors import ScoringError, ValidationError
-from .scoring import BatchFailure, ScoreCache, ScorerBackend, check_cap, first_max, score_batch
+from .scoring import BatchFailure, ScorerBackend, check_cap, first_max, score_batch
 
 AGGREGATIONS = ("min", "mean")
 
@@ -63,7 +63,6 @@ def _score_claims(
     plan: ChunkPlan,
     claims: list[Claim],
     backend: ScorerBackend,
-    cache: ScoreCache | None,
     max_workers: int,
     explain: bool,
     cap: int | None = None,
@@ -84,7 +83,7 @@ def _score_claims(
     n = len(plan.chunks)
     pairs = [(chunk.text, claim.text) for claim in claims for chunk in plan.chunks]
     check_cap(backend, pairs, (chunk.token_count for chunk in plan.chunks), cap)
-    batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
+    batch = score_batch(backend, pairs, max_workers=max_workers)
     if not batch.ok:
         i = batch.failures[0].index // n
         claim, lo, hi = claims[i], i * n, (i + 1) * n
@@ -123,7 +122,6 @@ def score_sentence(
     plan: ChunkPlan,
     claim: Claim,
     backend: ScorerBackend,
-    cache: ScoreCache | None = None,
     max_workers: int = 1,
     explain: bool = False,
 ) -> SentenceScore:
@@ -132,7 +130,7 @@ def score_sentence(
     Issues one scorer call per chunk (batched); any chunk failure after the
     backend's retries fails the sentence with partial results attached.
     """
-    return _score_claims(plan, [claim], backend, cache, max_workers, explain)[0]
+    return _score_claims(plan, [claim], backend, max_workers, explain)[0]
 
 
 def aggregate_scores(values: list[float], aggregation: str) -> float:
@@ -150,7 +148,6 @@ def score_text(
     backend: ScorerBackend,
     counter: TokenCounter,
     aggregation: str = "min",
-    cache: ScoreCache | None = None,
     max_workers: int = 1,
     explain: bool = False,
     cap: int | None = None,
@@ -166,7 +163,7 @@ def score_text(
         raise ValidationError(f"text targets {text.doc_id!r}, document is {doc.id!r}")
     text.validate()
     plan = make_chunks(doc, budget, counter)
-    sentence_scores = _score_claims(plan, text.sentences, backend, cache, max_workers, explain, cap)
+    sentence_scores = _score_claims(plan, text.sentences, backend, max_workers, explain, cap)
     agg = aggregate_scores([s.score for s in sentence_scores], aggregation)
     return TextScore(
         doc_id=doc.id,

@@ -37,7 +37,6 @@ from .corpus import Claim, Document, TokenCounter, WhitespaceCounter
 from .errors import ChunkcheckError, ScoringError, ValidationError
 from .scoring import (
     BatchFailure,
-    ScoreCache,
     ScorerBackend,
     check_cap,
     first_max,
@@ -86,7 +85,7 @@ class BruteForceResult:
     scorer_calls: int
 
 
-def _score_level(doc, claims, parts, backend, cap, counter, cache, max_workers, levels):
+def _score_level(doc, claims, parts, backend, cap, counter, max_workers, levels):
     """Score every claim's parts (``parts[i]`` for ``claims[i]``, whose levels
     so far are ``levels[i]``) in one batch, rejecting first any part of more
     than ``cap`` tokens, counted from the prefix sums. Returns the scores of
@@ -98,7 +97,7 @@ def _score_level(doc, claims, parts, backend, cap, counter, cache, max_workers, 
         if cap is not None:
             prefix = doc._token_prefix_sums(counter)
             check_cap(backend, pairs, (prefix[b] - prefix[a] for ps in parts for a, b in ps), cap)
-        batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
+        batch = score_batch(backend, pairs, max_workers=max_workers)
     except ValidationError as exc:
         if len(claims) == 1:
             return [], exc
@@ -107,7 +106,7 @@ def _score_level(doc, claims, parts, backend, cap, counter, cache, max_workers, 
         out = []
         for claim, ps, partial in zip(claims, parts, levels):
             scores, error = _score_level(
-                doc, [claim], [ps], backend, cap, counter, cache, max_workers, [partial]
+                doc, [claim], [ps], backend, cap, counter, max_workers, [partial]
             )
             out += scores
             if error is not None:
@@ -138,7 +137,6 @@ def descend(
     k: int = 2,
     budget: int | None = None,
     counter: TokenCounter = _WHITESPACE,
-    cache: ScoreCache | None = None,
     max_workers: int = 1,
 ) -> tuple[list[RetrievalTrace], ChunkcheckError | None]:
     """``retrieve`` for every claim on ``doc``, descending together: one
@@ -166,8 +164,8 @@ def descend(
         }
         parts = [splits[ranges[i]] for i in active]
         scores, exc = _score_level(
-            doc, [claims[i] for i in active], parts, backend, budget, counter, cache,
-            max_workers, [levels[i] for i in active],
+            doc, [claims[i] for i in active], parts, backend, budget, counter, max_workers,
+            [levels[i] for i in active],
         )
         if exc is not None:
             failed, error = active[len(scores)], exc
@@ -196,7 +194,6 @@ def retrieve(
     k: int = 2,
     budget: int | None = None,
     counter: TokenCounter = _WHITESPACE,
-    cache: ScoreCache | None = None,
     max_workers: int = 1,
 ) -> RetrievalTrace:
     """Greedy descent to the single best-supporting unit, with a full trace.
@@ -208,7 +205,7 @@ def retrieve(
     ``counter`` (whitespace by default). A one-unit document yields one level
     that scores its lone unit.
     """
-    traces, error = descend(doc, [claim], backend, k, budget, counter, cache, max_workers)
+    traces, error = descend(doc, [claim], backend, k, budget, counter, max_workers)
     if error is not None:
         raise error
     return traces[0]
@@ -244,7 +241,6 @@ def brute_force_all(
     backend: ScorerBackend,
     budget: int | None = None,
     counter: TokenCounter = _WHITESPACE,
-    cache: ScoreCache | None = None,
     max_workers: int = 1,
 ) -> tuple[list[BruteForceResult], ChunkcheckError | None]:
     """``brute_force_retrieve`` for every claim on ``doc``: one batch of every
@@ -258,7 +254,7 @@ def brute_force_all(
         raise ValidationError(f"document {doc.id!r} has no units")
     ranges = [(i, i + 1) for i in range(len(doc.units))]
     scored, exc = _score_level(
-        doc, claims, [ranges] * len(claims), backend, budget, counter, cache, max_workers,
+        doc, claims, [ranges] * len(claims), backend, budget, counter, max_workers,
         [[] for _ in claims],
     )
     results = []
@@ -274,12 +270,11 @@ def brute_force_retrieve(
     backend: ScorerBackend,
     budget: int | None = None,
     counter: TokenCounter = _WHITESPACE,
-    cache: ScoreCache | None = None,
     max_workers: int = 1,
 ) -> BruteForceResult:
     """Score every unit individually; argmax with ties to the lowest index.
     A unit over the premise cap ``budget`` raises as in ``retrieve``."""
-    results, error = brute_force_all(doc, [claim], backend, budget, counter, cache, max_workers)
+    results, error = brute_force_all(doc, [claim], backend, budget, counter, max_workers)
     if error is not None:
         raise error
     return results[0]

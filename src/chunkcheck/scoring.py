@@ -1,17 +1,14 @@
 """Entailment scorer contract: prompt construction, logit-to-probability
-conversion, caching, and batch dispatch over interchangeable backends.
+conversion, and batch dispatch over interchangeable backends.
 A backend returns the entailment probability of a pair as a float.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import BackendError, PremiseTooLargeError, ValidationError
 
@@ -57,54 +54,6 @@ def first_max(values: list[float]) -> int:
     return max(range(len(values)), key=values.__getitem__)
 
 
-def _sha256(text: str) -> bytes:
-    return hashlib.sha256(text.encode("utf-8")).digest()
-
-
-class ScoreCache:
-    """Thread-safe LRU keyed on (backend, premise hash, hypothesis hash).
-
-    Off by default: the CLI builds one only for ``--cache-size N`` with
-    N >= 1; without one, no pair is hashed and no lock is taken. Keys
-    include the hypothesis, so an entry is reused only when the same claim
-    text meets the same premise in a later batch. Within one batch identical
-    pairs are deduplicated before the cache is consulted. Scoring sends all
-    claims of a text in one batch, and retrieval all claims of a document at
-    each level, so reuse is rare: a retrieval part of ``evaluate
-    --retrieval-recall`` equal to a chunk the same run has scored.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValidationError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(backend_name: str, premise: str, hypothesis: str, digest=_sha256) -> tuple:
-        """The cache key; ``digest`` may be a memoised ``_sha256``."""
-        return (backend_name, digest(premise), digest(hypothesis))
-
-    def get(self, key) -> float | None:
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return self._data[key]
-            self.misses += 1
-            return None
-
-    def put(self, key, probability: float) -> None:
-        with self._lock:
-            self._data[key] = probability
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-
 def _check_pairs(pairs) -> None:
     """Raise ValidationError for the first pair, in order, with an empty premise
     or hypothesis (in ``build_prompt``'s order), checking each distinct text once."""
@@ -132,40 +81,22 @@ def check_cap(backend: ScorerBackend, pairs, token_counts, cap: int | None) -> N
             )
 
 
-def _score_one(
-    backend: ScorerBackend,
-    cache: ScoreCache | None,
-    pair: tuple[str, str],
-    key: tuple | None,
-) -> float | Exception:
-    """Score a checked pair: a cache hit, or one backend call (``key`` is its
-    cache key when there is a cache). A failure is returned, not raised, so
-    one pair's error leaves the rest of a batch to complete."""
+def _score_one(backend: ScorerBackend, pair: tuple[str, str]) -> float | Exception:
+    """Score a checked pair with one backend call. A failure is returned, not
+    raised, so one pair's error leaves the rest of a batch to complete."""
     try:
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
         prob = backend.evaluate(*pair)
         if not (0.0 <= prob <= 1.0):
             raise BackendError(f"backend {backend.name!r} returned probability {prob}")
-        if cache is not None:
-            cache.put(key, prob)
         return prob
     except Exception as exc:  # per-item isolation
         return exc
 
 
-def score_pair(
-    backend: ScorerBackend,
-    premise: str,
-    hypothesis: str,
-    cache: ScoreCache | None = None,
-) -> float:
+def score_pair(backend: ScorerBackend, premise: str, hypothesis: str) -> float:
     """Score one (premise, hypothesis) pair through the backend."""
     _check_pairs([(premise, hypothesis)])
-    key = ScoreCache.key(backend.name, premise, hypothesis) if cache is not None else None
-    result = _score_one(backend, cache, (premise, hypothesis), key)
+    result = _score_one(backend, (premise, hypothesis))
     if isinstance(result, Exception):
         raise result
     return result
@@ -192,7 +123,6 @@ class BatchResult:
 def score_batch(
     backend: ScorerBackend,
     pairs: list[tuple[str, str]],
-    cache: ScoreCache | None = None,
     max_workers: int = 1,
 ) -> BatchResult:
     """Score pairs in order with bounded concurrency, each distinct pair once.
@@ -202,18 +132,12 @@ def score_batch(
     """
     distinct = list(dict.fromkeys(pairs))
     _check_pairs(distinct)
-    if cache is not None:
-        digest = lru_cache(maxsize=None)(_sha256)  # each distinct text hashed once
-        keys = [ScoreCache.key(backend.name, p, h, digest) for p, h in distinct]
-    else:
-        keys = [None] * len(distinct)
-
-    score_one = partial(_score_one, backend, cache)
+    score_one = partial(_score_one, backend)
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(score_one, distinct, keys))
+            results = list(pool.map(score_one, distinct))
     else:
-        results = list(map(score_one, distinct, keys))
+        results = list(map(score_one, distinct))
     if len(distinct) < len(pairs):
         outcomes = dict(zip(distinct, results))
         results = [outcomes[pair] for pair in pairs]

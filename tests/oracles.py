@@ -359,7 +359,7 @@ def split_under_cap_reference(doc, start, end, k, counter, cap):
     return parts
 
 
-def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None, cache=None,
+def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None,
                        max_workers=1) -> RetrievalTrace:
     """Greedy descent of one claim on its own: one ``score_batch`` of the
     claim's parts per level, each part split and joined for this claim."""
@@ -376,7 +376,7 @@ def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None, cach
         if budget is not None:
             prefix = doc._token_prefix_sums(counter)
             check_cap(backend, pairs, (prefix[b] - prefix[a] for a, b in parts), budget)
-        batch = score_batch(backend, pairs, cache=cache, max_workers=max_workers)
+        batch = score_batch(backend, pairs, max_workers=max_workers)
         if not batch.ok:
             raise ScoringError(
                 f"claim {claim.id!r}: retrieval scoring failed at ranges {parts} "
@@ -398,7 +398,7 @@ def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None, cach
             )
 
 
-def retrievals_reference(claims, corpus, backend, k=2, budget=None, counter=None, cache=None,
+def retrievals_reference(claims, corpus, backend, k=2, budget=None, counter=None,
                          max_workers=1) -> list[tuple]:
     """(claim, document, trace) per claim, retrieving one claim after another
     in order, so the first failing claim's error is the one raised."""
@@ -406,7 +406,7 @@ def retrievals_reference(claims, corpus, backend, k=2, budget=None, counter=None
     for claim in claims:
         doc = corpus.document(claim.doc_id)
         out.append((claim, doc, retrieve_reference(
-            doc, claim, backend, k, budget, counter, cache, max_workers
+            doc, claim, backend, k, budget, counter, max_workers
         )))
     return out
 

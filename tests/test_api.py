@@ -23,6 +23,9 @@ DELETED = [
     ("engine", "classify"),
     ("retrieval", "verify_trace"),
     ("retrieval", "_score_ranges"),
+    ("scoring", "ScoreCache"),
+    ("scoring", "_sha256"),
+    ("config", "RunConfig.cache_size"),
 ]
 
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import chunkcheck.cli as cli
-import chunkcheck.scoring as scoring
 from chunkcheck.backends import LexicalOverlapBackend
 from chunkcheck.chunking import make_chunks
 from chunkcheck.cli import build_parser, main
@@ -313,9 +312,10 @@ def test_endpoint_from_environment(fixture_dir, tmp_path, monkeypatch, capsys):
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"budgett": 64}))
-    with pytest.raises(ValidationError, match="budgett"):
-        resolve_config(str(cfg_path), {})
+    for key in ("budgett", "cache_size"):  # a typo, and a deleted knob
+        cfg_path.write_text(json.dumps({key: 64}))
+        with pytest.raises(ValidationError, match=f"unknown config keys: .*{key}"):
+            resolve_config(str(cfg_path), {})
 
 
 @pytest.mark.parametrize(
@@ -366,49 +366,6 @@ def test_non_finite_config_value_exits_one(fixture_dir, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["score"],
-    ["retrieve", "--premise-cap", "40"],
-    ["evaluate", "--retrieval-recall"],
-    ["calibrate", "--budgets", "16,64,512"],
-    ["bench", "--budgets", "16,64,512"],
-], ids=lambda command: command[0])
-def test_score_cache_is_off_by_default_and_changes_no_report(
-    fixture_dir, tmp_path, monkeypatch, command
-):
-    """By default no ScoreCache is built and no pair is hashed; with
-    ``--cache-size 64`` both happen, and the report differs only in
-    ``config.cache_size``."""
-    counts = {}
-    init, sha256 = scoring.ScoreCache.__init__, scoring._sha256
-
-    def counted_init(self, *args, **kwargs):
-        counts["caches"] += 1
-        init(self, *args, **kwargs)
-
-    def counted_sha256(text):
-        counts["hashes"] += 1
-        return sha256(text)
-
-    monkeypatch.setattr(scoring.ScoreCache, "__init__", counted_init)
-    monkeypatch.setattr(scoring, "_sha256", counted_sha256)
-    reports = []
-    for flags in ([], ["--cache-size", "64"]):
-        counts.update(caches=0, hashes=0)
-        out = tmp_path / "r.json"
-        assert _run([*command, *_fixture_args(fixture_dir), *flags, "--out", out]) == 0
-        report = _load_report(out)
-        report.pop("meta")
-        reports.append(report)
-        if flags:
-            assert counts["caches"] > 0 and counts["hashes"] > 0
-            assert report["config"].pop("cache_size") == 64
-        else:
-            assert counts == {"caches": 0, "hashes": 0}
-            assert report["config"].pop("cache_size") == 0
-    assert reports[0] == reports[1]
-
-
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_report_masks_auth_header_value(fixture_dir, tmp_path, monkeypatch, source):
     header = "Authorization: Bearer sk-secret"
@@ -433,8 +390,9 @@ def test_invalid_flag_combo_exits_one(fixture_dir, tmp_path, capsys):
     assert "relevance-file" in err["error"]["message"]
 
 
-def test_usage_error_maps_to_validation_exit(capsys):
+def test_usage_error_maps_to_validation_exit(fixture_dir, capsys):
     assert main(["score"]) == 1  # missing required flags
+    assert main(["score", *_fixture_args(fixture_dir), "--cache-size", "64"]) == 1  # a deleted flag
 
 
 def test_oversized_premise_exits_one(fixture_dir, tmp_path, capsys):

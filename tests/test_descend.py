@@ -16,7 +16,6 @@ from chunkcheck.cli import _retrievals, cmd_retrieve
 from chunkcheck.corpus import Claim, Corpus, Document, Unit, VocabCounter, WhitespaceCounter
 from chunkcheck.errors import ChunkcheckError
 from chunkcheck.retrieval import descend, retrieve
-from chunkcheck.scoring import ScoreCache
 
 from helpers import drawn_picks, make_sized_doc
 from oracles import brute_force_reference, retrievals_reference, retrieve_reference
@@ -30,7 +29,7 @@ class FailingOverlap(LexicalOverlapBackend):
     """Word overlap that fails every premise holding the word 'zap' for the
     chosen claim texts, or with ``units_only`` every such one-unit premise,
     so that brute force can fail on a claim whose descent succeeds; counts
-    evaluate calls."""
+    evaluate calls and records the pairs evaluated."""
 
     name = "failing-overlap"
 
@@ -39,9 +38,11 @@ class FailingOverlap(LexicalOverlapBackend):
         self.failing_texts = frozenset(failing_texts)
         self.units_only = units_only
         self.calls = 0
+        self.pairs = set()
 
     def evaluate(self, premise, hypothesis):
         self.calls += 1
+        self.pairs.add((premise, hypothesis))
         if (hypothesis in self.failing_texts and "zap" in premise.split()
                 and not (self.units_only and UNIT_SEPARATOR in premise)):
             raise RuntimeError(f"scripted failure for {hypothesis!r}")
@@ -120,23 +121,16 @@ def _draw_case(docs_units, texts, data):
 def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
     corpus, k, cap, counter, failing, workers = _draw_case(docs_units, texts, data)
     claims = corpus.claims
-    cache_size = data.draw(st.sampled_from([None, 64]), label="cache")
-
-    def cache():
-        return None if cache_size is None else ScoreCache(cache_size)
-
     want = _outcome(lambda: [
         (claim.id, doc.id, trace.to_dict())
         for claim, doc, trace in retrievals_reference(
-            claims, corpus, FailingOverlap(failing), k, cap, counter, cache(), workers
+            claims, corpus, FailingOverlap(failing), k, cap, counter, workers
         )
     ])
     config = SimpleNamespace(k=k, premise_cap=cap, concurrency=workers)
 
     def together():
-        traces, error = _retrievals(
-            claims, corpus, config, counter, FailingOverlap(failing), cache()
-        )
+        traces, error = _retrievals(claims, corpus, config, counter, FailingOverlap(failing))
         if error is not None:
             raise error
         return [(c.id, c.doc_id, t.to_dict()) for c, t in zip(claims, traces)]
@@ -147,7 +141,7 @@ def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
 def _cli_retrieve(corpus, backend, k, cap, counter, workers, brute_force=True):
     """``retrieve --trace`` entries, through the CLI's command."""
     args = SimpleNamespace(trace=True, brute_force=brute_force)
-    config = SimpleNamespace(k=k, premise_cap=cap, concurrency=workers, cache_size=0)
+    config = SimpleNamespace(k=k, premise_cap=cap, concurrency=workers)
     results, _ = cmd_retrieve(args, config, corpus, counter, backend)
     return results["retrievals"]
 
@@ -279,13 +273,13 @@ def test_one_batch_per_level_one_split_per_range(monkeypatch):
     assert len(joins) == len(parts)
     assert [t.result_unit for t in traces] == units
 
-    # Claim by claim, a repeated text's second retrieval is served by the
-    # cache; descending together, by the batch's deduplication.
+    # Claim by claim, a repeated text's retrieval scores its pairs again;
+    # descending together, the batch's deduplication scores each pair once.
     alone = FailingOverlap()
-    cache = ScoreCache(4096)
-    want = [retrieve_reference(doc, c, alone, 2, 512, WC, cache) for c in claims]
+    want = [retrieve_reference(doc, c, alone, 2, 512, WC) for c in claims]
     assert [t.to_dict() for t in traces] == [t.to_dict() for t in want]
-    assert backend.calls == alone.calls
+    assert alone.calls > len(alone.pairs)
+    assert backend.calls == len(alone.pairs)
 
 
 def test_retrieve_is_the_one_claim_case():

@@ -6,7 +6,7 @@ from chunkcheck.chunking import make_chunks, premise_text
 from chunkcheck.corpus import Claim, Document, GeneratedText, Unit, WhitespaceCounter
 from chunkcheck.engine import aggregate_scores, score_sentence, score_text
 from chunkcheck.errors import ScoringError, ValidationError
-from chunkcheck.scoring import ScoreCache, score_pair
+from chunkcheck.scoring import score_pair
 from helpers import FlakyBackend, ScriptedBackend, make_doc, relevance_fixture
 
 WC = WhitespaceCounter()
@@ -248,7 +248,7 @@ def test_determinism_with_cache_and_workers():
     plan = make_chunks(doc, 2, WC)
     baseline = score_sentence(plan, claim, backend)
     for workers in (1, 4):
-        again = score_sentence(plan, claim, backend, cache=ScoreCache(64), max_workers=workers)
+        again = score_sentence(plan, claim, backend, max_workers=workers)
         assert again.score == baseline.score
         assert again.argmax_chunk == baseline.argmax_chunk
 

@@ -4,7 +4,6 @@ backend's word memo is per instance and changes no score, input checks and
 the premise cap raise what pair-by-pair checks raise, and call counts show
 each piece of work happening once."""
 
-import hashlib
 import random
 from collections import Counter
 from pathlib import Path
@@ -32,7 +31,7 @@ from chunkcheck.corpus import (
 from chunkcheck.engine import score_text
 from chunkcheck.errors import ValidationError
 from chunkcheck.retrieval import _split_under_cap, brute_force_retrieve, retrieve
-from chunkcheck.scoring import ScoreCache, score_batch
+from chunkcheck.scoring import score_batch
 
 from helpers import make_sized_doc
 from oracles import check_pairs_reference, split_range_reference, split_under_cap_reference
@@ -251,27 +250,3 @@ def test_capped_runs_count_unit_lines_only(monkeypatch):
     assert retrieve(doc, claim, backend, budget=512, counter=counter).result_unit == 417
     assert brute_force_retrieve(doc, claim, backend, budget=512, counter=counter).unit == 417
     assert counted == Counter(doc._unit_lines)  # once per unit line, never a premise
-
-
-def _batch_pairs():
-    premises = [f"premise {i} " + "word " * i for i in range(1, 5)]
-    hypotheses = ["first claim", "second claim", "first claim", "third claim"]
-    return premises, hypotheses, [(p, h) for h in hypotheses for p in premises]
-
-
-def test_batch_hashes_each_distinct_text_once(monkeypatch):
-    premises, hypotheses, pairs = _batch_pairs()
-    hashed = Counter()
-    sha256 = hashlib.sha256
-
-    def counting(data=b""):
-        hashed[data.decode("utf-8")] += 1
-        return sha256(data)
-
-    monkeypatch.setattr(hashlib, "sha256", counting)
-    backend, cache = LexicalOverlapBackend(), ScoreCache(64)
-    assert score_batch(backend, pairs, cache=cache, max_workers=2).ok
-    assert hashed == Counter(set(premises) | set(hypotheses))
-    monkeypatch.undo()
-    for premise, hypothesis in pairs:  # keys are ScoreCache.key's
-        assert cache.get(ScoreCache.key(backend.name, premise, hypothesis)) is not None

@@ -14,7 +14,6 @@ from chunkcheck.engine import score_text
 from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.scoring import (
     BatchFailure,
-    ScoreCache,
     build_prompt,
     entail_prob,
     score_batch,
@@ -142,16 +141,6 @@ def test_score_pair_deterministic(overlap_backend):
         assert first == second
 
 
-def test_score_pair_uses_cache():
-    backend = ScriptedBackend({"p": 0.7})
-    cache = ScoreCache(capacity=8)
-    for _ in range(5):
-        got = score_pair(backend, "p", "h", cache=cache)
-        assert got == 0.7
-    assert backend.calls == 1
-    assert cache.hits == 4
-
-
 def _capped_doc():
     """Two single-unit chunks at budget 1: 1 token, then 4 tokens."""
     units = [Unit(index=0, text="one"), Unit(index=1, text="one two three four")]
@@ -184,11 +173,10 @@ def test_batch_empty():
 
 
 def test_batch_identical_pairs_hit_cache_once():
-    for cache in (ScoreCache(capacity=8), None):
-        backend = ScriptedBackend({"p": 0.9})
-        out = score_batch(backend, [("p", "h")] * 3, cache=cache)
-        assert out.scores == [0.9, 0.9, 0.9]
-        assert backend.calls == 1
+    backend = ScriptedBackend({"p": 0.9})
+    out = score_batch(backend, [("p", "h")] * 3)
+    assert out.scores == [0.9, 0.9, 0.9]
+    assert backend.calls == 1
 
 
 def test_batch_matches_sequential_loop(overlap_backend):
@@ -248,23 +236,10 @@ def test_shared_cache_safe_under_concurrent_batches(overlap_backend):
         for _ in range(200)
     ]
     want = [score_pair(overlap_backend, p, h) for p, h in pairs]
-    cache = ScoreCache(capacity=64)
-    for _ in range(3):  # repeated concurrent passes over one shared cache
-        out = score_batch(overlap_backend, pairs, cache=cache, max_workers=8)
+    for _ in range(3):  # repeated concurrent passes over one backend
+        out = score_batch(overlap_backend, pairs, max_workers=8)
         assert out.ok
         assert out.scores == want
-
-
-def test_cache_evicts_lru():
-    cache = ScoreCache(capacity=2)
-    k1, k2, k3 = (ScoreCache.key("b", p, "h") for p in ("p1", "p2", "p3"))
-    cache.put(k1, 0.1)
-    cache.put(k2, 0.2)
-    assert cache.get(k1) == 0.1  # refresh k1
-    cache.put(k3, 0.3)  # evicts k2
-    assert cache.get(k2) is None
-    assert cache.get(k1) == 0.1
-    assert cache.get(k3) == 0.3
 
 
 # ---------------------------------------------------------------------------
