@@ -18,8 +18,10 @@ import re
 import time
 from functools import lru_cache
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import requests
+import urllib3
 from requests.adapters import HTTPAdapter
 from requests.utils import get_netrc_auth
 
@@ -93,6 +95,15 @@ class UnitRelevanceBackend(ScorerBackend):
             raise ValidationError(f"cannot read relevance file {path}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"relevance file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(scores_by_doc, dict):
+            raise ValidationError(
+                f"relevance file {path} must hold a JSON object {{doc_id: [unit scores]}}"
+            )
+        for doc_id, scores in scores_by_doc.items():
+            if not isinstance(scores, list) or any(_json_number(s) is None for s in scores):
+                raise ValidationError(
+                    f"relevance file {path}: document {doc_id!r} needs an array of numbers"
+                )
         return cls(scores_by_doc, corpus.documents)
 
     def evaluate(self, premise: str, hypothesis: str) -> float:
@@ -137,10 +148,12 @@ class RemoteBackend(ScorerBackend):
     with exponential backoff, or after a 429's numeric Retry-After; other
     client errors and malformed responses are fatal.
 
-    Proxies, the CA bundle and netrc credentials are read from the
-    environment once, here, rather than on every request; the connection
-    pool holds ``concurrency`` connections (at least 10), so concurrent
-    calls reuse them instead of opening and discarding new ones.
+    ``requests`` resolves the request once, here: proxies, the CA bundle and
+    netrc credentials from the environment, the headers (auth included), the
+    proxy route and the urllib3 connection pool, which holds ``concurrency``
+    connections (at least 10). Each call then goes straight to that pool,
+    without ``requests``' per-call session layer. So a redirect is not
+    followed (a 3xx is fatal), and cookies the endpoint sets are not sent back.
     """
 
     def __init__(
@@ -154,6 +167,21 @@ class RemoteBackend(ScorerBackend):
     ):
         if not endpoint:
             raise ValidationError("remote backend requires an endpoint URL")
+        try:
+            parts = urlsplit(endpoint)
+            valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValidationError(
+                f"remote endpoint {endpoint!r} is not an http:// or https:// URL with a host"
+            )
+        headers = {"Content-Type": "application/json"}
+        if auth_header:
+            if ":" not in auth_header:
+                raise ValidationError("auth header must look like 'Name: value'")
+            name, value = auth_header.split(":", 1)
+            headers[name.strip()] = value.strip()
         self.endpoint = endpoint
         self.name = f"remote:{endpoint}"
         self.timeout = timeout
@@ -168,18 +196,26 @@ class RemoteBackend(ScorerBackend):
         adapter = HTTPAdapter(pool_maxsize=max(10, concurrency))
         self._session.mount("http://", adapter)
         self._session.mount("https://", adapter)
-        self._headers = {"Content-Type": "application/json"}
-        if auth_header:
-            if ":" not in auth_header:
-                raise ValidationError("auth header must look like 'Name: value'")
-            name, value = auth_header.split(":", 1)
-            self._headers[name.strip()] = value.strip()
+        try:
+            prepared = self._session.prepare_request(
+                requests.Request("POST", endpoint, headers=headers)
+            )
+            proxies, verify = self._session.proxies, self._session.verify
+            self._pool = adapter.get_connection_with_tls_context(prepared, verify, proxies)
+            adapter.cert_verify(self._pool, endpoint, verify, None)
+            self._url = adapter.request_url(prepared, proxies)
+        except (requests.RequestException, urllib3.exceptions.HTTPError, OSError) as exc:
+            raise ValidationError(f"remote endpoint {endpoint!r}: {exc}") from exc
+        # The body is set per call; urllib3 counts its length.
+        prepared.headers.pop("Content-Length", None)
+        self._headers = dict(prepared.headers)
+        self._timeout = urllib3.Timeout(connect=timeout, read=timeout)
 
     def evaluate(self, premise: str, hypothesis: str) -> float:
-        payload = {
+        body = json.dumps({
             "prompt": build_prompt(premise, hypothesis),
             "target_tokens": ["Yes", "No"],
-        }
+        }).encode()
         attempts = 0
         last_error = "no attempt made"
         while attempts <= self.max_retries:
@@ -189,22 +225,23 @@ class RemoteBackend(ScorerBackend):
             attempts += 1
             retry_after = None
             try:
-                resp = self._session.post(
-                    self.endpoint, json=payload, headers=self._headers, timeout=self.timeout
+                resp = self._pool.urlopen(
+                    "POST", self._url, body=body, headers=self._headers, redirect=False,
+                    assert_same_host=False, retries=False, timeout=self._timeout,
                 )
-            except requests.RequestException as exc:
+            except (urllib3.exceptions.HTTPError, OSError) as exc:
                 last_error = f"transport error: {exc}"
                 continue
-            if resp.status_code >= 500:
-                last_error = f"server error HTTP {resp.status_code}"
+            if resp.status >= 500:
+                last_error = f"server error HTTP {resp.status}"
                 continue
-            if resp.status_code == 429:
+            if resp.status == 429:
                 last_error = "rate limited HTTP 429"
                 retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
                 continue
-            if resp.status_code != 200:
+            if resp.status != 200:
                 raise BackendError(
-                    f"endpoint {self.endpoint} answered HTTP {resp.status_code}",
+                    f"endpoint {self.endpoint} answered HTTP {resp.status}",
                     attempts=attempts,
                     endpoint=self.endpoint,
                 )
@@ -217,7 +254,7 @@ class RemoteBackend(ScorerBackend):
 
     def _parse(self, resp, attempts: int) -> float:
         try:
-            body = resp.json()
+            body = json.loads(resp.data)
         except ValueError as exc:
             raise BackendError(
                 f"endpoint {self.endpoint} returned invalid JSON: {exc}",

@@ -231,14 +231,20 @@ def cmd_retrieve(args, config, corpus, counter, backend):
     return {"retrievals": entries}, {"wall_clock_s": time.perf_counter() - t0}
 
 
-def _require_labels(corpus: Corpus) -> list[bool]:
+def _require_labels(corpus: Corpus, both_classes: bool = True) -> list[bool]:
+    """Every claim's gold label, checked before any scoring. ``evaluate`` and
+    ``bench`` need both classes; ``calibrate`` does not."""
     missing = [c.id for c in corpus.claims if c.gold_label is None]
     if missing:
         raise ValidationError(
             f"{len(missing)} claims have no gold label (first: {missing[0]!r}); "
             "evaluation needs 'label' set on every claim"
         )
-    return [bool(c.gold_label) for c in corpus.claims]
+    labels = [bool(c.gold_label) for c in corpus.claims]
+    if both_classes and len(set(labels)) < 2:
+        found = f"every gold label is {str(labels[0]).lower()}" if labels else "no claims"
+        raise ValidationError(f"both classes must be present ({found})")
+    return labels
 
 
 def cmd_evaluate(args, config, corpus, counter, backend):
@@ -295,7 +301,7 @@ def _sweep(corpus, config, counter, backend, budgets):
 
 
 def cmd_calibrate(args, config, corpus, counter, backend):
-    labels = _require_labels(corpus)
+    labels = _require_labels(corpus, both_classes=False)
     budgets = _parse_budgets(args.budgets)
     sweep = _sweep(corpus, config, counter, backend, budgets)
     entries = []

@@ -9,10 +9,12 @@ import pytest
 import requests
 import requests.sessions
 import requests.utils
+import urllib3
 
 from chunkcheck.backends import RemoteBackend
+from chunkcheck.cli import main
 from chunkcheck.config import RunConfig, build_backend
-from chunkcheck.errors import BackendError
+from chunkcheck.errors import BackendError, ValidationError
 from chunkcheck.scoring import score_batch, score_pair
 
 
@@ -31,6 +33,7 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         record = {
+            "path": self.path,
             "prompt": body.get("prompt", ""),
             "target_tokens": body.get("target_tokens"),
             "headers": {k: v for k, v in self.headers.items()},
@@ -86,6 +89,8 @@ class FixtureServer:
             return 500, {"error": "scripted permanent failure"}
         if "CLIENT_ERROR" in prompt:
             return 400, {"error": "scripted client error"}
+        if "REDIRECT" in prompt:
+            return 301, {"error": "moved"}, {"Location": self.url}
         if "BAD_JSON" in prompt:
             return 200, b"{not json"
         if "DIRECT_PROB" in prompt:
@@ -174,6 +179,14 @@ def test_client_error_is_not_retried(server):
     backend = _backend(server)
     with pytest.raises(BackendError):
         score_pair(backend, "p CLIENT_ERROR", "h")
+    assert len(server.requests) == 1
+
+
+def test_redirect_is_fatal_and_not_followed(server):
+    backend = _backend(server)
+    with pytest.raises(BackendError, match="answered HTTP 301") as err:
+        score_pair(backend, "p REDIRECT", "h")
+    assert err.value.attempts == 1
     assert len(server.requests) == 1
 
 
@@ -355,3 +368,67 @@ def test_pool_holds_every_concurrent_connection(caplog):
         assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
     finally:
         srv.close()
+
+
+def test_evaluate_bypasses_the_session_layer(server, monkeypatch):
+    backend = _backend(server)
+    calls = []
+    for name in ("request", "prepare_request", "send"):
+        orig = getattr(requests.Session, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(requests.Session, name, counted)
+    out = score_batch(backend, [(f"premise {i}", "h") for i in range(4)], max_workers=2)
+    assert out.ok
+    assert len(server.requests) == 4
+    assert calls == []
+
+
+_PROXY_VARS = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY",
+               "http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+def test_http_proxy_receives_absolute_form_target(server, monkeypatch):
+    for var in _PROXY_VARS:
+        monkeypatch.delenv(var, raising=False)
+    host, port = server.httpd.server_address
+    monkeypatch.setenv("HTTP_PROXY", f"http://{host}:{port}")
+    backend = RemoteBackend("http://model.invalid:8080/v1/score?x=1", timeout=2.0, max_retries=0)
+    assert abs(score_pair(backend, "p", "h") - 0.8807970779778823) < 1e-12
+    assert len(server.requests) == 1
+    assert server.requests[0]["path"] == "http://model.invalid:8080/v1/score?x=1"
+    assert server.requests[0]["headers"]["Host"] == "model.invalid:8080"
+
+
+def test_missing_ca_bundle_is_a_validation_error(monkeypatch, tmp_path):
+    missing = tmp_path / "absent.pem"
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(missing))
+    with pytest.raises(ValidationError, match="CA certificate bundle"):
+        RemoteBackend("https://model.invalid/score")
+
+
+@pytest.mark.parametrize("endpoint", ["not a url", "ftp://x", "http://"])
+def test_malformed_endpoint_exits_one_before_any_request(
+    fixture_dir, tmp_path, monkeypatch, capsys, endpoint
+):
+    opened = []
+    orig = urllib3.connectionpool.HTTPConnectionPool.urlopen
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(urllib3.connectionpool.HTTPConnectionPool, "urlopen", counted)
+    code = main([
+        "score", "--documents", str(fixture_dir / "documents.jsonl"),
+        "--claims", str(fixture_dir / "claims.jsonl"), "--backend", "remote",
+        "--endpoint", endpoint, "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert repr(endpoint) in err["message"]
+    assert opened == []

@@ -280,6 +280,39 @@ def test_bad_budgets_rejected(fixture_dir, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["evaluate"], ["evaluate", "--retrieval-recall"], ["bench", "--budgets", "16,64"],
+])
+def test_single_class_labels_cost_no_scorer_call(fixture_dir, tmp_path, monkeypatch, capsys,
+                                                  command):
+    claims = tmp_path / "claims.jsonl"
+    lines = (fixture_dir / "claims.jsonl").read_text().splitlines()
+    claims.write_text("".join(json.dumps({**json.loads(line), "label": True}) + "\n"
+                              for line in lines))
+    backend_calls = []
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
+                        lambda self, premise, hypothesis: backend_calls.append(premise))
+    code = _run([*command, "--documents", fixture_dir / "documents.jsonl",
+                 "--claims", claims, "--out", tmp_path / "r.json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation",
+                   "message": "both classes must be present (every gold label is true)"}
+    assert backend_calls == []
+
+
+def test_calibrate_accepts_single_class_labels(fixture_dir, tmp_path):
+    claims = tmp_path / "claims.jsonl"
+    lines = (fixture_dir / "claims.jsonl").read_text().splitlines()
+    claims.write_text("".join(json.dumps({**json.loads(line), "label": False}) + "\n"
+                              for line in lines))
+    out = tmp_path / "r.json"
+    code = _run(["calibrate", "--documents", fixture_dir / "documents.jsonl",
+                 "--claims", claims, "--budgets", "16,64", "--out", out])
+    assert code == 0
+    assert [e["budget"] for e in _load_report(out)["results"]["sweep"]] == [16, 64]
+
+
 # ---------------------------------------------------------------------------
 # config and errors
 
@@ -422,6 +455,24 @@ def test_missing_relevance_file_exits_one(fixture_dir, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "validation"
     assert str(missing) in err["error"]["message"]
+
+
+@pytest.mark.parametrize(("content", "named"), [
+    ("[0.5, 0.5]", "must hold a JSON object"),
+    ('"reef-survey"', "must hold a JSON object"),
+    ('{"reef-survey": "0.2"}', "'reef-survey' needs an array of numbers"),
+    ('{"reef-survey": [0.2, "0.8", 0.1, 0.3, 0.5, 0.7]}', "'reef-survey' needs an array"),
+    ('{"reef-survey": [0.2, true, 0.1, 0.3, 0.5, 0.7]}', "'reef-survey' needs an array"),
+], ids=["list", "string", "string-scores", "string-score", "true-score"])
+def test_wrong_shaped_relevance_file_exits_one(fixture_dir, tmp_path, capsys, content, named):
+    relevance = tmp_path / "relevance.json"
+    relevance.write_text(content)
+    code = _run(["retrieve", *_fixture_args(fixture_dir), "--backend", "unit-relevance",
+                 "--relevance-file", relevance, "--out", tmp_path / "r.json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert named in err["message"]
 
 
 def test_premise_cap_counts_with_configured_counter(data_dir, tmp_path, capsys):
