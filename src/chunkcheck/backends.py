@@ -104,6 +104,9 @@ class UnitRelevanceBackend(ScorerBackend):
                 raise ValidationError(
                     f"relevance file {path}: document {doc_id!r} needs an array of numbers"
                 )
+        missing = next((c.doc_id for c in corpus.claims if c.doc_id not in scores_by_doc), None)
+        if missing is not None:
+            raise ValidationError(f"relevance file {path} has no scores for document {missing!r}")
         return cls(scores_by_doc, corpus.documents)
 
     def evaluate(self, premise: str, hypothesis: str) -> float:

@@ -134,37 +134,14 @@ def _score_corpus(corpus, config, counter, backend, budget, explain=False):
     return text_scores, [by_claim[c.id] for c in corpus.claims], time.perf_counter() - t0
 
 
-def _per_document(claims, corpus, run):
-    """Apply ``run(document, its claims)`` to the claims of each document.
-    ``run`` returns the results of the claims before its first failing one
-    and that claim's error (None if none fails), like ``descend``. Returns
-    the results in claim order up to the first failing claim, and its error.
-    Claims after a failing one are not run."""
-    by_doc: dict[str, list[int]] = {}
-    for i, claim in enumerate(claims):
-        by_doc.setdefault(claim.doc_id, []).append(i)
-    results = [None] * len(claims)
-    failed, error = len(claims), None
-    for doc_id, positions in by_doc.items():
-        positions = [i for i in positions if i < failed]
-        if not positions:
-            continue
-        done, exc = run(corpus.document(doc_id), [claims[i] for i in positions])
-        for i, result in zip(positions, done):
-            results[i] = result
-        if exc is not None:
-            failed, error = positions[len(done)], exc
-    return results[:failed], error
-
-
 def _retrievals(claims, corpus, config, counter, backend):
-    """Greedy traces under the premise cap, the claims of one document
-    descending together: (the traces of the claims before the first failing
-    one, in order; its error, or None)."""
-    return _per_document(claims, corpus, lambda doc, doc_claims: descend(
-        doc, doc_claims, backend, k=config.k, budget=config.premise_cap, counter=counter,
-        max_workers=config.concurrency,
-    ))
+    """Greedy traces under the premise cap, every claim descending together:
+    (the traces of the claims before the first failing one, in order; its
+    error, or None)."""
+    return descend(
+        [corpus.document(c.doc_id) for c in claims], claims, backend, k=config.k,
+        budget=config.premise_cap, counter=counter, max_workers=config.concurrency,
+    )
 
 
 # Each cmd_* gets the set-up ``main`` built once and returns (results, meta),
@@ -198,11 +175,10 @@ def cmd_retrieve(args, config, corpus, counter, backend):
     if args.brute_force:
         # Only the claims before the first greedy failure, so that for one
         # claim the greedy error comes first.
-        brute, brute_error = _per_document(
-            claims[: len(traces)], corpus, lambda doc, doc_claims: brute_force_all(
-                doc, doc_claims, backend, budget=config.premise_cap, counter=counter,
-                max_workers=config.concurrency,
-            ),
+        done = claims[: len(traces)]
+        brute, brute_error = brute_force_all(
+            [corpus.document(c.doc_id) for c in done], done, backend,
+            budget=config.premise_cap, counter=counter, max_workers=config.concurrency,
         )
         error = error if brute_error is None else brute_error
     if error is not None:

@@ -20,7 +20,7 @@ Conventions, pinned once here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -282,15 +282,7 @@ class CalibrationReport:
     decision_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "ece": self.ece,
-            "n": self.n,
-            "decision_threshold": self.decision_threshold,
-            "bins": [
-                {"lo": b.lo, "hi": b.hi, "size": b.size, "acc": b.acc, "conf": b.conf}
-                for b in self.bins
-            ],
-        }
+        return asdict(self)
 
 
 def _binned(probs, labels, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -390,16 +382,7 @@ class EvalReport:
     scorer_calls_total: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "roc_auc": self.roc_auc,
-            "pearson": self.pearson,
-            "kendall_tau": self.kendall_tau,
-            "f1_macro": self.f1_macro,
-            "optimal_threshold": self.optimal_threshold,
-            "wall_clock_s": self.wall_clock_s,
-            "scorer_calls_total": self.scorer_calls_total,
-        }
+        return asdict(self)
 
 
 def evaluate_scores(

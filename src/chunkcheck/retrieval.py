@@ -5,17 +5,18 @@ token-balanced parts, score each part against the claim, descend into the
 best one, stop at a single unit. Needs O(log n) scorer calls where the
 exhaustive baseline needs n.
 
-The claims of one document descend together (``descend``): each level is
-one ``score_batch`` over the parts of every claim still descending, so the
-``max_workers`` threads are shared across the document's claims, and a
-claim that reaches a single unit drops out of later batches. Each distinct
-range is split, and each distinct part joined, once per level. Claims with
-the same text on one document share their pairs through the batch's
-deduplication. Every claim's trace is the one it would get descending
-alone; a failure is the error of the first failing claim in claim order,
-though other claims' pairs may have been scored by then. The exhaustive
-baseline, ``brute_force_all``, likewise scores every claim of a document
-against all of its units in one batch, each unit joined once.
+All the claims of a run descend together (``descend``), each on its own
+document: each level is one ``score_batch`` over the parts of every claim
+still descending, across all the documents, so the ``max_workers`` threads
+are shared by every claim, and a claim that reaches a single unit drops out
+of later batches. Each distinct (document, range) is split, and each of its
+parts joined, once per level. Claims with the same text share their pairs
+through the batch's deduplication. Every claim's trace is the one it would
+get descending alone; a failure is the error of the first failing claim in
+claim order, though other claims' pairs may have been scored by then. The
+exhaustive baseline, ``brute_force_all``, is the one-level descent: its
+branching factor splits every document into its units at once, so one batch
+holds every (claim, unit) pair of the run, each unit joined once.
 
 Exactness caveat: descent is provably equal to the exhaustive argmax when
 the scorer is max-composable (a range scores the max of its units), as the
@@ -52,12 +53,10 @@ class TraceLevel:
     scores: list[float]
     chosen: int  # index into candidate_ranges
 
+    # Not ``asdict``: it deep-copies every score and range one by one, several
+    # times the cost of these shallow copies on a traced run of many claims.
     def to_dict(self) -> dict:
-        return {
-            "candidate_ranges": [list(r) for r in self.candidate_ranges],
-            "scores": self.scores,
-            "chosen": self.chosen,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -69,13 +68,7 @@ class RetrievalTrace:
     scorer_calls: int
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "result_unit": self.result_unit,
-            "result_score": self.result_score,
-            "scorer_calls": self.scorer_calls,
-            "levels": [lvl.to_dict() for lvl in self.levels],
-        }
+        return {**vars(self), "levels": [lvl.to_dict() for lvl in self.levels]}
 
 
 @dataclass
@@ -85,18 +78,16 @@ class BruteForceResult:
     scorer_calls: int
 
 
-def _score_level(doc, claims, parts, backend, cap, counter, max_workers, levels):
-    """Score every claim's parts (``parts[i]`` for ``claims[i]``, whose levels
-    so far are ``levels[i]``) in one batch, rejecting first any part of more
-    than ``cap`` tokens, counted from the prefix sums. Returns the scores of
-    the claims before the first whose scoring fails, and the error that
-    claim's parts raise when scored alone (None if no claim fails)."""
-    texts = {r: premise_text(doc, *r) for r in dict.fromkeys(r for ps in parts for r in ps)}
-    pairs = [(texts[r], claim.text) for claim, ps in zip(claims, parts) for r in ps]
+def _score_level(claims, splits, backend, cap, max_workers, levels):
+    """Score every claim against its split in one batch: ``splits[i]`` is
+    (parts, their premise texts, their token counts) for ``claims[i]``, whose
+    levels so far are ``levels[i]``. A part of more than ``cap`` tokens is
+    rejected before any pair is scored. Returns the scores of the claims
+    before the first whose scoring fails, and the error that claim's parts
+    raise when scored alone (None if no claim fails)."""
+    pairs = [(text, claim.text) for claim, (_, texts, _) in zip(claims, splits) for text in texts]
     try:
-        if cap is not None:
-            prefix = doc._token_prefix_sums(counter)
-            check_cap(backend, pairs, (prefix[b] - prefix[a] for ps in parts for a, b in ps), cap)
+        check_cap(backend, pairs, (n for _, _, sizes in splits for n in sizes), cap)
         batch = score_batch(backend, pairs, max_workers=max_workers)
     except ValidationError as exc:
         if len(claims) == 1:
@@ -104,15 +95,13 @@ def _score_level(doc, claims, parts, backend, cap, counter, max_workers, levels)
         # Some claim's pairs fail the input checks: score claim by claim to
         # find the first such claim.
         out = []
-        for claim, ps, partial in zip(claims, parts, levels):
-            scores, error = _score_level(
-                doc, [claim], [ps], backend, cap, counter, max_workers, [partial]
-            )
+        for claim, split, partial in zip(claims, splits, levels):
+            scores, error = _score_level([claim], [split], backend, cap, max_workers, [partial])
             out += scores
             if error is not None:
                 return out, error
         return out, None
-    offsets = list(accumulate((len(ps) for ps in parts), initial=0))
+    offsets = list(accumulate((len(parts) for parts, _, _ in splits), initial=0))
     scores = [batch.scores[a:b] for a, b in zip(offsets, offsets[1:])]
     if batch.ok:
         return scores, None
@@ -122,7 +111,7 @@ def _score_level(doc, claims, parts, backend, cap, counter, max_workers, levels)
         BatchFailure(index=f.index - lo, error=f.error) for f in batch.failures if f.index < hi
     ]
     return scores[:i], ScoringError(
-        f"claim {claims[i].id!r}: retrieval scoring failed at ranges {parts[i]} "
+        f"claim {claims[i].id!r}: retrieval scoring failed at ranges {splits[i][0]} "
         f"({failures[0].error})",
         claim_id=claims[i].id,
         partial=levels[i],
@@ -131,7 +120,7 @@ def _score_level(doc, claims, parts, backend, cap, counter, max_workers, levels)
 
 
 def descend(
-    doc: Document,
+    docs: list[Document],
     claims: list[Claim],
     backend: ScorerBackend,
     k: int = 2,
@@ -139,39 +128,49 @@ def descend(
     counter: TokenCounter = _WHITESPACE,
     max_workers: int = 1,
 ) -> tuple[list[RetrievalTrace], ChunkcheckError | None]:
-    """``retrieve`` for every claim on ``doc``, descending together: one
-    batch per level over the parts of every claim still descending.
+    """``retrieve`` for every claim, ``docs[i]`` being ``claims[i]``'s
+    document, descending together: one batch per level over the parts of
+    every claim still descending, across all the documents.
 
     Returns the traces of the claims before the first one, in order, whose
     descent fails, and that claim's error (None when every claim reaches a
     unit). Claims after a failing one stop descending; the ones before it
     go on, since one of them may fail later.
     """
-    if not doc.units:
-        raise ValidationError(f"document {doc.id!r} has no units")
+    for doc in docs:
+        if not doc.units:
+            raise ValidationError(f"document {doc.id!r} has no units")
     if k < 2:
         raise ValidationError(f"branching factor must be >= 2, got {k}")
 
-    ranges = {i: (0, len(doc.units)) for i in range(len(claims))}  # still descending
+    ranges = {i: (0, len(doc.units)) for i, doc in enumerate(docs)}  # still descending
     levels: list[list[TraceLevel]] = [[] for _ in claims]
     traces: list[RetrievalTrace | None] = [None] * len(claims)
     failed, error = len(claims), None
     while ranges:
         active = list(ranges)
-        splits = {
-            r: _split_under_cap(doc, *r, k, counter, budget)
-            for r in dict.fromkeys(ranges.values())
-        }
-        parts = [splits[ranges[i]] for i in active]
+        # Each distinct (document, range) is split, and its parts joined and
+        # counted, once; a level's ranges in one document never overlap, so
+        # neither do their parts. Documents are keyed by identity.
+        splits, level = {}, []
+        for i in active:
+            doc = docs[i]
+            key = id(doc), ranges[i]
+            if key not in splits:
+                parts = _split_under_cap(doc, *ranges[i], k, counter, budget)
+                prefix = doc._token_prefix_sums(counter)
+                splits[key] = (parts, [premise_text(doc, *r) for r in parts],
+                               [prefix[b] - prefix[a] for a, b in parts])
+            level.append(splits[key])
         scores, exc = _score_level(
-            doc, [claims[i] for i in active], parts, backend, budget, counter, max_workers,
+            [claims[i] for i in active], level, backend, budget, max_workers,
             [levels[i] for i in active],
         )
         if exc is not None:
             failed, error = active[len(scores)], exc
             for i in active[len(scores):]:
                 del ranges[i]
-        for i, ps, sc in zip(active, parts, scores):
+        for i, (ps, _, _), sc in zip(active, level, scores):
             chosen = first_max(sc)
             levels[i].append(TraceLevel(candidate_ranges=ps, scores=sc, chosen=chosen))
             start, end = ranges[i] = ps[chosen]
@@ -205,7 +204,7 @@ def retrieve(
     ``counter`` (whitespace by default). A one-unit document yields one level
     that scores its lone unit.
     """
-    traces, error = descend(doc, [claim], backend, k, budget, counter, max_workers)
+    traces, error = descend([doc], [claim], backend, k, budget, counter, max_workers)
     if error is not None:
         raise error
     return traces[0]
@@ -236,32 +235,25 @@ def _split_under_cap(doc, start, end, k, counter, cap):
 
 
 def brute_force_all(
-    doc: Document,
+    docs: list[Document],
     claims: list[Claim],
     backend: ScorerBackend,
     budget: int | None = None,
     counter: TokenCounter = _WHITESPACE,
     max_workers: int = 1,
 ) -> tuple[list[BruteForceResult], ChunkcheckError | None]:
-    """``brute_force_retrieve`` for every claim on ``doc``: one batch of every
-    claim against every unit, each unit joined once.
+    """``brute_force_retrieve`` for every claim, ``docs[i]`` being
+    ``claims[i]``'s document: the one-level descent, whose branching factor
+    of at least every document's unit count splits each into its units.
 
     Returns the results of the claims before the first one, in order, whose
     scoring fails, and that claim's error (None when none fails); the other
     claims' pairs may have been scored by then.
     """
-    if not doc.units:
-        raise ValidationError(f"document {doc.id!r} has no units")
-    ranges = [(i, i + 1) for i in range(len(doc.units))]
-    scored, exc = _score_level(
-        doc, claims, [ranges] * len(claims), backend, budget, counter, max_workers,
-        [[] for _ in claims],
-    )
-    results = []
-    for scores in scored:
-        best = first_max(scores)
-        results.append(BruteForceResult(unit=best, score=scores[best], scorer_calls=len(ranges)))
-    return results, exc
+    k = max([2, *(len(doc.units) for doc in docs)])
+    traces, error = descend(docs, claims, backend, k, budget, counter, max_workers)
+    results = [BruteForceResult(t.result_unit, t.result_score, t.scorer_calls) for t in traces]
+    return results, error
 
 
 def brute_force_retrieve(
@@ -274,7 +266,7 @@ def brute_force_retrieve(
 ) -> BruteForceResult:
     """Score every unit individually; argmax with ties to the lowest index.
     A unit over the premise cap ``budget`` raises as in ``retrieve``."""
-    results, error = brute_force_all(doc, [claim], backend, budget, counter, max_workers)
+    results, error = brute_force_all([doc], [claim], backend, budget, counter, max_workers)
     if error is not None:
         raise error
     return results[0]

@@ -10,7 +10,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from chunkcheck.backends import UnitRelevanceBackend
-from chunkcheck.corpus import Corpus, Document, Unit, claim_to_record, document_to_record
+from chunkcheck.corpus import (
+    Claim,
+    Corpus,
+    Document,
+    Unit,
+    claim_to_record,
+    document_to_record,
+)
 from chunkcheck.scoring import ScorerBackend
 
 
@@ -36,6 +43,44 @@ def write_corpus_jsonl(corpus: Corpus, documents_path: Path, claims_path: Path) 
                           (claims_path, map(claim_to_record, corpus.claims))):
         path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
                         encoding="utf-8")
+
+
+def probe_corpus(n_docs: int = 2000, units_per_doc: int = 20, claims_per_doc: int = 50,
+                 seed: int = 0) -> Corpus:
+    """The 10^5-claim probe corpus: ``n_docs`` documents of ``units_per_doc``
+    units of 6-14 words, each with ``claims_per_doc`` labelled claims that
+    name one relevant unit. A true claim quotes four of that unit's words, a
+    false one four words found in no unit. The same arguments give the same
+    corpus."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(500)]
+    absent = [f"x{i}" for i in range(100)]
+    docs, claims = [], []
+    for d in range(n_docs):
+        doc = Document(id=f"p{d:04d}", units=[
+            Unit(i, " ".join(rng.choices(words, k=rng.randint(6, 14))))
+            for i in range(units_per_doc)
+        ])
+        docs.append(doc)
+        for c in range(claims_per_doc):
+            unit = rng.randrange(units_per_doc)
+            label = rng.random() < 0.5
+            quoted = doc.units[unit].text.split() if label else absent
+            claims.append(Claim(id=f"{doc.id}-{c:02d}", doc_id=doc.id,
+                                text=" ".join(rng.sample(quoted, 4)), gold_label=label,
+                                relevant_units=frozenset([unit])))
+    return Corpus(documents=docs, claims=claims)
+
+
+def write_probe_corpus(directory, **sizes) -> tuple[Path, Path]:
+    """Write ``probe_corpus(**sizes)`` as probe-documents.jsonl and
+    probe-claims.jsonl in ``directory``; returns the two paths. Run from the
+    repository root as
+    ``python3 -c 'import sys; sys.path.insert(0, "tests"); import helpers;
+    helpers.write_probe_corpus(sys.argv[1])' <directory>``."""
+    paths = Path(directory) / "probe-documents.jsonl", Path(directory) / "probe-claims.jsonl"
+    write_corpus_jsonl(probe_corpus(**sizes), *paths)
+    return paths
 
 
 def relevance_fixture(doc_id: str, base_scores: list[float], words_per_unit: int = 3):

@@ -52,6 +52,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _KeepAliveHandler(_Handler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle's algorithm on, each
+    # response on a kept-alive connection would wait out a delayed ACK.
+    disable_nagle_algorithm = True
 
 
 class FixtureServer:

@@ -17,6 +17,8 @@ from chunkcheck.metrics import calibration_curve
 from chunkcheck.metrics import ece as ece_op
 from chunkcheck.metrics import f1_macro_optimal, kendall_tau, pearson, roc_auc
 
+from helpers import write_probe_corpus
+
 GOLDEN = Path(__file__).parent / "data" / "golden_score_report.json"
 
 
@@ -463,7 +465,8 @@ def test_missing_relevance_file_exits_one(fixture_dir, tmp_path, capsys):
     ('{"reef-survey": "0.2"}', "'reef-survey' needs an array of numbers"),
     ('{"reef-survey": [0.2, "0.8", 0.1, 0.3, 0.5, 0.7]}', "'reef-survey' needs an array"),
     ('{"reef-survey": [0.2, true, 0.1, 0.3, 0.5, 0.7]}', "'reef-survey' needs an array"),
-], ids=["list", "string", "string-scores", "string-score", "true-score"])
+    ("{}", "has no scores for document 'ops-briefing'"),
+], ids=["list", "string", "string-scores", "string-score", "true-score", "no-documents"])
 def test_wrong_shaped_relevance_file_exits_one(fixture_dir, tmp_path, capsys, content, named):
     relevance = tmp_path / "relevance.json"
     relevance.write_text(content)
@@ -659,3 +662,22 @@ def test_duplicate_claim_id_exits_one(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "validation", "message": "duplicate claim id 'c'"}
     assert not out.exists()
+
+
+def test_probe_corpus_runs_every_probed_command(tmp_path):
+    """A small probe corpus, written as CI writes the 10^5-claim one, is the
+    same on every write and runs each command the probe measures."""
+    sizes = {"n_docs": 6, "units_per_doc": 5, "claims_per_doc": 4}
+    (tmp_path / "again").mkdir()
+    docs, claims = write_probe_corpus(tmp_path, **sizes)
+    again = write_probe_corpus(tmp_path / "again", **sizes)
+    assert [docs.read_bytes(), claims.read_bytes()] == [p.read_bytes() for p in again]
+    corpus = load_corpus(docs, claims)
+    assert [len(d.units) for d in corpus.documents] == [5] * 6
+    assert len(corpus.claims) == 24
+    assert all(len(c.relevant_units) == 1 for c in corpus.claims)
+    assert {c.gold_label for c in corpus.claims} == {True, False}
+    for command in (["retrieve"], ["retrieve", "--brute-force"],
+                    ["evaluate", "--retrieval-recall"]):
+        assert _run([*command, "--documents", docs, "--claims", claims,
+                     "--out", tmp_path / "r.json"]) == 0
