@@ -20,11 +20,6 @@ from functools import lru_cache
 from pathlib import Path
 from urllib.parse import urlsplit
 
-import requests
-import urllib3
-from requests.adapters import HTTPAdapter
-from requests.utils import get_netrc_auth
-
 from .corpus import Corpus, Document, format_unit
 from .errors import BackendError, ValidationError
 from .scoring import ScorerBackend, build_prompt, entail_prob
@@ -157,6 +152,9 @@ class RemoteBackend(ScorerBackend):
     connections (at least 10). Each call then goes straight to that pool,
     without ``requests``' per-call session layer. So a redirect is not
     followed (a 3xx is fatal), and cookies the endpoint sets are not sent back.
+
+    ``requests`` and ``urllib3`` are imported here, once the endpoint checks
+    pass, so that the offline backends never load the HTTP stack.
     """
 
     def __init__(
@@ -185,6 +183,11 @@ class RemoteBackend(ScorerBackend):
                 raise ValidationError("auth header must look like 'Name: value'")
             name, value = auth_header.split(":", 1)
             headers[name.strip()] = value.strip()
+        import requests
+        import urllib3
+        from requests.adapters import HTTPAdapter
+        from requests.utils import get_netrc_auth
+
         self.endpoint = endpoint
         self.name = f"remote:{endpoint}"
         self.timeout = timeout
@@ -213,6 +216,7 @@ class RemoteBackend(ScorerBackend):
         prepared.headers.pop("Content-Length", None)
         self._headers = dict(prepared.headers)
         self._timeout = urllib3.Timeout(connect=timeout, read=timeout)
+        self._transport_errors = (urllib3.exceptions.HTTPError, OSError)
 
     def evaluate(self, premise: str, hypothesis: str) -> float:
         body = json.dumps({
@@ -232,7 +236,7 @@ class RemoteBackend(ScorerBackend):
                     "POST", self._url, body=body, headers=self._headers, redirect=False,
                     assert_same_host=False, retries=False, timeout=self._timeout,
                 )
-            except (urllib3.exceptions.HTTPError, OSError) as exc:
+            except self._transport_errors as exc:
                 last_error = f"transport error: {exc}"
                 continue
             if resp.status >= 500:

@@ -20,6 +20,8 @@ ENDPOINT_ENV = "CHUNKCHECK_ENDPOINT"
 AUTH_ENV = "CHUNKCHECK_AUTH_HEADER"
 
 BACKENDS = ("overlap", "remote", "unit-relevance")
+# Scoring starts up to this many worker threads, one per distinct pair at most.
+MAX_CONCURRENCY = 256
 
 
 @dataclass
@@ -55,8 +57,10 @@ class RunConfig:
             raise ValidationError(f"ece_bins must be >= 1, got {self.ece_bins}")
         if not (0.0 <= self.decision_threshold <= 1.0):
             raise ValidationError(f"decision_threshold {self.decision_threshold} outside [0, 1]")
-        if self.concurrency < 1:
-            raise ValidationError(f"concurrency must be >= 1, got {self.concurrency}")
+        if not (1 <= self.concurrency <= MAX_CONCURRENCY):
+            raise ValidationError(
+                f"concurrency must be between 1 and {MAX_CONCURRENCY}, got {self.concurrency}"
+            )
         if self.premise_cap is not None and self.premise_cap < 1:
             raise ValidationError(f"premise_cap must be >= 1, got {self.premise_cap}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):

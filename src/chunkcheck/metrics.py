@@ -119,16 +119,23 @@ def roc_auc(scores, labels) -> float:
     return _auc(_ranks(s), y)
 
 
-def pearson(x, y) -> float:
-    """Product-moment correlation."""
-    xa, ya = _paired(x, y)
+def _correlation(xa: np.ndarray, ya: np.ndarray) -> float | None:
+    """Pearson's r of two checked samples; None where either is constant."""
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sx = float(np.sqrt((dx * dx).sum()))
     sy = float(np.sqrt((dy * dy).sum()))
     if sx == 0.0 or sy == 0.0:
-        raise ValidationError("constant input has undefined correlation")
+        return None
     return float((dx * dy).sum()) / (sx * sy)
+
+
+def pearson(x, y) -> float:
+    """Product-moment correlation."""
+    r = _correlation(*_paired(x, y))
+    if r is None:
+        raise ValidationError("constant input has undefined correlation")
+    return r
 
 
 def _tied_pairs(counts: np.ndarray) -> int:
@@ -161,8 +168,9 @@ def _inversions(r: np.ndarray, m: int) -> int:
     return total
 
 
-def _tau(x: _Ranked, ry: np.ndarray, cy: np.ndarray) -> float:
-    """Tau-b of x's ranks against y's dense ranks `ry` with run sizes `cy`."""
+def _tau(x: _Ranked, ry: np.ndarray, cy: np.ndarray) -> float | None:
+    """Tau-b of x's ranks against y's dense ranks `ry` with run sizes `cy`;
+    None where either sample is constant."""
     n = len(ry)
     ry = ry[x.order]
     key = x.rank[x.order] * len(cy) + ry  # the (x, y) rank, already sorted by x
@@ -174,7 +182,7 @@ def _tau(x: _Ranked, ry: np.ndarray, cy: np.ndarray) -> float:
     concordant = n0 - tx - ty + txy - discordant
     denom = np.sqrt((n0 - tx) * (n0 - ty))
     if denom == 0.0:
-        raise ValidationError("constant input has undefined tau")
+        return None
     return float((concordant - discordant) / denom)
 
 
@@ -187,7 +195,10 @@ def kendall_tau(x, y) -> float:
     """
     xa, ya = _paired(x, y)
     ranked_y = _ranks(ya)
-    return _tau(_ranks(xa), ranked_y.rank, ranked_y.counts)
+    tau = _tau(_ranks(xa), ranked_y.rank, ranked_y.counts)
+    if tau is None:
+        raise ValidationError("constant input has undefined tau")
+    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +385,8 @@ def retrieval_recall(hits) -> float:
 class EvalReport:
     n: int
     roc_auc: float
-    pearson: float
-    kendall_tau: float
+    pearson: float | None  # None where the scores are constant
+    kendall_tau: float | None
     f1_macro: float
     optimal_threshold: float
     wall_clock_s: float
@@ -390,7 +401,9 @@ def evaluate_scores(
 ) -> EvalReport:
     """Assemble the full accuracy report for scored, labeled claims: the
     inputs are checked once, and one sort of the scores serves every rank
-    metric. Binary labels are their own dense ranks."""
+    metric. Binary labels are their own dense ranks. Where the scores are
+    constant, ``pearson`` and ``kendall_tau`` are undefined and reported as
+    None; AUC and F1 are still defined."""
     s, y = _scores_and_labels(scores, labels)
     x = _ranks(s)
     n_pos = int(y.sum())
@@ -398,7 +411,7 @@ def evaluate_scores(
     return EvalReport(
         n=len(s),
         roc_auc=_auc(x, y),
-        pearson=pearson(s, y.astype(float)),
+        pearson=_correlation(s, y.astype(float)),
         kendall_tau=_tau(x, y.astype(np.intp), np.array([len(y) - n_pos, n_pos])),
         f1_macro=f1,
         optimal_threshold=threshold,

@@ -1,6 +1,9 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -167,6 +170,24 @@ def test_evaluate_matches_metric_oracles(fixture_dir, tmp_path):
     assert results["n"] == 13
 
 
+def test_evaluate_reports_null_correlations_for_constant_scores(fixture_dir, tmp_path):
+    claims = tmp_path / "claims.jsonl"
+    lines = (fixture_dir / "claims.jsonl").read_text().splitlines()
+    claims.write_text("".join(json.dumps({**json.loads(line), "text": "zzyzx"}) + "\n"
+                              for line in lines))
+    out = tmp_path / "report.json"
+    code = _run(["evaluate", "--documents", fixture_dir / "documents.jsonl",
+                 "--claims", claims, "--out", out])
+    assert code == 0
+    results = _load_report(out)["results"]
+    scores = [c["score"] for c in results["claims"]]
+    labels = [c["label"] for c in results["claims"]]
+    assert set(scores) == {0.0} and set(labels) == {True, False}
+    assert results["pearson"] is None and results["kendall_tau"] is None
+    assert results["roc_auc"] == roc_auc(scores, labels) == 0.5
+    assert (results["f1_macro"], results["optimal_threshold"]) == f1_macro_optimal(scores, labels)
+
+
 def test_evaluate_reports_positive_wall_clock(fixture_dir, tmp_path):
     out = tmp_path / "report.json"
     _run(["evaluate", *_fixture_args(fixture_dir), "--out", out])
@@ -317,6 +338,17 @@ def test_calibrate_accepts_single_class_labels(fixture_dir, tmp_path):
 
 # ---------------------------------------------------------------------------
 # config and errors
+
+
+def test_concurrency_above_the_bound_exits_one_before_scoring(fixture_dir, monkeypatch, capsys):
+    backend_calls = []
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
+                        lambda self, premise, hypothesis: backend_calls.append(premise))
+    assert _run(["score", *_fixture_args(fixture_dir), "--concurrency", "257"]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation",
+                   "message": "concurrency must be between 1 and 256, got 257"}
+    assert backend_calls == []
 
 
 def test_config_file_with_flag_override(fixture_dir, tmp_path):
@@ -681,3 +713,38 @@ def test_probe_corpus_runs_every_probed_command(tmp_path):
                     ["evaluate", "--retrieval-recall"]):
         assert _run([*command, "--documents", docs, "--claims", claims,
                      "--out", tmp_path / "r.json"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+_HTTP_STACK_PROBE = """
+import socket, sys
+import chunkcheck, chunkcheck.cli
+fixture, out = sys.argv[1:]
+for command in ("score", "retrieve"):
+    code = chunkcheck.cli.main([command, "--documents", f"{fixture}/documents.jsonl",
+                                "--claims", f"{fixture}/claims.jsonl",
+                                "--backend", "overlap", "--out", out])
+    assert code == 0, (command, code)
+print(sorted(m for m in ("requests", "urllib3") if m in sys.modules))
+def no_connection(self, address):
+    raise AssertionError(f"connected to {address}")
+socket.socket.connect = no_connection
+from chunkcheck.backends import RemoteBackend
+RemoteBackend("http://127.0.0.1:9/score")
+print(sorted(m for m in ("requests", "urllib3") if m in sys.modules))
+"""
+
+
+def test_only_a_remote_backend_loads_the_http_stack(fixture_dir, tmp_path):
+    """Offline commands never import requests or urllib3; building a
+    RemoteBackend imports both and opens no connection. A subprocess, since
+    this one has imported requests already."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _HTTP_STACK_PROBE, str(fixture_dir), str(tmp_path / "r.json")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['requests', 'urllib3']"]
