@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .corpus import Corpus, Document, format_unit
+from .corpus import Corpus, Document, format_unit, read_text_file
 from .errors import BackendError, ValidationError
 from .scoring import ScorerBackend, build_prompt, entail_prob
 
@@ -83,11 +83,9 @@ class UnitRelevanceBackend(ScorerBackend):
     @classmethod
     def from_file(cls, path: str | Path, corpus: Corpus) -> "UnitRelevanceBackend":
         """Load a JSON mapping {doc_id: [unit scores]}."""
+        text = read_text_file(Path(path), "relevance file")
         try:
-            with Path(path).open(encoding="utf-8") as fh:
-                scores_by_doc = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read relevance file {path}: {exc.strerror}") from exc
+            scores_by_doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"relevance file {path} is not valid JSON: {exc}") from exc
         if not isinstance(scores_by_doc, dict):

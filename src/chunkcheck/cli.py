@@ -120,8 +120,7 @@ def _report(command: str, config: RunConfig, corpus: Corpus, results: dict, meta
 
 def _score_corpus(corpus, config, counter, backend, budget, explain=False):
     """Score every claim at ``budget`` under the premise cap: (text scores,
-    sentence scores in claim order, wall seconds)."""
-    t0 = time.perf_counter()
+    sentence scores in claim order)."""
     text_scores = [
         score_text(
             corpus.document(text.doc_id), text, budget, backend, counter,
@@ -131,7 +130,7 @@ def _score_corpus(corpus, config, counter, backend, budget, explain=False):
         for text in corpus.grouped_texts()
     ]
     by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentence_scores}
-    return text_scores, [by_claim[c.id] for c in corpus.claims], time.perf_counter() - t0
+    return text_scores, [by_claim[c.id] for c in corpus.claims]
 
 
 def _retrievals(claims, corpus, config, counter, backend):
@@ -145,11 +144,11 @@ def _retrievals(claims, corpus, config, counter, backend):
 
 
 # Each cmd_* gets the set-up ``main`` built once and returns (results, meta),
-# which ``main`` turns into the one report it emits.
+# which ``main`` times and turns into the one report it emits.
 
 
 def cmd_score(args, config, corpus, counter, backend):
-    text_scores, sentences, wall = _score_corpus(
+    text_scores, sentences = _score_corpus(
         corpus, config, counter, backend, config.budget, explain=args.explain
     )
     results = {
@@ -161,15 +160,10 @@ def cmd_score(args, config, corpus, counter, backend):
         results["chunk_plans"] = [
             make_chunks(doc, config.budget, counter).to_dict() for doc in corpus.documents
         ]
-    meta = {
-        "wall_clock_s": wall,
-        "claim_ms": {s.claim_id: s.elapsed_ms for s in sentences},
-    }
-    return results, meta
+    return results, {}
 
 
 def cmd_retrieve(args, config, corpus, counter, backend):
-    t0 = time.perf_counter()
     claims = corpus.claims
     traces, error = _retrievals(claims, corpus, config, counter, backend)
     if args.brute_force:
@@ -204,7 +198,7 @@ def cmd_retrieve(args, config, corpus, counter, backend):
         if claim.relevant_units:
             entry["hit"] = retrieval_hit(trace, claim.relevant_units)
         entries.append(entry)
-    return {"retrievals": entries}, {"wall_clock_s": time.perf_counter() - t0}
+    return {"retrievals": entries}, {}
 
 
 def _require_labels(corpus: Corpus, both_classes: bool = True) -> list[bool]:
@@ -225,18 +219,14 @@ def _require_labels(corpus: Corpus, both_classes: bool = True) -> list[bool]:
 
 def cmd_evaluate(args, config, corpus, counter, backend):
     labels = _require_labels(corpus)
-    _, sentences, wall = _score_corpus(corpus, config, counter, backend, config.budget)
-    results = evaluate_scores(
-        [s.score for s in sentences],
-        labels,
-        wall_clock_s=wall,
-        scorer_calls_total=sum(s.scorer_calls for s in sentences),
-    ).to_dict()
-    meta = {"wall_clock_s": results.pop("wall_clock_s")}
+    _, sentences = _score_corpus(corpus, config, counter, backend, config.budget)
+    results = evaluate_scores([s.score for s in sentences], labels).to_dict()
+    results["scorer_calls_total"] = sum(s.scorer_calls for s in sentences)
     results["claims"] = [
         {"claim_id": c.id, "score": s.score, "label": bool(c.gold_label)}
         for c, s in zip(corpus.claims, sentences)
     ]
+    meta = {}
     if args.retrieval_recall:
         annotated = [c for c in corpus.claims if c.relevant_units]
         if not annotated:
@@ -270,9 +260,10 @@ def _sweep(corpus, config, counter, backend, budgets):
     scorer calls, wall s)]."""
     out = []
     for budget in budgets:
-        _, sentences, wall = _score_corpus(corpus, config, counter, backend, budget)
+        t0 = time.perf_counter()
+        _, sentences = _score_corpus(corpus, config, counter, backend, budget)
         calls = sum(s.scorer_calls for s in sentences)
-        out.append((budget, [s.score for s in sentences], calls, wall))
+        out.append((budget, [s.score for s in sentences], calls, time.perf_counter() - t0))
     return out
 
 
@@ -385,7 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_output_dirs(args)
         config, corpus, counter, backend = _setup(args)
+        t0 = time.perf_counter()
         results, meta = args.func(args, config, corpus, counter, backend)
+        meta["wall_clock_s"] = time.perf_counter() - t0
         _emit(_report(args.command, config, corpus, results, meta), args.out)
         return 0
     except (BackendError,) as exc:

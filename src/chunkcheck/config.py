@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend
-from .corpus import Corpus, TokenCounter, make_counter
+from .corpus import Corpus, TokenCounter, make_counter, read_text_file
 from .engine import AGGREGATIONS
 from .errors import ValidationError
 from .scoring import ScorerBackend
@@ -22,6 +22,8 @@ AUTH_ENV = "CHUNKCHECK_AUTH_HEADER"
 BACKENDS = ("overlap", "remote", "unit-relevance")
 # Scoring starts up to this many worker threads, one per distinct pair at most.
 MAX_CONCURRENCY = 256
+# ece allocates arrays of this many bins, so a mistyped huge count fails here, before scoring.
+MAX_ECE_BINS = 10_000
 
 
 @dataclass
@@ -53,8 +55,10 @@ class RunConfig:
             raise ValidationError(
                 f"unknown aggregation {self.aggregation!r}; choose from {AGGREGATIONS}"
             )
-        if self.ece_bins < 1:
-            raise ValidationError(f"ece_bins must be >= 1, got {self.ece_bins}")
+        if not (1 <= self.ece_bins <= MAX_ECE_BINS):
+            raise ValidationError(
+                f"ece_bins must be between 1 and {MAX_ECE_BINS}, got {self.ece_bins}"
+            )
         if not (0.0 <= self.decision_threshold <= 1.0):
             raise ValidationError(f"decision_threshold {self.decision_threshold} outside [0, 1]")
         if not (1 <= self.concurrency <= MAX_CONCURRENCY):
@@ -102,7 +106,7 @@ def resolve_config(config_path: str | None = None, overrides: dict | None = None
         if not path.exists():
             raise ValidationError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
+            loaded = json.loads(read_text_file(path, "config file"))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):

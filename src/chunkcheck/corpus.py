@@ -46,6 +46,19 @@ class WhitespaceCounter(TokenCounter):
         return len(text.split())
 
 
+def read_text_file(path: Path, what: str) -> str:
+    """The text of a UTF-8 input file; a ValidationError naming ``what`` and
+    the path when it cannot be read (a directory, say) or is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{what} {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
 class VocabCounter(TokenCounter):
     """Greedy longest-match subword counter over a plain-text vocabulary file.
 
@@ -56,10 +69,7 @@ class VocabCounter(TokenCounter):
 
     def __init__(self, vocab_path: str | Path, lowercase: bool = True):
         path = Path(vocab_path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot read vocabulary file {path}: {exc.strerror}") from exc
+        text = read_text_file(path, "vocabulary file")
         pieces = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not pieces:
             raise ValidationError(f"empty vocabulary file: {path}")

@@ -9,8 +9,7 @@ of this artifact, not an empirical claim.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chunking import Chunk, ChunkPlan, make_chunks
 from .corpus import Claim, Document, GeneratedText, TokenCounter
@@ -27,7 +26,6 @@ class SentenceScore:
     argmax_chunk: tuple[int, int]  # unit range of the first chunk attaining the max
     scorer_calls: int
     per_chunk: list[tuple[Chunk, float]] | None = None  # retained only when explaining
-    elapsed_ms: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -79,7 +77,6 @@ def _score_claims(
                 f"chunk plan is for {plan.doc_id!r} but claim {claim.id!r} "
                 f"targets {claim.doc_id!r}"
             )
-    t0 = time.perf_counter()
     n = len(plan.chunks)
     pairs = [(chunk.text, claim.text) for claim in claims for chunk in plan.chunks]
     check_cap(backend, pairs, (chunk.token_count for chunk in plan.chunks), cap)
@@ -100,7 +97,6 @@ def _score_claims(
             partial=partial,
             failures=failures,
         )
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0 / len(claims)
     out = []
     for i, claim in enumerate(claims):
         probs = batch.scores[i * n : (i + 1) * n]
@@ -112,7 +108,6 @@ def _score_claims(
                 argmax_chunk=plan.chunks[best].unit_range,
                 scorer_calls=n,
                 per_chunk=list(zip(plan.chunks, probs)) if explain else None,
-                elapsed_ms=elapsed_ms,
             )
         )
     return out

@@ -389,16 +389,12 @@ class EvalReport:
     kendall_tau: float | None
     f1_macro: float
     optimal_threshold: float
-    wall_clock_s: float
-    scorer_calls_total: int
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def evaluate_scores(
-    scores, labels, wall_clock_s: float = 0.0, scorer_calls_total: int = 0
-) -> EvalReport:
+def evaluate_scores(scores, labels) -> EvalReport:
     """Assemble the full accuracy report for scored, labeled claims: the
     inputs are checked once, and one sort of the scores serves every rank
     metric. Binary labels are their own dense ranks. Where the scores are
@@ -415,6 +411,4 @@ def evaluate_scores(
         kendall_tau=_tau(x, y.astype(np.intp), np.array([len(y) - n_pos, n_pos])),
         f1_macro=f1,
         optimal_threshold=threshold,
-        wall_clock_s=wall_clock_s,
-        scorer_calls_total=scorer_calls_total,
     )

@@ -21,6 +21,7 @@ DELETED = [
     ("corpus", "write_documents_jsonl"),
     ("corpus", "write_claims_jsonl"),
     ("engine", "classify"),
+    ("engine", "SentenceScore.elapsed_ms"),
     ("retrieval", "verify_trace"),
     ("retrieval", "_score_ranges"),
     ("scoring", "ScoreCache"),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chunkcheck.cli as cli
-from chunkcheck.backends import LexicalOverlapBackend
+from chunkcheck.backends import LexicalOverlapBackend, UnitRelevanceBackend
 from chunkcheck.chunking import make_chunks
 from chunkcheck.cli import build_parser, main
 from chunkcheck.config import BACKENDS, RunConfig, resolve_config
@@ -188,10 +188,20 @@ def test_evaluate_reports_null_correlations_for_constant_scores(fixture_dir, tmp
     assert (results["f1_macro"], results["optimal_threshold"]) == f1_macro_optimal(scores, labels)
 
 
-def test_evaluate_reports_positive_wall_clock(fixture_dir, tmp_path):
+@pytest.mark.parametrize(("command", "stages"), [
+    (["score"], set()),
+    (["retrieve"], set()),
+    (["evaluate"], set()),
+    (["evaluate", "--retrieval-recall"], {"retrieval_wall_clock_s"}),
+    (["calibrate", "--budgets", "16,64"], set()),
+    (["bench", "--budgets", "16,64"], {"wall_clock_s_by_budget"}),
+], ids=["score", "retrieve", "evaluate", "evaluate-recall", "calibrate", "bench"])
+def test_every_command_reports_positive_wall_clock(fixture_dir, tmp_path, command, stages):
     out = tmp_path / "report.json"
-    _run(["evaluate", *_fixture_args(fixture_dir), "--out", out])
-    assert _load_report(out)["meta"]["wall_clock_s"] > 0
+    assert _run([*command, *_fixture_args(fixture_dir), "--out", out]) == 0
+    meta = _load_report(out)["meta"]
+    assert set(meta) == {"created_at", "wall_clock_s"} | stages  # no claim_ms
+    assert meta["wall_clock_s"] > 0
 
 
 def test_evaluate_missing_labels_is_actionable(fixture_dir, tmp_path, capsys):
@@ -351,6 +361,17 @@ def test_concurrency_above_the_bound_exits_one_before_scoring(fixture_dir, monke
     assert backend_calls == []
 
 
+@pytest.mark.parametrize("bins", [10_001, 2**62])
+def test_ece_bins_above_the_bound_exits_one_before_loading(tmp_path, capsys, bins):
+    missing = tmp_path / "absent.jsonl"  # loading it would fail differently
+    code = _run(["calibrate", "--documents", missing, "--claims", missing,
+                 "--budgets", "16", "--ece-bins", bins])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation",
+                   "message": f"ece_bins must be between 1 and 10000, got {bins}"}
+
+
 def test_config_file_with_flag_override(fixture_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     # null suits an optional field, and an int a float field
@@ -479,6 +500,29 @@ def test_missing_vocab_file_exits_one(fixture_dir, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "validation"
     assert str(missing) in err["error"]["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--config", "{dir}"],
+    ["--config", "{bad}"],
+    ["--counter", "vocab:{bad}"],
+    ["--backend", "unit-relevance", "--relevance-file", "{bad}"],
+], ids=["config-directory", "config-not-utf8", "vocab-not-utf8", "relevance-not-utf8"])
+def test_unreadable_input_file_exits_one_before_scoring(fixture_dir, tmp_path, monkeypatch,
+                                                         capsys, flags):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b'{"budget": 64}\xff\n')
+    backend_calls = []
+    for backend in (LexicalOverlapBackend, UnitRelevanceBackend):
+        monkeypatch.setattr(backend, "evaluate",
+                            lambda self, premise, hypothesis: backend_calls.append(premise))
+    flags = [f.format(dir=tmp_path, bad=bad) for f in flags]
+    code = _run(["score", *_fixture_args(fixture_dir), *flags, "--out", tmp_path / "r.json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert flags[-1].removeprefix("vocab:") in err["message"]
+    assert backend_calls == []
 
 
 def test_missing_relevance_file_exits_one(fixture_dir, tmp_path, capsys):
@@ -748,3 +792,24 @@ def test_only_a_remote_backend_loads_the_http_stack(fixture_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['requests', 'urllib3']"]
+
+
+def test_python_dash_m_runs_the_cli(fixture_dir, tmp_path):
+    """``python -m chunkcheck`` is the same CLI: version, a golden score
+    report and the exit code of a usage error."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "chunkcheck", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert "0.1.0" in version.stdout
+    out = tmp_path / "score.json"
+    assert run("score", *_fixture_args(fixture_dir), "--out", out).returncode == 0
+    got = _load_report(out)
+    got.pop("meta")
+    assert got == json.loads(GOLDEN.read_text())
+    assert run().returncode == 1

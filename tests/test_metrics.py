@@ -635,13 +635,14 @@ def test_retrieval_recall_hand_counted_fixture():
 def test_evaluate_scores_assembles_report():
     scores = [0.1, 0.4, 0.35, 0.8, 0.9]
     labels = [0, 0, 1, 1, 1]
-    report = evaluate_scores(scores, labels, wall_clock_s=1.5, scorer_calls_total=25)
+    report = evaluate_scores(scores, labels)
     assert report.n == 5
     assert report.roc_auc == pytest.approx(auc_pair_counting(scores, labels))
     assert 0.0 <= report.f1_macro <= 1.0
     assert -1.0 <= report.kendall_tau <= 1.0
-    assert report.wall_clock_s == 1.5
-    assert report.scorer_calls_total == 25
+    assert set(report.to_dict()) == {
+        "n", "roc_auc", "pearson", "kendall_tau", "f1_macro", "optimal_threshold"
+    }
 
 
 def _report_or_error(build):
@@ -676,8 +677,6 @@ def test_evaluate_scores_equals_the_per_metric_calls_on_lists(case):
             kendall_tau=_none_if_constant(kendall_tau, scores, y),
             f1_macro=f1,
             optimal_threshold=threshold,
-            wall_clock_s=0.0,
-            scorer_calls_total=0,
         )
 
     want = _report_or_error(per_metric)
