@@ -38,7 +38,6 @@ from .engine import AGGREGATIONS, score_text
 from .errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from .metrics import calibration_curve, ece, evaluate_scores, retrieval_recall, roc_auc
 from .retrieval import (  # noqa: F401
-    brute_force_all,
     brute_force_retrieve,
     descend,
     retrieval_hit,
@@ -133,12 +132,20 @@ def _score_corpus(corpus, config, counter, backend, budget, explain=False):
     return text_scores, [by_claim[c.id] for c in corpus.claims]
 
 
-def _retrievals(claims, corpus, config, counter, backend):
-    """Greedy traces under the premise cap, every claim descending together:
-    (the traces of the claims before the first failing one, in order; its
-    error, or None)."""
+def _retrievals(claims, corpus, config, counter, backend, brute_force=False):
+    """Greedy traces under the premise cap, every claim descending together.
+    With ``brute_force`` each claim's trace is followed by its exhaustive one:
+    the one-level descent, whose branching factor splits the document into
+    its units, so it shares the first level's batch with the greedy descent,
+    and a claim's greedy error comes before its brute-force error."""
+    docs = [corpus.document(c.doc_id) for c in claims]
+    ks = [config.k] * len(claims)
+    if brute_force:
+        claims = [c for c in claims for _ in (0, 1)]
+        ks = [k for doc in docs for k in (config.k, max(2, len(doc.units)))]
+        docs = [doc for doc in docs for _ in (0, 1)]
     return descend(
-        [corpus.document(c.doc_id) for c in claims], claims, backend, k=config.k,
+        docs, claims, backend, ks,
         budget=config.premise_cap, counter=counter, max_workers=config.concurrency,
     )
 
@@ -165,18 +172,9 @@ def cmd_score(args, config, corpus, counter, backend):
 
 def cmd_retrieve(args, config, corpus, counter, backend):
     claims = corpus.claims
-    traces, error = _retrievals(claims, corpus, config, counter, backend)
+    traces = _retrievals(claims, corpus, config, counter, backend, args.brute_force)
     if args.brute_force:
-        # Only the claims before the first greedy failure, so that for one
-        # claim the greedy error comes first.
-        done = claims[: len(traces)]
-        brute, brute_error = brute_force_all(
-            [corpus.document(c.doc_id) for c in done], done, backend,
-            budget=config.premise_cap, counter=counter, max_workers=config.concurrency,
-        )
-        error = error if brute_error is None else brute_error
-    if error is not None:
-        raise error
+        traces, brute = traces[::2], traces[1::2]
     entries = []
     for i, (claim, trace) in enumerate(zip(claims, traces)):
         entry = {
@@ -190,10 +188,10 @@ def cmd_retrieve(args, config, corpus, counter, backend):
         if args.brute_force:
             bf = brute[i]
             entry["brute_force"] = {
-                "unit": bf.unit,
-                "score": bf.score,
+                "unit": bf.result_unit,
+                "score": bf.result_score,
                 "scorer_calls": bf.scorer_calls,
-                "agrees": bf.unit == trace.result_unit,
+                "agrees": bf.result_unit == trace.result_unit,
             }
         if claim.relevant_units:
             entry["hit"] = retrieval_hit(trace, claim.relevant_units)
@@ -232,9 +230,7 @@ def cmd_evaluate(args, config, corpus, counter, backend):
         if not annotated:
             raise ValidationError("no claims carry relevant_units annotations")
         r0 = time.perf_counter()
-        traces, error = _retrievals(annotated, corpus, config, counter, backend)
-        if error is not None:
-            raise error
+        traces = _retrievals(annotated, corpus, config, counter, backend)
         hits = [retrieval_hit(t, c.relevant_units) for c, t in zip(annotated, traces)]
         results["retrieval"] = {
             "n": len(hits),
@@ -252,6 +248,9 @@ def _parse_budgets(raw: str) -> list[int]:
         raise ValidationError(f"bad --budgets value {raw!r}: {exc}") from exc
     if not budgets or any(b < 1 for b in budgets):
         raise ValidationError(f"budgets must be positive integers, got {raw!r}")
+    repeated = [b for b in budgets if budgets.count(b) > 1]
+    if repeated:
+        raise ValidationError(f"budget {repeated[0]} is repeated in {raw!r}")
     return budgets
 
 

@@ -6,17 +6,17 @@ best one, stop at a single unit. Needs O(log n) scorer calls where the
 exhaustive baseline needs n.
 
 All the claims of a run descend together (``descend``), each on its own
-document: each level is one ``score_batch`` over the parts of every claim
-still descending, across all the documents, so the ``max_workers`` threads
-are shared by every claim, and a claim that reaches a single unit drops out
-of later batches. Each distinct (document, range) is split, and each of its
-parts joined, once per level. Claims with the same text share their pairs
-through the batch's deduplication. Every claim's trace is the one it would
-get descending alone; a failure is the error of the first failing claim in
-claim order, though other claims' pairs may have been scored by then. The
-exhaustive baseline, ``brute_force_all``, is the one-level descent: its
-branching factor splits every document into its units at once, so one batch
-holds every (claim, unit) pair of the run, each unit joined once.
+document with its own branching factor: each level is one ``score_batch``
+over the parts of every claim still descending, across all the documents, so
+the ``max_workers`` threads are shared by every claim, and a claim that
+reaches a single unit drops out of later batches. Each distinct (document,
+range, k) is split, and each of its parts joined, once per level. Claims with
+the same text share their pairs through the batch's deduplication. Every
+claim's trace is the one it would get descending alone; a failure raises the
+error of the first failing claim in claim order, though other claims' pairs
+may have been scored by then. The exhaustive baseline,
+``brute_force_retrieve``, is the one-level descent: a branching factor of the
+document's unit count splits it into its units at once.
 
 Exactness caveat: descent is provably equal to the exhaustive argmax when
 the scorer is max-composable (a range scores the max of its units), as the
@@ -35,7 +35,7 @@ from itertools import accumulate
 
 from .chunking import premise_text, split_range
 from .corpus import Claim, Document, TokenCounter, WhitespaceCounter
-from .errors import ChunkcheckError, ScoringError, ValidationError
+from .errors import ScoringError, ValidationError
 from .scoring import (
     BatchFailure,
     ScorerBackend,
@@ -123,41 +123,41 @@ def descend(
     docs: list[Document],
     claims: list[Claim],
     backend: ScorerBackend,
-    k: int = 2,
+    ks: list[int],
     budget: int | None = None,
     counter: TokenCounter = _WHITESPACE,
     max_workers: int = 1,
-) -> tuple[list[RetrievalTrace], ChunkcheckError | None]:
-    """``retrieve`` for every claim, ``docs[i]`` being ``claims[i]``'s
-    document, descending together: one batch per level over the parts of
-    every claim still descending, across all the documents.
+) -> list[RetrievalTrace]:
+    """``retrieve`` for every claim, ``docs[i]`` and ``ks[i]`` being
+    ``claims[i]``'s document and branching factor, descending together: one
+    batch per level over the parts of every claim still descending, across
+    all the documents.
 
-    Returns the traces of the claims before the first one, in order, whose
-    descent fails, and that claim's error (None when every claim reaches a
-    unit). Claims after a failing one stop descending; the ones before it
-    go on, since one of them may fail later.
+    Raises the error of the first claim, in order, whose descent fails.
+    Claims after a failing one stop descending; the ones before it go on,
+    since one of them may fail later.
     """
     for doc in docs:
         if not doc.units:
             raise ValidationError(f"document {doc.id!r} has no units")
-    if k < 2:
-        raise ValidationError(f"branching factor must be >= 2, got {k}")
+    for k in ks:
+        if k < 2:
+            raise ValidationError(f"branching factor must be >= 2, got {k}")
 
     ranges = {i: (0, len(doc.units)) for i, doc in enumerate(docs)}  # still descending
     levels: list[list[TraceLevel]] = [[] for _ in claims]
     traces: list[RetrievalTrace | None] = [None] * len(claims)
-    failed, error = len(claims), None
+    error = None
     while ranges:
         active = list(ranges)
-        # Each distinct (document, range) is split, and its parts joined and
-        # counted, once; a level's ranges in one document never overlap, so
-        # neither do their parts. Documents are keyed by identity.
+        # Each distinct (document, range, k) is split, and its parts joined
+        # and counted, once. Documents are keyed by identity.
         splits, level = {}, []
         for i in active:
             doc = docs[i]
-            key = id(doc), ranges[i]
+            key = id(doc), ranges[i], ks[i]
             if key not in splits:
-                parts = _split_under_cap(doc, *ranges[i], k, counter, budget)
+                parts = _split_under_cap(doc, *ranges[i], ks[i], counter, budget)
                 prefix = doc._token_prefix_sums(counter)
                 splits[key] = (parts, [premise_text(doc, *r) for r in parts],
                                [prefix[b] - prefix[a] for a, b in parts])
@@ -167,7 +167,7 @@ def descend(
             [levels[i] for i in active],
         )
         if exc is not None:
-            failed, error = active[len(scores)], exc
+            error = exc
             for i in active[len(scores):]:
                 del ranges[i]
         for i, (ps, _, _), sc in zip(active, level, scores):
@@ -183,7 +183,9 @@ def descend(
                     result_score=sc[chosen],
                     scorer_calls=sum(len(lvl.scores) for lvl in levels[i]),
                 )
-    return traces[:failed], error
+    if error is not None:
+        raise error
+    return traces
 
 
 def retrieve(
@@ -204,10 +206,7 @@ def retrieve(
     ``counter`` (whitespace by default). A one-unit document yields one level
     that scores its lone unit.
     """
-    traces, error = descend([doc], [claim], backend, k, budget, counter, max_workers)
-    if error is not None:
-        raise error
-    return traces[0]
+    return descend([doc], [claim], backend, [k], budget, counter, max_workers)[0]
 
 
 def _split_under_cap(doc, start, end, k, counter, cap):
@@ -234,28 +233,6 @@ def _split_under_cap(doc, start, end, k, counter, cap):
         kk += 1
 
 
-def brute_force_all(
-    docs: list[Document],
-    claims: list[Claim],
-    backend: ScorerBackend,
-    budget: int | None = None,
-    counter: TokenCounter = _WHITESPACE,
-    max_workers: int = 1,
-) -> tuple[list[BruteForceResult], ChunkcheckError | None]:
-    """``brute_force_retrieve`` for every claim, ``docs[i]`` being
-    ``claims[i]``'s document: the one-level descent, whose branching factor
-    of at least every document's unit count splits each into its units.
-
-    Returns the results of the claims before the first one, in order, whose
-    scoring fails, and that claim's error (None when none fails); the other
-    claims' pairs may have been scored by then.
-    """
-    k = max([2, *(len(doc.units) for doc in docs)])
-    traces, error = descend(docs, claims, backend, k, budget, counter, max_workers)
-    results = [BruteForceResult(t.result_unit, t.result_score, t.scorer_calls) for t in traces]
-    return results, error
-
-
 def brute_force_retrieve(
     doc: Document,
     claim: Claim,
@@ -265,11 +242,11 @@ def brute_force_retrieve(
     max_workers: int = 1,
 ) -> BruteForceResult:
     """Score every unit individually; argmax with ties to the lowest index.
-    A unit over the premise cap ``budget`` raises as in ``retrieve``."""
-    results, error = brute_force_all([doc], [claim], backend, budget, counter, max_workers)
-    if error is not None:
-        raise error
-    return results[0]
+    A unit over the premise cap ``budget`` raises as in ``retrieve``. This is
+    the one-level descent: its branching factor splits the document into its
+    units at once."""
+    t = retrieve(doc, claim, backend, max(2, len(doc.units)), budget, counter, max_workers)
+    return BruteForceResult(t.result_unit, t.result_score, t.scorer_calls)
 
 
 def retrieval_hit(trace: RetrievalTrace, relevant_units: frozenset[int] | set[int]) -> bool:

@@ -24,6 +24,7 @@ DELETED = [
     ("engine", "SentenceScore.elapsed_ms"),
     ("retrieval", "verify_trace"),
     ("retrieval", "_score_ranges"),
+    ("retrieval", "brute_force_all"),
     ("scoring", "ScoreCache"),
     ("scoring", "_sha256"),
     ("config", "RunConfig.cache_size"),

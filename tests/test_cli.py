@@ -313,6 +313,18 @@ def test_bad_budgets_rejected(fixture_dir, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["calibrate", "bench"])
+def test_repeated_budget_exits_one_before_scoring(fixture_dir, monkeypatch, capsys, command):
+    backend_calls = []
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
+                        lambda self, premise, hypothesis: backend_calls.append(premise))
+    code = _run([command, *_fixture_args(fixture_dir), "--budgets", "16,64,064"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation", "message": "budget 64 is repeated in '16,64,064'"}
+    assert backend_calls == []
+
+
 @pytest.mark.parametrize("command", [
     ["evaluate"], ["evaluate", "--retrieval-recall"], ["bench", "--budgets", "16,64"],
 ])

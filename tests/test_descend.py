@@ -130,10 +130,8 @@ def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
     config = SimpleNamespace(k=k, premise_cap=cap, concurrency=workers)
 
     def together():
-        traces, error = _retrievals(claims, corpus, config, counter, FailingOverlap(failing))
-        if error is not None:
-            raise error
-        return [(c.id, c.doc_id, t.to_dict()) for c, t in zip(claims, traces)]
+        traces = _retrievals(claims, corpus, config, counter, FailingOverlap(failing))
+        return [(c.id, c.doc_id, t.to_dict()) for c, t in zip(claims, traces, strict=True)]
 
     assert _outcome(together) == want
 
@@ -149,9 +147,10 @@ def _cli_retrieve(corpus, backend, k, cap, counter, workers, brute_force=True):
 @given(_corpus_units(), _texts(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_brute_force_per_document_matches_claim_by_claim(docs_units, texts, data):
-    """``retrieve --brute-force`` scores every claim in one exhaustive batch,
-    yet reports, and raises, what retrieving one claim after another, greedy
-    then brute force, does; it makes no more backend calls."""
+    """``retrieve --brute-force`` scores every claim's units in the greedy
+    descent's first batch, yet reports, and raises, what retrieving one claim
+    after another, greedy then brute force, does; it makes no more backend
+    calls."""
     corpus, k, cap, counter, failing, workers = _draw_case(docs_units, texts, data)
     units_only = data.draw(st.booleans(), label="units only")
     alone = FailingOverlap(failing, units_only)
@@ -219,8 +218,9 @@ def test_brute_force_joins_each_unit_once_per_document(monkeypatch):
         entries = _cli_retrieve(corpus, FailingOverlap(), 2, 64, WC, 1, brute_force)
         counts[brute_force] = len(batches), len(joins)
         monkeypatch.undo()
-    # Brute force is one batch for the run, joining each unit once per document.
-    assert counts[True][0] - counts[False][0] == 1
+    # Brute force shares the first level's batch with the greedy descent,
+    # joining each unit once per document.
+    assert counts[True][0] - counts[False][0] == 0
     assert counts[True][1] - counts[False][1] == sum(len(doc.units) for doc in docs)
     for claim, entry in zip(claims, entries):
         bf = brute_force_reference(corpus.document(claim.doc_id), claim, FailingOverlap(), 64)
@@ -253,8 +253,8 @@ def test_one_batch_per_level_one_split_per_range(monkeypatch):
     splits = _counted(monkeypatch, "split_range")
     joins = _counted(monkeypatch, "premise_text")
     backend = FailingOverlap()
-    traces, error = descend([doc] * len(claims), claims, backend, k=2, budget=512, counter=WC)
-    assert error is None
+    traces = descend([doc] * len(claims), claims, backend, [2] * len(claims), budget=512,
+                     counter=WC)
 
     assert len(batches) == max(len(t.levels) for t in traces)
     descended = {
@@ -291,7 +291,8 @@ def test_retrieve_is_the_one_claim_case():
         for i, u in enumerate(rng.sample(range(90), 12))
     ]
     backend = LexicalOverlapBackend()
-    together = descend([doc] * len(claims), claims, backend, k=3, budget=20, counter=WC)
+    together = descend([doc] * len(claims), claims, backend, [3] * len(claims), budget=20,
+                       counter=WC)
     alone = [retrieve(doc, c, backend, k=3, budget=20, counter=WC) for c in claims]
-    assert together == (alone, None)
-    assert descend([], [], backend) == ([], None)
+    assert together == alone
+    assert descend([], [], backend, []) == []
