@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend
-from .corpus import Corpus, TokenCounter, make_counter, read_text_file
+from .corpus import Corpus, TokenCounter, VocabCounter, WhitespaceCounter, read_text_file
 from .engine import AGGREGATIONS
 from .errors import ValidationError
 from .scoring import ScorerBackend
@@ -129,7 +129,13 @@ def resolve_config(config_path: str | None = None, overrides: dict | None = None
 
 
 def build_counter(config: RunConfig) -> TokenCounter:
-    return make_counter(config.counter)
+    """The configured counter: ``whitespace`` or ``vocab:<path>``."""
+    kind = config.counter
+    if kind == "whitespace":
+        return WhitespaceCounter()
+    if kind.startswith("vocab:"):
+        return VocabCounter(kind.split(":", 1)[1])
+    raise ValidationError(f"unknown token counter {kind!r}; use 'whitespace' or 'vocab:<path>'")
 
 
 def build_backend(config: RunConfig, corpus: Corpus | None = None) -> ScorerBackend:

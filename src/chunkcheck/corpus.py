@@ -64,10 +64,10 @@ class VocabCounter(TokenCounter):
 
     One piece per line; continuation pieces start with ``##``. A word that
     cannot be fully tokenized counts as a single unknown token. Matching is
-    case-insensitive unless ``lowercase=False``.
+    case-insensitive.
     """
 
-    def __init__(self, vocab_path: str | Path, lowercase: bool = True):
+    def __init__(self, vocab_path: str | Path):
         path = Path(vocab_path)
         text = read_text_file(path, "vocabulary file")
         pieces = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -76,7 +76,6 @@ class VocabCounter(TokenCounter):
         self._starts = frozenset(p for p in pieces if not p.startswith("##"))
         self._continuations = frozenset(p[2:] for p in pieces if p.startswith("##"))
         self._max_piece = max(len(p) for p in self._starts | self._continuations)
-        self.lowercase = lowercase
         self.name = f"vocab:{path.name}"
 
     def _word_tokens(self, word: str) -> int:
@@ -95,18 +94,7 @@ class VocabCounter(TokenCounter):
         return n
 
     def count(self, text: str) -> int:
-        if self.lowercase:
-            text = text.lower()
-        return sum(self._word_tokens(w) for w in text.split())
-
-
-def make_counter(kind: str) -> TokenCounter:
-    """Build a counter from a config string: ``whitespace`` or ``vocab:<path>``."""
-    if kind == "whitespace":
-        return WhitespaceCounter()
-    if kind.startswith("vocab:"):
-        return VocabCounter(kind.split(":", 1)[1])
-    raise ValidationError(f"unknown token counter {kind!r}; use 'whitespace' or 'vocab:<path>'")
+        return sum(self._word_tokens(w) for w in text.lower().split())
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +159,7 @@ class Document:
     def unit_token_counts(self, counter: TokenCounter) -> list[int]:
         """Per-unit token counts of the formatted premise lines, cached per
         counter object: names do not tell counters apart (two vocabularies
-        with one file name, or one read with ``lowercase=False``)."""
+        with one file name)."""
         cached = self._token_cache.get(counter)
         if cached is None:
             cached = [counter.count(line) for line in self._unit_lines]

@@ -37,7 +37,7 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _as_label_array(labels, name: str = "labels") -> np.ndarray:
+def _as_label_array(labels) -> np.ndarray:
     """A one-dimensional boolean array. One C pass checks the shape and reads
     each element by its truthiness, as ``bool(v)`` does."""
     try:
@@ -45,7 +45,7 @@ def _as_label_array(labels, name: str = "labels") -> np.ndarray:
     except ValueError:  # ragged nesting, such as [[1], []]
         y = None
     if y is None or y.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional")
+        raise ValidationError("labels must be one-dimensional")
     return y
 
 
@@ -219,33 +219,15 @@ def _macro_f1(tp, fp, fn, tn):
     return (_f1(tp, fp, fn) + _f1(tn, fn, fp)) / 2.0
 
 
-def macro_f1(predictions, labels) -> float:
-    """Unweighted mean of the per-class F1 scores."""
-    pred = _as_label_array(predictions, "predictions")
-    y = _as_label_array(labels)
-    if len(pred) != len(y):
-        raise ValidationError(f"length mismatch: {len(pred)} vs {len(y)}")
-    tp = (pred & y).sum()
-    fp = (pred & ~y).sum()
-    fn = (~pred & y).sum()
-    tn = (~pred & ~y).sum()
-    return float(_macro_f1(tp, fp, fn, tn))
-
-
 def _thresholds(x: _Ranked) -> np.ndarray:
-    """``candidate_thresholds`` of ranked float64 scores, as an array."""
+    """Candidate F1 thresholds of ranked float64 scores: the midpoints between
+    adjacent sorted unique scores, plus sentinels 0.5 below and above them."""
     # Which of two equal zeros is kept cannot show: z - 0.5, z + 0.5 and
     # (z + b) / 2 for b != 0 are the same for z = +0.0 and z = -0.0.
     uniq = x.ordered[np.cumsum(x.counts) - x.counts]
     with np.errstate(over="ignore"):  # a midpoint of two huge scores is inf, as in floats
         mids = (uniq[:-1] + uniq[1:]) / 2.0
     return np.concatenate(([uniq[0] - 0.5], mids, [uniq[-1] + 0.5]))
-
-
-def candidate_thresholds(scores) -> list[float]:
-    """Midpoints between adjacent sorted unique scores, plus sentinels below
-    the minimum and above the maximum."""
-    return _thresholds(_ranks(np.asarray(scores, dtype=np.float64))).tolist()
 
 
 def f1_macro_optimal(scores, labels) -> tuple[float, float]:

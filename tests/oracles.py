@@ -1,8 +1,8 @@
 """Independent naive-formula oracles for the metrics module; reference
 versions of the rank-metric kernels, the inversion count, the calibration
-bins, the threshold candidates, the chunk packer, the retrieval splitters,
-the corpus loader, and claim-by-claim greedy and exhaustive retrieval; and a
-replay check for retrieval traces.
+bins, the candidate F1 thresholds (``metrics._thresholds``), the chunk
+packer, the retrieval splitters, the corpus loader, and claim-by-claim
+greedy and exhaustive retrieval; and a replay check for retrieval traces.
 
 The oracles are pure-python, loop-based, written directly from the defining
 formulas so they share no code path with the implementations they check.
@@ -149,7 +149,8 @@ def kendall_tau_reference(x, y) -> float:
 
 
 def candidate_thresholds_reference(scores) -> list[float]:
-    """Midpoints over a Python set of the scores, sorted, plus the sentinels."""
+    """``metrics._thresholds``: midpoints over a Python set of the scores,
+    sorted, plus the sentinels."""
     uniq = sorted(set(float(v) for v in scores))
     cands = [uniq[0] - 0.5]
     cands.extend((a + b) / 2.0 for a, b in zip(uniq, uniq[1:]))

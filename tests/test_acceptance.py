@@ -276,7 +276,8 @@ def test_criterion_09_end_to_end_reproducibility(tmp_path):
             "--out", str(tmp_path / "bench.json"),
         ])
         assert code == 0
-        rows = list(csv.reader(bench_csv.open()))
+        with bench_csv.open() as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["budget", "roc_auc", "wall_clock_s", "scorer_calls"]
         assert [int(r[0]) for r in rows[1:]] == [64, 128, 512]
         calls = [int(r[3]) for r in rows[1:]]

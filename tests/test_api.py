@@ -20,8 +20,11 @@ DELETED = [
     ("corpus", "Document.granularity"),
     ("corpus", "write_documents_jsonl"),
     ("corpus", "write_claims_jsonl"),
+    ("corpus", "make_counter"),
     ("engine", "classify"),
     ("engine", "SentenceScore.elapsed_ms"),
+    ("metrics", "macro_f1"),
+    ("metrics", "candidate_thresholds"),
     ("retrieval", "verify_trace"),
     ("retrieval", "_score_ranges"),
     ("retrieval", "brute_force_all"),

@@ -251,7 +251,8 @@ def test_calibrate_sweep(fixture_dir, tmp_path, monkeypatch):
     ])
     assert code == 0
     cli_calls = len(backend_calls)
-    rows = list(csv.reader(sweep_csv.open()))
+    with sweep_csv.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["budget", "ece", "scorer_calls"]
     assert len(rows) == 3
     report = _load_report(out)
@@ -284,7 +285,8 @@ def test_calibrate_sweep(fixture_dir, tmp_path, monkeypatch):
         probs.append(score_sentence(plan, claim, backend).score)
         labels.append(bool(claim.gold_label))
     points = calibration_curve(probs, labels, bins=cfg.ece_bins)
-    curve_rows = list(csv.reader(curve_csv.open()))
+    with curve_csv.open() as f:
+        curve_rows = list(csv.reader(f))
     assert curve_rows[0] == ["x", "y", "bin_size"]
     assert curve_rows[1:] == [[str(p.mean_prob), str(p.frac_positive), str(p.size)]
                               for p in points]
@@ -298,7 +300,8 @@ def test_bench_sweep_csv_and_monotone_calls(fixture_dir, tmp_path):
         "--csv", bench_csv, "--out", out,
     ])
     assert code == 0
-    rows = list(csv.reader(bench_csv.open()))
+    with bench_csv.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["budget", "roc_auc", "wall_clock_s", "scorer_calls"]
     assert len(rows) == 4
     calls = [int(r[3]) for r in rows[1:]]
@@ -356,6 +359,40 @@ def test_calibrate_accepts_single_class_labels(fixture_dir, tmp_path):
                  "--claims", claims, "--budgets", "16,64", "--out", out])
     assert code == 0
     assert [e["budget"] for e in _load_report(out)["results"]["sweep"]] == [16, 64]
+
+
+def test_calibrate_uses_the_decision_threshold(fixture_dir, tmp_path):
+    out = tmp_path / "report.json"
+    code = _run(["calibrate", *_fixture_args(fixture_dir), "--budgets", "64,512",
+                 "--decision-threshold", "0.3", "--out", out])
+    assert code == 0
+    corpus = load_corpus(fixture_dir / "documents.jsonl", fixture_dir / "claims.jsonl")
+    from chunkcheck.engine import score_sentence
+
+    labels = [bool(claim.gold_label) for claim in corpus.claims]
+    for entry in _load_report(out)["results"]["sweep"]:
+        assert entry["calibration"]["decision_threshold"] == 0.3
+        probs = [
+            score_sentence(make_chunks(corpus.document(claim.doc_id), entry["budget"],
+                                       WhitespaceCounter()), claim, LexicalOverlapBackend()).score
+            for claim in corpus.claims
+        ]
+        want = ece_op(probs, labels, decision_threshold=0.3)
+        assert entry["ece"] == want.ece
+        assert entry["calibration"] == json.loads(json.dumps(want.to_dict()))
+
+
+def test_decision_threshold_outside_the_unit_interval_exits_one_before_scoring(
+        fixture_dir, monkeypatch, capsys):
+    backend_calls = []
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
+                        lambda self, premise, hypothesis: backend_calls.append(premise))
+    code = _run(["calibrate", *_fixture_args(fixture_dir), "--budgets", "64",
+                 "--decision-threshold", "1.5"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation", "message": "decision_threshold 1.5 outside [0, 1]"}
+    assert backend_calls == []
 
 
 # ---------------------------------------------------------------------------

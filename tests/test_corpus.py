@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chunkcheck.config import RunConfig, build_counter
 from chunkcheck.corpus import (
     Claim,
     Corpus,
@@ -16,7 +17,6 @@ from chunkcheck.corpus import (
     document_from_record,
     document_to_record,
     load_corpus,
-    make_counter,
     read_claims_jsonl,
 )
 from chunkcheck.errors import CorpusError, ValidationError
@@ -463,18 +463,15 @@ def test_token_count_caches_keep_counters_apart(tmp_path):
     doc = Document(id="d", units=units)
     v1 = VocabCounter(tmp_path / "v1" / "vocab.txt")
     v2 = VocabCounter(tmp_path / "v2" / "vocab.txt")
-    v1_cased = VocabCounter(tmp_path / "v1" / "vocab.txt", lowercase=False)
-    assert v1.name == v2.name == v1_cased.name
+    assert v1.name == v2.name
     assert doc.unit_token_counts(v1) == [4, 4]
     assert doc.unit_token_counts(v2) == [2, 2]
-    assert doc.unit_token_counts(v1_cased) == [4, 2]
     assert doc._token_prefix_sums(v2) == [0, 2, 4]
-    assert doc._token_prefix_sums(v1_cased) == [0, 4, 6]
 
 
-def test_make_counter(data_dir):
-    assert make_counter("whitespace").name == "whitespace"
-    vc = make_counter(f"vocab:{data_dir / 'vocab' / 'mini_vocab.txt'}")
+def test_build_counter(data_dir):
+    assert build_counter(RunConfig(counter="whitespace")).name == "whitespace"
+    vc = build_counter(RunConfig(counter=f"vocab:{data_dir / 'vocab' / 'mini_vocab.txt'}"))
     assert vc.name == "vocab:mini_vocab.txt"
     with pytest.raises(ValidationError):
-        make_counter("bpe")
+        build_counter(RunConfig(counter="bpe"))

@@ -12,14 +12,14 @@ from chunkcheck.errors import ValidationError
 from chunkcheck.metrics import (
     EvalReport,
     _inversions,
+    _macro_f1,
     _ranks,
+    _thresholds,
     calibration_curve,
-    candidate_thresholds,
     ece,
     evaluate_scores,
     f1_macro_optimal,
     kendall_tau,
-    macro_f1,
     pearson,
     retrieval_recall,
     roc_auc,
@@ -173,8 +173,12 @@ def test_f1_threshold_is_lowest_attaining_max():
     assert threshold == pytest.approx(0.2 - 0.5)
 
 
+def _candidate_thresholds(scores) -> list[float]:
+    return _thresholds(_ranks(np.asarray(scores, dtype=np.float64))).tolist()
+
+
 def test_candidate_thresholds_cover_all_cuts():
-    cands = candidate_thresholds([0.2, 0.6, 0.9])
+    cands = _candidate_thresholds([0.2, 0.6, 0.9])
     assert cands == [pytest.approx(-0.3), pytest.approx(0.4), pytest.approx(0.75),
                      pytest.approx(1.4)]
 
@@ -190,7 +194,7 @@ _finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled
 ))
 @settings(max_examples=500, deadline=None)
 def test_candidate_thresholds_equal_the_set_based_reference(scores):
-    got = candidate_thresholds(scores)
+    got = _candidate_thresholds(scores)
     want = candidate_thresholds_reference(scores)
     assert all(type(v) is float for v in got)
     assert [v.hex() for v in got] == [v.hex() for v in want]  # signed zeros included
@@ -306,7 +310,7 @@ def test_metrics_match_naive_oracles_on_random_instances():
         f1, threshold = f1_macro_optimal(scores, labels)
         assert f1 == pytest.approx(best_macro_f1_by_cuts(scores, labels), abs=1e-9)
         preds = [s >= threshold for s in scores]
-        assert macro_f1(preds, labels) == pytest.approx(f1, abs=1e-9)
+        assert macro_f1_naive(preds, labels) == pytest.approx(f1, abs=1e-9)
 
         bins = rng.choice([1, 2, 5, 10])
         report = ece(scores, labels, bins=bins)
@@ -329,7 +333,9 @@ def test_macro_f1_against_naive():
         n = rng.randint(1, 30)
         preds = [rng.random() < 0.5 for _ in range(n)]
         labels = [rng.random() < 0.5 for _ in range(n)]
-        assert macro_f1(preds, labels) == pytest.approx(
+        pred, y = np.array(preds), np.array(labels)
+        counts = (pred & y).sum(), (pred & ~y).sum(), (~pred & y).sum(), (~pred & ~y).sum()
+        assert float(_macro_f1(*counts)) == pytest.approx(
             macro_f1_naive(preds, labels), abs=1e-12
         )
 
@@ -470,7 +476,7 @@ def test_f1_threshold_when_a_midpoint_rounds_onto_a_score():
     # the candidate between a and b is a score itself, so `s >= t` takes in
     # every score equal to it; the reported F1 is that of those predictions
     f1, threshold = f1_macro_optimal(scores, labels)
-    assert macro_f1([s >= threshold for s in scores], labels) == f1
+    assert macro_f1_naive([s >= threshold for s in scores], labels) == f1
 
 
 def test_rank_metrics_at_1e5_claims_stay_small_and_agree_with_oracles():
@@ -502,7 +508,7 @@ def test_rank_metrics_at_1e5_claims_stay_small_and_agree_with_oracles():
     assert tau == pytest.approx(
         n_pos * n_neg * (2 * auc - 1) / math.sqrt(untied_x * n_pos * n_neg), abs=1e-9
     )
-    assert macro_f1(scores >= threshold, labels) == f1
+    assert macro_f1_naive((scores >= threshold).tolist(), labels.tolist()) == f1
 
     for _ in range(3):
         pick = rng.choice(n, size=300, replace=False)
@@ -582,8 +588,6 @@ def test_label_elements_are_read_by_truthiness():
     for labels in ([0, 1], [0.0, 2.5], [None, "x"], ["", "0"], np.array([0, 7]),
                    np.array([-0.0, np.nan]), np.array([None, 1], dtype=object)):
         assert _auc_of_labels(labels) == 1.0, labels
-    with pytest.raises(ValidationError, match="predictions must be one-dimensional"):
-        macro_f1([[True]], [True])
 
 
 # ---------------------------------------------------------------------------

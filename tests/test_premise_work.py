@@ -39,7 +39,6 @@ from oracles import check_pairs_reference, split_range_reference, split_under_ca
 WC = WhitespaceCounter()
 _VOCAB = Path(__file__).parents[1] / "data" / "vocab" / "mini_vocab.txt"
 MINI_VOCAB = VocabCounter(_VOCAB)
-MINI_VOCAB_CASED = VocabCounter(_VOCAB, lowercase=False)
 
 # Zero-token units included; sizes up to 40 against caps from 1 put single
 # units over the cap and caps below the largest unit.
@@ -217,7 +216,7 @@ _unit = st.tuples(
 
 
 @given(st.lists(_unit, min_size=1, max_size=12),
-       st.sampled_from([WC, MINI_VOCAB, MINI_VOCAB_CASED]), st.data())
+       st.sampled_from([WC, MINI_VOCAB]), st.data())
 @settings(max_examples=300, deadline=None)
 def test_shipped_counters_count_a_premise_as_its_unit_sum(units, counter, data):
     """The cap check reads P[b] - P[a] from the prefix sums instead of
