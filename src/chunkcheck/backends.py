@@ -86,7 +86,7 @@ class UnitRelevanceBackend(ScorerBackend):
         text = read_text_file(Path(path), "relevance file")
         try:
             scores_by_doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"relevance file {path} is not valid JSON: {exc}") from exc
         if not isinstance(scores_by_doc, dict):
             raise ValidationError(

@@ -122,11 +122,11 @@ def _score_corpus(corpus, config, counter, backend, budget, explain=False):
     sentence scores in claim order)."""
     text_scores = [
         score_text(
-            corpus.document(text.doc_id), text, budget, backend, counter,
+            corpus.document(doc_id), claims, budget, backend, counter,
             aggregation=config.aggregation, max_workers=config.concurrency,
             explain=explain, cap=config.premise_cap,
         )
-        for text in corpus.grouped_texts()
+        for doc_id, claims in corpus.grouped_texts().items()
     ]
     by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentence_scores}
     return text_scores, [by_claim[c.id] for c in corpus.claims]

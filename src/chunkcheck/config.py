@@ -5,8 +5,8 @@ file, environment variables, and command-line flags (highest wins).
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -24,6 +24,8 @@ BACKENDS = ("overlap", "remote", "unit-relevance")
 MAX_CONCURRENCY = 256
 # ece allocates arrays of this many bins, so a mistyped huge count fails here, before scoring.
 MAX_ECE_BINS = 10_000
+# The bound of a finite float; an int over it fails the finite checks as inf does.
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -67,11 +69,11 @@ class RunConfig:
             )
         if self.premise_cap is not None and self.premise_cap < 1:
             raise ValidationError(f"premise_cap must be >= 1, got {self.premise_cap}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
+        if not (0 < self.timeout <= FLOAT_MAX):
             raise ValidationError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.retries < 0:
             raise ValidationError(f"retries must be >= 0, got {self.retries}")
-        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+        if not (0 <= self.backoff <= FLOAT_MAX):
             raise ValidationError(f"backoff must be finite and >= 0, got {self.backoff}")
 
     def to_dict(self) -> dict:
@@ -107,7 +109,7 @@ def resolve_config(config_path: str | None = None, overrides: dict | None = None
             raise ValidationError(f"config file not found: {path}")
         try:
             loaded = json.loads(read_text_file(path, "config file"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also an int over the digit limit
             raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValidationError(f"config file {path} must hold a JSON object")

@@ -203,23 +203,6 @@ class Claim:
 
 
 @dataclass
-class GeneratedText:
-    """An ordered group of claims produced for one document."""
-
-    doc_id: str
-    sentences: list[Claim]
-
-    def validate(self) -> None:
-        if not self.sentences:
-            raise ValidationError(f"generated text for {self.doc_id!r} has no sentences")
-        for c in self.sentences:
-            if c.doc_id != self.doc_id:
-                raise ValidationError(
-                    f"claim {c.id!r} targets {c.doc_id!r}, not {self.doc_id!r}"
-                )
-
-
-@dataclass
 class Corpus:
     documents: list[Document]
     claims: list[Claim]
@@ -252,12 +235,12 @@ class Corpus:
             raise ValidationError(f"no document with id {doc_id!r}")
         return doc
 
-    def grouped_texts(self) -> list[GeneratedText]:
-        """Claims grouped per document, in file order."""
+    def grouped_texts(self) -> dict[str, list[Claim]]:
+        """{doc_id: its claims}, documents and claims in file order."""
         groups: dict[str, list[Claim]] = {}
         for claim in self.claims:
             groups.setdefault(claim.doc_id, []).append(claim)
-        return [GeneratedText(doc_id, claims) for doc_id, claims in groups.items()]
+        return groups
 
     def content_hash(self) -> str:
         """sha256 over the canonical serialized corpus; stable across runs."""
@@ -378,9 +361,11 @@ def _read_jsonl(path: str | Path, build, required: frozenset[str]):
                     rec, end = _raw_decode(text)
                     if end != len(text):
                         raise json.JSONDecodeError("Extra data", text, end)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     # json.loads rejects a leading byte-order mark before decoding.
-                    msg = _BOM_MSG if line.startswith("\ufeff") else exc.msg
+                    # Only a JSONDecodeError has a msg: the others are nesting
+                    # too deep and an integer over the digit limit.
+                    msg = _BOM_MSG if line.startswith("\ufeff") else getattr(exc, "msg", str(exc))
                     raise CorpusError(
                         f"invalid JSON ({msg})", path=str(path), line=lineno
                     ) from exc

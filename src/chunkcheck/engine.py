@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chunking import Chunk, ChunkPlan, make_chunks
-from .corpus import Claim, Document, GeneratedText, TokenCounter
+from .corpus import Claim, Document, TokenCounter
 from .errors import ScoringError, ValidationError
 from .scoring import BatchFailure, ScorerBackend, check_cap, first_max, score_batch
 
@@ -138,7 +138,7 @@ def aggregate_scores(values: list[float], aggregation: str) -> float:
 
 def score_text(
     doc: Document,
-    text: GeneratedText,
+    claims: list[Claim],
     budget: int,
     backend: ScorerBackend,
     counter: TokenCounter,
@@ -147,18 +147,18 @@ def score_text(
     explain: bool = False,
     cap: int | None = None,
 ) -> TextScore:
-    """Score every sentence of a generated text, as one batch, and aggregate.
+    """Score one document's claims, the sentences of its generated text, as
+    one batch, and aggregate.
 
     A chunk over ``cap`` tokens, counted with ``counter`` like the budget,
     raises PremiseTooLargeError before any pair is scored. On failure,
     raises the ScoringError that ``score_sentence`` would raise for the
     first failing sentence.
     """
-    if text.doc_id != doc.id:
-        raise ValidationError(f"text targets {text.doc_id!r}, document is {doc.id!r}")
-    text.validate()
+    if not claims:
+        raise ValidationError(f"no claims to score for document {doc.id!r}")
     plan = make_chunks(doc, budget, counter)
-    sentence_scores = _score_claims(plan, text.sentences, backend, max_workers, explain, cap)
+    sentence_scores = _score_claims(plan, claims, backend, max_workers, explain, cap)
     agg = aggregate_scores([s.score for s in sentence_scores], aggregation)
     return TextScore(
         doc_id=doc.id,

@@ -1,4 +1,4 @@
-"""The package's public names: every export resolves, and deleted API stays gone."""
+"""Deleted API stays gone, from its defining module and from the package."""
 
 import importlib
 
@@ -7,7 +7,7 @@ import pytest
 import chunkcheck
 
 # (defining module, name) of API that was deleted because nothing outside
-# the tests called it; a "Class.attr" name is looked up on the class.
+# the tests needed it; a "Class.attr" name is looked up on the class.
 DELETED = [
     ("corpus", "split_sentences"),
     ("corpus", "text_to_claims"),
@@ -21,6 +21,7 @@ DELETED = [
     ("corpus", "write_documents_jsonl"),
     ("corpus", "write_claims_jsonl"),
     ("corpus", "make_counter"),
+    ("corpus", "GeneratedText"),
     ("engine", "classify"),
     ("engine", "SentenceScore.elapsed_ms"),
     ("metrics", "macro_f1"),
@@ -34,12 +35,6 @@ DELETED = [
 ]
 
 
-def test_every_export_resolves_once():
-    assert len(chunkcheck.__all__) == len(set(chunkcheck.__all__))
-    for name in chunkcheck.__all__:
-        assert hasattr(chunkcheck, name), name
-
-
 @pytest.mark.parametrize(("module", "name"), DELETED)
 def test_deleted_api_is_gone(module, name):
     owner = importlib.import_module(f"chunkcheck.{module}")
@@ -48,4 +43,3 @@ def test_deleted_api_is_gone(module, name):
         owner = getattr(owner, cls)
     assert not hasattr(owner, attr)
     assert not hasattr(chunkcheck, attr)
-    assert attr not in chunkcheck.__all__

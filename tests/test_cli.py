@@ -503,6 +503,50 @@ def test_non_finite_config_value_exits_one(fixture_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["timeout", "backoff"])
+def test_integer_too_large_for_a_float_exits_one(fixture_dir, tmp_path, capsys, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"{key}": 1{"0" * 400}}}')
+    out = tmp_path / "r.json"
+    assert _run(["score", *_fixture_args(fixture_dir), "--config", cfg_path, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert f"{key} must be finite" in err["message"]
+    assert not out.exists()
+
+
+def test_integer_over_the_digit_limit_exits_one(fixture_dir, tmp_path, capsys):
+    # Where Python limits int-to-str digits, json rejects this number; elsewhere
+    # the finite check does.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"timeout": 1{"0" * 5000}}}')
+    out = tmp_path / "r.json"
+    assert _run(["score", *_fixture_args(fixture_dir), "--config", cfg_path, "--out", out]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--documents", "--claims", "--config", "--relevance-file"])
+def test_deeply_nested_json_exits_one_before_scoring(fixture_dir, tmp_path, monkeypatch, capsys,
+                                                     flag):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "\n")
+    backend_calls = []
+    monkeypatch.setattr(UnitRelevanceBackend, "evaluate",
+                        lambda self, premise, hypothesis: backend_calls.append(premise))
+    files = {"--documents": fixture_dir / "documents.jsonl",
+             "--claims": fixture_dir / "claims.jsonl",
+             "--relevance-file": fixture_dir / "relevance.json", flag: deep}
+    code = _run(["retrieve", *[a for pair in files.items() for a in pair],
+                 "--backend", "unit-relevance", "--out", tmp_path / "r.json"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    where = f"{deep}:1: invalid JSON" if flag in ("--documents", "--claims") else str(deep)
+    assert where in err["message"]
+    assert backend_calls == []
+
+
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_report_masks_auth_header_value(fixture_dir, tmp_path, monkeypatch, source):
     header = "Authorization: Bearer sk-secret"
@@ -841,6 +885,18 @@ def test_only_a_remote_backend_loads_the_http_stack(fixture_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['requests', 'urllib3']"]
+
+
+def test_importing_the_package_loads_no_heavy_module():
+    """``import chunkcheck`` loads neither numpy, the HTTP stack nor the
+    metrics module. A subprocess, since this one has imported them already."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, chunkcheck; print(sorted(m for m in "
+             "('numpy', 'requests', 'chunkcheck.metrics') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 def test_python_dash_m_runs_the_cli(fixture_dir, tmp_path):

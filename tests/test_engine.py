@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chunkcheck.chunking import make_chunks, premise_text
-from chunkcheck.corpus import Claim, Document, GeneratedText, Unit, WhitespaceCounter
+from chunkcheck.corpus import Claim, Document, Unit, WhitespaceCounter
 from chunkcheck.engine import aggregate_scores, score_sentence, score_text
 from chunkcheck.errors import ScoringError, ValidationError
 from chunkcheck.scoring import score_pair
@@ -111,10 +111,7 @@ def test_chunk_failure_fails_sentence_with_partials():
 
 
 def _text(doc_id, texts):
-    return GeneratedText(
-        doc_id=doc_id,
-        sentences=[Claim(id=f"s{i}", doc_id=doc_id, text=t) for i, t in enumerate(texts)],
-    )
+    return [Claim(id=f"s{i}", doc_id=doc_id, text=t) for i, t in enumerate(texts)]
 
 
 def test_single_sentence_text_equal_under_both_aggregations(overlap_backend):
@@ -204,6 +201,11 @@ def test_text_doc_mismatch(overlap_backend):
     doc = make_doc("d", 2)
     with pytest.raises(ValidationError):
         score_text(doc, _text("other", ["x"]), 10, overlap_backend, WC)
+
+
+def test_text_without_claims_is_rejected(overlap_backend):
+    with pytest.raises(ValidationError, match="no claims to score for document 'd'"):
+        score_text(make_doc("d", 2), [], 10, overlap_backend, WC)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from chunkcheck.cli import main
 from chunkcheck.corpus import (
     Claim,
     Document,
-    GeneratedText,
     Unit,
     VocabCounter,
     WhitespaceCounter,
@@ -182,10 +181,9 @@ def test_cap_checks_raise_the_pairwise_first_error(unit_texts, claim_texts, budg
     reference raises on the pairs of the batch that fails, or nothing."""
     doc = Document(id="d", units=[Unit(index=i, text=t) for i, t in enumerate(unit_texts)])
     claims = [Claim(id=f"c{i}", doc_id="d", text=t) for i, t in enumerate(claim_texts)]
-    text = GeneratedText(doc_id="d", sentences=claims)
     backend = LexicalOverlapBackend()
     runs = [
-        (engine, lambda: score_text(doc, text, budget, backend, WC, cap=cap)),
+        (engine, lambda: score_text(doc, claims, budget, backend, WC, cap=cap)),
         (retrieval, lambda: retrieve(doc, claims[0], backend, budget=cap, counter=WC)),
         (retrieval, lambda: brute_force_retrieve(doc, claims[0], backend, budget=cap, counter=WC)),
     ]
@@ -244,8 +242,7 @@ def test_capped_runs_count_unit_lines_only(monkeypatch):
 
     monkeypatch.setattr(WhitespaceCounter, "count", counting)
     counter, backend = WhitespaceCounter(), LexicalOverlapBackend()
-    text = GeneratedText(doc_id="d", sentences=[claim])
-    assert score_text(doc, text, 512, backend, counter, cap=512).aggregate > 0
+    assert score_text(doc, [claim], 512, backend, counter, cap=512).aggregate > 0
     assert retrieve(doc, claim, backend, budget=512, counter=counter).result_unit == 417
     assert brute_force_retrieve(doc, claim, backend, budget=512, counter=counter).unit == 417
     assert counted == Counter(doc._unit_lines)  # once per unit line, never a premise

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chunkcheck.backends import UnitRelevanceBackend
 from chunkcheck.chunking import premise_text
-from chunkcheck.corpus import Claim, Document, GeneratedText, Unit, WhitespaceCounter
+from chunkcheck.corpus import Claim, Document, Unit, WhitespaceCounter
 from chunkcheck.engine import score_text
 from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.scoring import (
@@ -148,8 +148,7 @@ def _capped_doc():
 
 
 def _text(*sentences):
-    claims = [Claim(id=f"c{i}", doc_id="d", text=t) for i, t in enumerate(sentences)]
-    return GeneratedText(doc_id="d", sentences=claims)
+    return [Claim(id=f"c{i}", doc_id="d", text=t) for i, t in enumerate(sentences)]
 
 
 def test_score_text_rejects_oversized_chunk():

@@ -1,11 +1,10 @@
 """No module of the package imports a name it never uses.
 
 A stdlib stand-in for a linter's unused-import rule (F401): each module under
-``src/chunkcheck`` except ``__init__.py``, whose imports are its exports, is
-parsed with ``ast``, and every name an import binds must be read somewhere in
-the module as a plain name (``json`` in ``json.dumps`` counts). ``from
-__future__`` imports, and import statements whose first line carries
-``# noqa: F401``, are skipped, as a linter would skip them.
+``src/chunkcheck`` is parsed with ``ast``, and every name an import binds must
+be read somewhere in the module as a plain name (``json`` in ``json.dumps``
+counts). ``from __future__`` imports, and import statements whose first line
+carries ``# noqa: F401``, are skipped, as a linter would skip them.
 """
 
 import ast
@@ -14,7 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "chunkcheck"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[tuple[int, str]]:
