@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import ceil
+from typing import NamedTuple
 
 from .corpus import Document, TokenCounter
 from .errors import ValidationError
@@ -27,8 +28,7 @@ def premise_text(doc: Document, start: int, end: int) -> str:
     return UNIT_SEPARATOR.join(doc._unit_lines[start:end])
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     doc_id: str
     start: int
     end: int  # half-open: units [start, end)

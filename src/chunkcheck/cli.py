@@ -22,9 +22,9 @@ from pathlib import Path
 
 from . import __version__
 from .chunking import make_chunks
-# ``build_cache``, ``retrieve`` and ``brute_force_retrieve`` are not called here;
-# they stay importable from ``cli`` only because perfbench/spans.py wraps them
-# and perfbench's run.py and layers.py call them.
+# ``build_cache``, ``score_text``, ``retrieve`` and ``brute_force_retrieve`` are
+# not called here; they stay importable from ``cli`` only because
+# perfbench/spans.py wraps them and perfbench's run.py and layers.py call them.
 from .config import (  # noqa: F401
     BACKENDS,
     RunConfig,
@@ -34,7 +34,8 @@ from .config import (  # noqa: F401
     resolve_config,
 )
 from .corpus import Corpus, load_corpus
-from .engine import AGGREGATIONS, score_text
+from .engine import score_text  # noqa: F401
+from .engine import AGGREGATIONS, score_texts
 from .errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from .metrics import calibration_curve, ece, evaluate_scores, retrieval_recall, roc_auc
 from .retrieval import (  # noqa: F401
@@ -71,12 +72,20 @@ def _common_flags() -> argparse.ArgumentParser:
 
 
 def _setup(args: argparse.Namespace):
-    """Config, corpus, counter and backend: the set-up every subcommand shares."""
+    """Config, corpus, counter, backend and the corpus hash: the set-up every
+    subcommand shares, done before any scorer call."""
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     config = resolve_config(args.config, overrides)
     corpus = load_corpus(args.documents, args.claims)
     counter = build_counter(config)
-    return config, corpus, counter, build_backend(config, corpus)
+    backend = build_backend(config, corpus)
+    try:
+        corpus_hash = corpus.content_hash()
+    except RecursionError as exc:  # an unknown field nested too deeply to encode
+        raise ValidationError(
+            f"corpus ({args.documents}, {args.claims}) is nested too deeply to hash: {exc}"
+        ) from exc
+    return config, corpus, counter, backend, corpus_hash
 
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
@@ -106,28 +115,25 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _report(command: str, config: RunConfig, corpus: Corpus, results: dict, meta: dict) -> dict:
+def _report(command: str, config: RunConfig, corpus_hash: str, results: dict, meta: dict) -> dict:
     return {
         "version": __version__,
         "command": command,
         "config": config.to_dict(),
-        "corpus_hash": corpus.content_hash(),
+        "corpus_hash": corpus_hash,
         "results": results,
         "meta": {**meta, "created_at": datetime.now(timezone.utc).isoformat()},
     }
 
 
 def _score_corpus(corpus, config, counter, backend, budget, explain=False):
-    """Score every claim at ``budget`` under the premise cap: (text scores,
-    sentence scores in claim order)."""
-    text_scores = [
-        score_text(
-            corpus.document(doc_id), claims, budget, backend, counter,
-            aggregation=config.aggregation, max_workers=config.concurrency,
-            explain=explain, cap=config.premise_cap,
-        )
-        for doc_id, claims in corpus.grouped_texts().items()
-    ]
+    """Score every claim at ``budget`` under the premise cap, every text in
+    one batch: (text scores, sentence scores in claim order)."""
+    texts = [(corpus.document(d), claims) for d, claims in corpus.grouped_texts().items()]
+    text_scores = score_texts(
+        texts, budget, backend, counter, aggregation=config.aggregation,
+        max_workers=config.concurrency, explain=explain, cap=config.premise_cap,
+    )
     by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentence_scores}
     return text_scores, [by_claim[c.id] for c in corpus.claims]
 
@@ -374,11 +380,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         _check_output_dirs(args)
-        config, corpus, counter, backend = _setup(args)
+        config, corpus, counter, backend, corpus_hash = _setup(args)
         t0 = time.perf_counter()
         results, meta = args.func(args, config, corpus, counter, backend)
         meta["wall_clock_s"] = time.perf_counter() - t0
-        _emit(_report(args.command, config, corpus, results, meta), args.out)
+        _emit(_report(args.command, config, corpus_hash, results, meta), args.out)
         return 0
     except (BackendError,) as exc:
         _error_report("backend", str(exc))

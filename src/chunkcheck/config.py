@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend
@@ -78,7 +78,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """The config as reports embed it, with the auth header's value masked."""
-        out = asdict(self)
+        out = dict(vars(self))  # not ``asdict``, which deep-copies every value
         if self.auth_header is not None:
             name, sep, _ = self.auth_header.partition(":")
             out["auth_header"] = f"{name.strip()}: ***" if sep else "***"

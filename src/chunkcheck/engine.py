@@ -57,59 +57,60 @@ class TextScore:
         }
 
 
-def _score_claims(
-    plan: ChunkPlan,
-    claims: list[Claim],
-    backend: ScorerBackend,
-    max_workers: int,
-    explain: bool,
-    cap: int | None = None,
-) -> list[SentenceScore]:
-    """Score every claim against every chunk of the plan in one batch.
-
-    A failure raises the ScoringError of the first failing claim in order,
-    with ``partial`` and ``failures`` indexed by chunk within that claim;
-    the other claims' pairs have been scored by then.
-    """
+def _pairs(plan: ChunkPlan, claims: list[Claim]) -> list[tuple[str, str]]:
+    """Every (chunk, claim) pair of the claims against the plan, claim by claim."""
     for claim in claims:
         if plan.doc_id != claim.doc_id:
             raise ValidationError(
                 f"chunk plan is for {plan.doc_id!r} but claim {claim.id!r} "
                 f"targets {claim.doc_id!r}"
             )
-    n = len(plan.chunks)
-    pairs = [(chunk.text, claim.text) for claim in claims for chunk in plan.chunks]
-    check_cap(backend, pairs, (chunk.token_count for chunk in plan.chunks), cap)
-    batch = score_batch(backend, pairs, max_workers=max_workers)
-    if not batch.ok:
-        i = batch.failures[0].index // n
-        claim, lo, hi = claims[i], i * n, (i + 1) * n
-        failures = [
-            BatchFailure(index=f.index - lo, error=f.error)
-            for f in batch.failures
-            if lo <= f.index < hi
-        ]
-        partial = list(zip(plan.chunks, batch.scores[lo:hi]))
-        raise ScoringError(
-            f"claim {claim.id!r}: {len(failures)} of {n} chunk "
-            f"scorings failed ({failures[0].error})",
-            claim_id=claim.id,
-            partial=partial,
-            failures=failures,
-        )
-    out = []
-    for i, claim in enumerate(claims):
-        probs = batch.scores[i * n : (i + 1) * n]
-        best = first_max(probs)
-        out.append(
-            SentenceScore(
-                claim_id=claim.id,
-                score=probs[best],
-                argmax_chunk=plan.chunks[best].unit_range,
-                scorer_calls=n,
-                per_chunk=list(zip(plan.chunks, probs)) if explain else None,
+    return [(chunk.text, claim.text) for claim in claims for chunk in plan.chunks]
+
+
+def _score_claims(items, pairs, ends, backend, max_workers, explain):
+    """Score every (plan, claims) item in one batch, item i's ``_pairs``
+    ending at ``ends[i]`` in ``pairs``: each item's sentence scores.
+
+    A failure raises the ScoringError of the first failing claim in order,
+    with ``partial`` and ``failures`` indexed by chunk within that claim;
+    the pairs of its item and of the items before it have been scored by
+    then, and no pair first met in a later item has been started since.
+    """
+    batch = score_batch(backend, pairs, max_workers=max_workers, ends=ends)
+    first_failure = batch.failures[0].index if batch.failures else len(pairs)
+    out, lo = [], 0
+    for plan, claims in items:
+        n = len(plan.chunks)
+        sentence_scores = []
+        for claim in claims:
+            hi = lo + n
+            probs = batch.scores[lo:hi]
+            if first_failure < hi:
+                failures = [
+                    BatchFailure(index=f.index - lo, error=f.error)
+                    for f in batch.failures
+                    if f.index < hi
+                ]
+                raise ScoringError(
+                    f"claim {claim.id!r}: {len(failures)} of {n} chunk "
+                    f"scorings failed ({failures[0].error})",
+                    claim_id=claim.id,
+                    partial=list(zip(plan.chunks, probs)),
+                    failures=failures,
+                )
+            best = first_max(probs)
+            sentence_scores.append(
+                SentenceScore(
+                    claim_id=claim.id,
+                    score=probs[best],
+                    argmax_chunk=plan.chunks[best].unit_range,
+                    scorer_calls=n,
+                    per_chunk=list(zip(plan.chunks, probs)) if explain else None,
+                )
             )
-        )
+            lo = hi
+        out.append(sentence_scores)
     return out
 
 
@@ -125,15 +126,81 @@ def score_sentence(
     Issues one scorer call per chunk (batched); any chunk failure after the
     backend's retries fails the sentence with partial results attached.
     """
-    return _score_claims(plan, [claim], backend, max_workers, explain)[0]
+    pairs = _pairs(plan, [claim])
+    scored = _score_claims([(plan, [claim])], pairs, [len(pairs)], backend, max_workers, explain)
+    return scored[0][0]
+
+
+def _check_aggregation(aggregation: str) -> None:
+    if aggregation not in AGGREGATIONS:
+        raise ValidationError(f"unknown aggregation {aggregation!r}; choose from {AGGREGATIONS}")
 
 
 def aggregate_scores(values: list[float], aggregation: str) -> float:
-    if aggregation == "min":
-        return min(values)
-    if aggregation == "mean":
-        return sum(values) / len(values)
-    raise ValidationError(f"unknown aggregation {aggregation!r}; choose from {AGGREGATIONS}")
+    _check_aggregation(aggregation)
+    return min(values) if aggregation == "min" else sum(values) / len(values)
+
+
+def score_texts(
+    texts: list[tuple[Document, list[Claim]]],
+    budget: int,
+    backend: ScorerBackend,
+    counter: TokenCounter,
+    aggregation: str = "min",
+    max_workers: int = 1,
+    explain: bool = False,
+    cap: int | None = None,
+) -> list[TextScore]:
+    """Score each text, a document and its claims (the sentences of its
+    generated text), and aggregate it. Every pair of every text goes in one
+    batch, so the ``max_workers`` threads are shared by all the texts, and a
+    pair repeated in two texts is scored once.
+
+    Errors are those of scoring one text after another. A text without
+    claims, a claim of another document or a chunk over ``cap`` tokens
+    (counted with ``counter`` like the budget: PremiseTooLargeError) raises
+    once the texts before it are scored, and no pair of it or of a later
+    text is scored. A failed pair raises the ScoringError that
+    ``score_sentence`` would raise for the first failing sentence of the
+    first failing text; once a pair has failed, no pair first met in a later
+    text is started. An unknown ``aggregation`` raises before any pair is
+    scored.
+    """
+    _check_aggregation(aggregation)
+    items, pairs, ends, error = [], [], [], None
+    try:
+        for doc, claims in texts:
+            if not claims:
+                raise ValidationError(f"no claims to score for document {doc.id!r}")
+            plan = make_chunks(doc, budget, counter)
+            text_pairs = _pairs(plan, claims)
+            check_cap(backend, text_pairs, (chunk.token_count for chunk in plan.chunks), cap)
+            items.append((plan, claims))
+            pairs += text_pairs
+            ends.append(len(pairs))
+    except ValidationError as exc:
+        error = exc
+    try:
+        scored = _score_claims(items, pairs, ends, backend, max_workers, explain)
+    except ValidationError:
+        if len(items) < 2:
+            raise
+        # A pair fails the input checks: score text by text to raise what
+        # the first such text raises.
+        for text in texts[: len(items)]:
+            score_texts([text], budget, backend, counter, aggregation, max_workers, explain, cap)
+        raise
+    if error is not None:
+        raise error
+    return [
+        TextScore(
+            doc_id=plan.doc_id,
+            sentence_scores=sentence_scores,
+            aggregate=aggregate_scores([s.score for s in sentence_scores], aggregation),
+            aggregation=aggregation,
+        )
+        for (plan, _), sentence_scores in zip(items, scored)
+    ]
 
 
 def score_text(
@@ -147,22 +214,7 @@ def score_text(
     explain: bool = False,
     cap: int | None = None,
 ) -> TextScore:
-    """Score one document's claims, the sentences of its generated text, as
-    one batch, and aggregate.
-
-    A chunk over ``cap`` tokens, counted with ``counter`` like the budget,
-    raises PremiseTooLargeError before any pair is scored. On failure,
-    raises the ScoringError that ``score_sentence`` would raise for the
-    first failing sentence.
-    """
-    if not claims:
-        raise ValidationError(f"no claims to score for document {doc.id!r}")
-    plan = make_chunks(doc, budget, counter)
-    sentence_scores = _score_claims(plan, claims, backend, max_workers, explain, cap)
-    agg = aggregate_scores([s.score for s in sentence_scores], aggregation)
-    return TextScore(
-        doc_id=doc.id,
-        sentence_scores=sentence_scores,
-        aggregate=agg,
-        aggregation=aggregation,
-    )
+    """``score_texts`` for one document's claims, scored as one batch."""
+    return score_texts(
+        [(doc, claims)], budget, backend, counter, aggregation, max_workers, explain, cap
+    )[0]

@@ -20,7 +20,7 @@ Conventions, pinned once here:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -274,8 +274,9 @@ class CalibrationReport:
     n: int
     decision_threshold: float
 
+    # Not ``asdict``, which deep-copies every value: the same dict from shallow copies.
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "bins": tuple(dict(vars(b)) for b in self.bins)}
 
 
 def _binned(probs, labels, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -373,7 +374,7 @@ class EvalReport:
     optimal_threshold: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def evaluate_scores(scores, labels) -> EvalReport:

@@ -218,9 +218,9 @@ def _split_under_cap(doc, start, end, k, counter, cap):
     ``cap`` plus its own excess over it, so fewer than
     ceil((range tokens - total excess) / cap) parts never fit.
     """
-    if cap is None:
-        return split_range(doc, start, end, k, counter)
     prefix = doc._token_prefix_sums(counter)
+    if cap is None or prefix[end] - prefix[start] <= cap:  # every part fits at k
+        return split_range(doc, start, end, k, counter)
     excess = sum(c - cap for c in doc.unit_token_counts(counter)[start:end] if c > cap)
     fit_floor = -(-(prefix[end] - prefix[start] - excess) // cap)
     kk = max(k, min(fit_floor, end - start))

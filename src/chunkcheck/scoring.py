@@ -6,9 +6,11 @@ A backend returns the entailment probability of a pair as a float.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from itertools import islice
+from threading import Lock
 
 from .errors import BackendError, PremiseTooLargeError, ValidationError
 
@@ -51,7 +53,7 @@ class ScorerBackend:
 
 def first_max(values: list[float]) -> int:
     """Index of the maximum; ties keep the lowest index."""
-    return max(range(len(values)), key=values.__getitem__)
+    return values.index(max(values))
 
 
 def _check_pairs(pairs) -> None:
@@ -81,22 +83,37 @@ def check_cap(backend: ScorerBackend, pairs, token_counts, cap: int | None) -> N
             )
 
 
-def _score_one(backend: ScorerBackend, pair: tuple[str, str]) -> float | Exception:
-    """Score a checked pair with one backend call. A failure is returned, not
-    raised, so one pair's error leaves the rest of a batch to complete."""
-    try:
-        prob = backend.evaluate(*pair)
-        if not (0.0 <= prob <= 1.0):
-            raise BackendError(f"backend {backend.name!r} returned probability {prob}")
-        return prob
-    except Exception as exc:  # per-item isolation
-        return exc
+def _scorer(backend: ScorerBackend, bounds: list[int]):
+    """``score_one(j, pair)`` scores the ``j``-th distinct checked pair of a
+    batch with one backend call. A failure is returned, not raised, so one
+    pair's error leaves the rest of the batch to complete. ``bounds[g]``
+    counts the distinct pairs met by the end of group g: once a pair has
+    failed, a pair first met in a later group is not started and returns
+    None."""
+    stop = bounds[-1]  # distinct pairs from this index on are not started
+    lock = Lock()
+
+    def score_one(j: int, pair: tuple[str, str]) -> float | Exception | None:
+        nonlocal stop
+        if j >= stop:
+            return None
+        try:
+            prob = backend.evaluate(*pair)
+            if not (0.0 <= prob <= 1.0):
+                raise BackendError(f"backend {backend.name!r} returned probability {prob}")
+            return prob
+        except Exception as exc:  # per-item isolation
+            with lock:
+                stop = min(stop, bounds[bisect_right(bounds, j)])
+            return exc
+
+    return score_one
 
 
 def score_pair(backend: ScorerBackend, premise: str, hypothesis: str) -> float:
     """Score one (premise, hypothesis) pair through the backend."""
     _check_pairs([(premise, hypothesis)])
-    result = _score_one(backend, (premise, hypothesis))
+    result = _scorer(backend, [1])(0, (premise, hypothesis))
     if isinstance(result, Exception):
         raise result
     return result
@@ -124,20 +141,30 @@ def score_batch(
     backend: ScorerBackend,
     pairs: list[tuple[str, str]],
     max_workers: int = 1,
+    ends: list[int] | None = None,
 ) -> BatchResult:
     """Score pairs in order with bounded concurrency, each distinct pair once.
 
     Invalid inputs raise ValidationError before anything is scored; backend
     errors are collected per item, so the rest of the batch still completes.
+    ``ends``, ascending, are the indices where groups of pairs end (the last
+    is ``len(pairs)``): once a pair has failed, no pair first met in a later
+    group is started, and such a pair's score is None without a failure.
     """
-    distinct = list(dict.fromkeys(pairs))
+    ends = ends or [len(pairs)]
+    seen = dict.fromkeys(islice(pairs, ends[0]))
+    bounds = [len(seen)]  # distinct pairs met by the end of each group
+    for start, end in zip(ends, ends[1:]):
+        seen.update(dict.fromkeys(pairs[start:end]))
+        bounds.append(len(seen))
+    distinct = list(seen)
     _check_pairs(distinct)
-    score_one = partial(_score_one, backend)
+    score_one = _scorer(backend, bounds)
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(score_one, distinct))
+            results = list(pool.map(score_one, range(len(distinct)), distinct))
     else:
-        results = list(map(score_one, distinct))
+        results = list(map(score_one, range(len(distinct)), distinct))
     if len(distinct) < len(pairs):
         outcomes = dict(zip(distinct, results))
         results = [outcomes[pair] for pair in pairs]

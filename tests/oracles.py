@@ -1,8 +1,9 @@
 """Independent naive-formula oracles for the metrics module; reference
 versions of the rank-metric kernels, the inversion count, the calibration
 bins, the candidate F1 thresholds (``metrics._thresholds``), the chunk
-packer, the retrieval splitters, the corpus loader, and claim-by-claim
-greedy and exhaustive retrieval; and a replay check for retrieval traces.
+packer, the retrieval splitters, the corpus loader, document-by-document
+scoring, and claim-by-claim greedy and exhaustive retrieval; and a replay
+check for retrieval traces.
 
 The oracles are pure-python, loop-based, written directly from the defining
 formulas so they share no code path with the implementations they check.
@@ -28,6 +29,7 @@ from chunkcheck.corpus import (
     _not_utf8,
     claim_from_record,
 )
+from chunkcheck.engine import score_text
 from chunkcheck.errors import CorpusError, ScoringError, ValidationError
 from chunkcheck.metrics import CalibrationBin, CalibrationReport, CurvePoint
 from chunkcheck.retrieval import BruteForceResult, RetrievalTrace, TraceLevel, _split_under_cap
@@ -358,6 +360,21 @@ def split_under_cap_reference(doc, start, end, k, counter, cap):
         kk += 1
         parts = split_range_reference(doc, start, end, kk, counter)
     return parts
+
+
+def score_corpus_reference(corpus, budget, backend, counter, aggregation="min", max_workers=1,
+                           explain=False, cap=None) -> tuple[list, list]:
+    """``cli._score_corpus`` one document after another: each document's
+    claims scored alone by ``score_text``, one batch per document, so the
+    first failing document's error is the one raised. Returns (text scores,
+    sentence scores in claim order)."""
+    text_scores = [
+        score_text(corpus.document(doc_id), claims, budget, backend, counter, aggregation,
+                   max_workers, explain, cap)
+        for doc_id, claims in corpus.grouped_texts().items()
+    ]
+    by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentence_scores}
+    return text_scores, [by_claim[c.id] for c in corpus.claims]
 
 
 def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None,

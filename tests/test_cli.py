@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,7 @@ from chunkcheck.corpus import WhitespaceCounter, load_corpus
 from chunkcheck.errors import ValidationError
 from chunkcheck.metrics import calibration_curve
 from chunkcheck.metrics import ece as ece_op
-from chunkcheck.metrics import f1_macro_optimal, kendall_tau, pearson, roc_auc
+from chunkcheck.metrics import evaluate_scores, f1_macro_optimal, kendall_tau, pearson, roc_auc
 
 from helpers import write_probe_corpus
 
@@ -547,6 +547,50 @@ def test_deeply_nested_json_exits_one_before_scoring(fixture_dir, tmp_path, monk
     assert backend_calls == []
 
 
+def _json_nesting_limit() -> int:
+    """The least depth of nested JSON arrays that ``json.loads`` rejects
+    from this stack."""
+    lo, hi = 1, 1 << 17
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            lo = mid + 1
+        except RecursionError:
+            hi = mid
+    return lo
+
+
+def test_a_corpus_nested_too_deeply_to_hash_exits_one_before_scoring(fixture_dir, tmp_path,
+                                                                      monkeypatch, capsys):
+    """An unknown claim field nested just under the loader's limit can still
+    be too deep to hash: every depth across that window exits 0 or 1, never
+    3, and a run that exits 1 makes no backend call. The window moves with
+    the stack depth, so the sweep starts from the limit measured here."""
+    calls = []
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
+                        lambda self, premise, hypothesis: calls.append(premise) or 0.5)
+    base = (fixture_dir / "claims.jsonl").read_text(encoding="utf-8")
+    claims = tmp_path / "claims.jsonl"
+    limit = _json_nesting_limit()
+    codes = set()
+    for depth in range(limit - 40, limit + 3):
+        nested = "[" * depth + "]" * depth
+        claims.write_text(base + json.dumps({"id": "deep", "doc_id": "ops-briefing",
+                                             "text": "The convoy leaves."})[:-1]
+                          + f', "x": {nested}}}\n', encoding="utf-8")
+        calls.clear()
+        code = _run(["score", "--documents", fixture_dir / "documents.jsonl", "--claims", claims,
+                     "--out", tmp_path / "r.json"])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (depth, err)
+        if code == 1:
+            assert json.loads(err)["error"]["type"] == "validation"
+            assert calls == []
+        codes.add(code)
+    assert codes == {0, 1}
+
+
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_report_masks_auth_header_value(fixture_dir, tmp_path, monkeypatch, source):
     header = "Authorization: Bearer sk-secret"
@@ -561,6 +605,29 @@ def test_report_masks_auth_header_value(fixture_dir, tmp_path, monkeypatch, sour
     assert b"sk-secret" not in raw
     assert b"Bearer" not in raw
     assert json.loads(raw)["config"]["auth_header"] == "Authorization: ***"
+
+
+@pytest.mark.parametrize(("header", "masked"), [
+    (None, None),
+    ("Authorization: Bearer sk-secret", "Authorization: ***"),
+    ("  X-Key :a:b", "X-Key: ***"),
+    ("no-colon-token", "***"),
+])
+def test_report_dicts_equal_asdict(header, masked):
+    """The reports' ``to_dict`` methods build what ``dataclasses.asdict``
+    builds, the config with its auth header's value masked."""
+    config = RunConfig(auth_header=header, endpoint="http://localhost/x", premise_cap=64,
+                       relevance_file="rel.json", decision_threshold=0.25)
+    assert config.to_dict() == {**asdict(config), "auth_header": masked}
+    scores, labels = [0.1, 0.4, 0.4, 0.8, 0.95, 1.0], [False, True, False, True, True, False]
+    for report in (ece_op(scores, labels, bins=4, decision_threshold=0.3),
+                   ece_op([], [], bins=10),
+                   evaluate_scores(scores, labels),
+                   evaluate_scores([0.5] * 4, [True, False, True, False])):  # null correlations
+        got, want = report.to_dict(), asdict(report)
+        assert got == want
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_invalid_flag_combo_exits_one(fixture_dir, tmp_path, capsys):
@@ -794,7 +861,7 @@ def test_missing_output_directory_fails_before_scoring(
     def no_scoring(*args, **kwargs):
         raise AssertionError("scored before checking the output directory")
 
-    monkeypatch.setattr(cli, "score_text", no_scoring)
+    monkeypatch.setattr(cli, "score_texts", no_scoring)
     target = tmp_path / "missing" / "out.file"
     assert _run([*command, *_fixture_args(fixture_dir), flag, target]) == 1
     err = json.loads(capsys.readouterr().err)["error"]

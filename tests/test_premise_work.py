@@ -71,6 +71,21 @@ def test_split_under_cap_matches_scan_from_k(counts, k, cap, data):
     assert got == split_under_cap_reference(doc, start, end, k, WC, cap)
 
 
+@given(_counts, st.integers(2, 5), st.integers(-20, 40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_range_within_the_cap_is_split_at_k(counts, k, slack, data):
+    """A range whose tokens fit the cap returns its split at k at once; the
+    widening scan from k returns the same parts. Caps around the range's
+    token count reach both sides of the shortcut."""
+    doc = make_sized_doc("d", counts)
+    start, end = _subrange(data, len(counts))
+    cap = max(1, sum(counts[start:end]) + slack)
+    got = _split_under_cap(doc, start, end, k, WC, cap)
+    assert got == split_under_cap_reference(doc, start, end, k, WC, cap)
+    if sum(counts[start:end]) <= cap:
+        assert got == split_range(doc, start, end, k, WC)
+
+
 _text = st.lists(
     st.sampled_from(["alpha", "Beta", "beta", "gamma's", "x1", "--", "delta."]), max_size=10
 ).map(" ".join)

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 
 import mpmath
 import pytest
@@ -14,6 +16,7 @@ from chunkcheck.engine import score_text
 from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.scoring import (
     BatchFailure,
+    ScorerBackend,
     build_prompt,
     entail_prob,
     score_batch,
@@ -202,6 +205,68 @@ def test_batch_isolates_per_item_failures():
     assert out.scores == [0.4, None, 0.4]
     assert [f.index for f in out.failures] == [1]
     assert "RuntimeError" in out.failures[0].error
+
+
+def test_batch_starts_no_pair_of_a_later_group_after_a_failure():
+    """With ``ends``, a failure stops the pairs first met in later groups:
+    their scores are None and they are no failures. A later group's pair
+    first met in the failing group is still scored there."""
+    pairs = [("a", "ok"), ("a", "BOOM"), ("b", "ok"),  # group 0
+             ("c", "ok"), ("a", "ok"),  # group 1
+             ("d", "BOOM")]  # group 2
+    backend = FlakyBackend(marker="BOOM", score=0.4)
+    out = score_batch(backend, pairs, ends=[3, 5, 6])
+    assert backend.calls == 3
+    assert out.scores == [0.4, None, 0.4, None, 0.4, None]
+    assert out.failures == [BatchFailure(index=1, error="RuntimeError: scripted failure")]
+    for workers in (1, 3):
+        scores = score_batch(backend, pairs[2:5], max_workers=workers, ends=[1, 2, 3]).scores
+        assert scores == score_batch(backend, pairs[2:5]).scores == [0.4, 0.4, 0.4]
+
+
+class _RecordingFlaky(ScorerBackend):
+    """Fails a hypothesis holding BOOM; records every pair, under a lock."""
+
+    name = "recording-flaky"
+
+    def __init__(self):
+        self.pairs = []
+        self._lock = threading.Lock()
+
+    def evaluate(self, premise, hypothesis):
+        with self._lock:
+            self.pairs.append((premise, hypothesis))
+        if "BOOM" in hypothesis:
+            raise RuntimeError("scripted failure")
+        return 0.5
+
+
+def test_grouped_batch_under_thread_stress():
+    """More workers than cores, a short switch interval and failures in many
+    groups: each distinct pair reaches the backend at most once, every pair
+    of the groups up to the first failing one is scored, and each pair's
+    score or failure agrees with what the backend did with it."""
+    pairs = [(f"p{g}-{i % 7}", "BOOM" if g >= 5 and i == 3 else f"h{i}")
+             for g in range(40) for i in range(10)]
+    ends = list(range(10, 401, 10))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            backend = _RecordingFlaky()
+            out = score_batch(backend, pairs, max_workers=16, ends=ends)
+            assert len(backend.pairs) == len(set(backend.pairs))
+            assert out.failures[0].index == 53
+            failed = {f.index for f in out.failures}
+            for i, (pair, score) in enumerate(zip(pairs, out.scores)):
+                if pair not in backend.pairs:
+                    assert i >= 60 and score is None and i not in failed
+                elif "BOOM" in pair[1]:
+                    assert score is None and i in failed
+                else:
+                    assert score == 0.5 and i not in failed
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_repeated_failing_pair_fails_at_every_index():
