@@ -25,6 +25,8 @@ from .chunking import make_chunks
 # ``build_cache``, ``score_text``, ``retrieve`` and ``brute_force_retrieve`` are
 # not called here; they stay importable from ``cli`` only because
 # perfbench/spans.py wraps them and perfbench's run.py and layers.py call them.
+# Since ``cli`` scores through ``score_texts``, the ``score_text`` span reads 0;
+# ROADMAP names the fix, a span on ``score_texts``.
 from .config import (  # noqa: F401
     BACKENDS,
     RunConfig,

@@ -157,10 +157,10 @@ def score_texts(
     pair repeated in two texts is scored once.
 
     Errors are those of scoring one text after another. A text without
-    claims, a claim of another document or a chunk over ``cap`` tokens
-    (counted with ``counter`` like the budget: PremiseTooLargeError) raises
-    once the texts before it are scored, and no pair of it or of a later
-    text is scored. A failed pair raises the ScoringError that
+    claims, a claim of another document, an empty claim or chunk, or a chunk
+    over ``cap`` tokens (counted with ``counter`` like the budget:
+    PremiseTooLargeError) raises once the texts before it are scored, and
+    no pair of it or of a later text is scored. A failed pair raises the ScoringError that
     ``score_sentence`` would raise for the first failing sentence of the
     first failing text; once a pair has failed, no pair first met in a later
     text is started. An unknown ``aggregation`` raises before any pair is
@@ -180,16 +180,7 @@ def score_texts(
             ends.append(len(pairs))
     except ValidationError as exc:
         error = exc
-    try:
-        scored = _score_claims(items, pairs, ends, backend, max_workers, explain)
-    except ValidationError:
-        if len(items) < 2:
-            raise
-        # A pair fails the input checks: score text by text to raise what
-        # the first such text raises.
-        for text in texts[: len(items)]:
-            score_texts([text], budget, backend, counter, aggregation, max_workers, explain, cap)
-        raise
+    scored = _score_claims(items, pairs, ends, backend, max_workers, explain)
     if error is not None:
         raise error
     return [

@@ -70,17 +70,18 @@ def _check_pairs(pairs) -> None:
 
 
 def check_cap(backend: ScorerBackend, pairs, token_counts, cap: int | None) -> None:
-    """Reject a premise over ``cap`` tokens before any pair is scored, from the
-    counts the caller holds (``token_counts[i]`` counts ``pairs[i]``'s premise),
-    raising what a pair-by-pair check (empty texts, then the cap) raises first."""
-    if cap is None:
-        return
-    for i, n in enumerate(token_counts):
-        if n > cap:
-            _check_pairs(pairs[: i + 1])
-            raise PremiseTooLargeError(
-                f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
-            )
+    """Reject an empty premise or hypothesis, or a premise over ``cap`` tokens,
+    before any pair is scored, from the counts the caller holds
+    (``token_counts[i]`` counts ``pairs[i]``'s premise), raising what a
+    pair-by-pair check (empty texts, then the cap) raises first."""
+    if cap is not None:
+        for i, n in enumerate(token_counts):
+            if n > cap:
+                _check_pairs(pairs[: i + 1])
+                raise PremiseTooLargeError(
+                    f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
+                )
+    _check_pairs(pairs)
 
 
 def _scorer(backend: ScorerBackend, bounds: list[int]):
@@ -157,17 +158,16 @@ def score_batch(
     for start, end in zip(ends, ends[1:]):
         seen.update(dict.fromkeys(pairs[start:end]))
         bounds.append(len(seen))
-    distinct = list(seen)
-    _check_pairs(distinct)
+    _check_pairs(seen)
     score_one = _scorer(backend, bounds)
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(score_one, range(len(distinct)), distinct))
+            results = list(pool.map(score_one, range(len(seen)), seen))
     else:
-        results = list(map(score_one, range(len(distinct)), distinct))
-    if len(distinct) < len(pairs):
-        outcomes = dict(zip(distinct, results))
-        results = [outcomes[pair] for pair in pairs]
+        results = list(map(score_one, range(len(seen)), seen))
+    if len(seen) < len(pairs):
+        seen = dict(zip(seen, results))  # each distinct pair's outcome
+        results = [seen[pair] for pair in pairs]
 
     failures = [BatchFailure(index=i, error=f"{type(res).__name__}: {res}")
                 for i, res in enumerate(results) if isinstance(res, Exception)]

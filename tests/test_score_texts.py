@@ -228,6 +228,10 @@ def test_a_blank_text_raises_after_the_documents_before_it():
     with pytest.raises(ValidationError, match="hypothesis must be non-empty"):
         score_texts(texts[::-1], 10, backend, WC)
     assert backend.calls == 1
+    fine = (ok, [Claim(id="c2", doc_id="ok", text="alpha")])
+    with pytest.raises(ValidationError, match="hypothesis must be non-empty"):
+        score_texts([fine, texts[1]], 10, backend, WC)
+    assert backend.calls == 2  # the pair of "ok", and no pair of "blank"
 
 
 def test_an_unknown_aggregation_raises_before_any_pair_is_scored():
