@@ -225,6 +225,9 @@ def _require_labels(corpus: Corpus, both_classes: bool = True) -> list[bool]:
 
 def cmd_evaluate(args, config, corpus, counter, backend):
     labels = _require_labels(corpus)
+    annotated = [c for c in corpus.claims if c.relevant_units]
+    if args.retrieval_recall and not annotated:
+        raise ValidationError("no claims carry relevant_units annotations")
     _, sentences = _score_corpus(corpus, config, counter, backend, config.budget)
     results = evaluate_scores([s.score for s in sentences], labels).to_dict()
     results["scorer_calls_total"] = sum(s.scorer_calls for s in sentences)
@@ -234,9 +237,6 @@ def cmd_evaluate(args, config, corpus, counter, backend):
     ]
     meta = {}
     if args.retrieval_recall:
-        annotated = [c for c in corpus.claims if c.relevant_units]
-        if not annotated:
-            raise ValidationError("no claims carry relevant_units annotations")
         r0 = time.perf_counter()
         traces = _retrievals(annotated, corpus, config, counter, backend)
         hits = [retrieval_hit(t, c.relevant_units) for c, t in zip(annotated, traces)]

@@ -14,7 +14,11 @@ range, k) is split, and each of its parts joined, once per level. Claims with
 the same text share their pairs through the batch's deduplication. Every
 claim's trace is the one it would get descending alone; a failure raises the
 error of the first failing claim in claim order, though other claims' pairs
-may have been scored by then. The exhaustive baseline,
+may have been scored by then. A level's pairs are checked as one before its
+batch: when a claim's own pairs fail the input checks (an empty claim, or a
+single unit over the premise cap), that claim and the claims after it stop
+descending, and only the claims before it are scored, so a scoring failure
+among them names the error instead. The exhaustive baseline,
 ``brute_force_retrieve``, is the one-level descent: a branching factor of the
 document's unit count splits it into its units at once.
 
@@ -78,47 +82,6 @@ class BruteForceResult:
     scorer_calls: int
 
 
-def _score_level(claims, splits, backend, cap, max_workers, levels):
-    """Score every claim against its split in one batch: ``splits[i]`` is
-    (parts, their premise texts, their token counts) for ``claims[i]``, whose
-    levels so far are ``levels[i]``. A part of more than ``cap`` tokens is
-    rejected before any pair is scored. Returns the scores of the claims
-    before the first whose scoring fails, and the error that claim's parts
-    raise when scored alone (None if no claim fails)."""
-    pairs = [(text, claim.text) for claim, (_, texts, _) in zip(claims, splits) for text in texts]
-    try:
-        check_cap(backend, pairs, (n for _, _, sizes in splits for n in sizes), cap)
-        batch = score_batch(backend, pairs, max_workers=max_workers)
-    except ValidationError as exc:
-        if len(claims) == 1:
-            return [], exc
-        # Some claim's pairs fail the input checks: score claim by claim to
-        # find the first such claim.
-        out = []
-        for claim, split, partial in zip(claims, splits, levels):
-            scores, error = _score_level([claim], [split], backend, cap, max_workers, [partial])
-            out += scores
-            if error is not None:
-                return out, error
-        return out, None
-    offsets = list(accumulate((len(parts) for parts, _, _ in splits), initial=0))
-    scores = [batch.scores[a:b] for a, b in zip(offsets, offsets[1:])]
-    if batch.ok:
-        return scores, None
-    i = bisect_right(offsets, batch.failures[0].index) - 1
-    lo, hi = offsets[i], offsets[i + 1]
-    failures = [
-        BatchFailure(index=f.index - lo, error=f.error) for f in batch.failures if f.index < hi
-    ]
-    return scores[:i], ScoringError(
-        f"claim {claims[i].id!r}: retrieval scoring failed at ranges {splits[i][0]} "
-        f"({failures[0].error})",
-        claim_id=claims[i].id,
-        partial=levels[i],
-        failures=failures,
-    )
-
-
 def descend(
     docs: list[Document],
     claims: list[Claim],
@@ -162,15 +125,42 @@ def descend(
                 splits[key] = (parts, [premise_text(doc, *r) for r in parts],
                                [prefix[b] - prefix[a] for a, b in parts])
             level.append(splits[key])
-        scores, exc = _score_level(
-            [claims[i] for i in active], level, backend, budget, max_workers,
-            [levels[i] for i in active],
-        )
-        if exc is not None:
-            error = exc
-            for i in active[len(scores):]:
-                del ranges[i]
-        for i, (ps, _, _), sc in zip(active, level, scores):
+        offsets = list(accumulate((len(parts) for parts, _, _ in level), initial=0))
+        pairs = [
+            (text, claims[i].text) for i, (_, texts, _) in zip(active, level) for text in texts
+        ]
+        cut = len(active)  # the claims from active[cut] on stop descending
+        try:
+            check_cap(backend, pairs, (n for _, _, sizes in level for n in sizes), budget)
+        except ValidationError:
+            # The first claim whose own pairs fail the input checks names the
+            # error; only the claims before it are scored.
+            for cut, (i, (_, texts, sizes)) in enumerate(zip(active, level)):
+                try:
+                    check_cap(backend, [(t, claims[i].text) for t in texts], sizes, budget)
+                except ValidationError as exc:
+                    error = exc
+                    break
+            del pairs[offsets[cut]:]
+        batch = score_batch(backend, pairs, max_workers=max_workers)
+        if not batch.ok:
+            cut = bisect_right(offsets, batch.failures[0].index) - 1
+            i, lo, hi = active[cut], offsets[cut], offsets[cut + 1]
+            failures = [
+                BatchFailure(index=f.index - lo, error=f.error)
+                for f in batch.failures if f.index < hi
+            ]
+            error = ScoringError(
+                f"claim {claims[i].id!r}: retrieval scoring failed at ranges {level[cut][0]} "
+                f"({failures[0].error})",
+                claim_id=claims[i].id,
+                partial=levels[i],
+                failures=failures,
+            )
+        for i in active[cut:]:
+            del ranges[i]
+        for i, (ps, _, _), a, b in zip(active[:cut], level, offsets, offsets[1:]):
+            sc = batch.scores[a:b]
             chosen = first_max(sc)
             levels[i].append(TraceLevel(candidate_ranges=ps, scores=sc, chosen=chosen))
             start, end = ranges[i] = ps[chosen]

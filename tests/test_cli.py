@@ -23,6 +23,7 @@ from chunkcheck.metrics import evaluate_scores, f1_macro_optimal, kendall_tau, p
 from helpers import write_probe_corpus
 
 GOLDEN = Path(__file__).parent / "data" / "golden_score_report.json"
+GOLDEN_RETRIEVE = Path(__file__).parent / "data" / "golden_retrieve_report.json"
 
 
 def _fixture_args(fixture_dir):
@@ -57,6 +58,15 @@ def test_score_matches_recorded_golden(fixture_dir, tmp_path):
     got.pop("meta")
     want = json.loads(GOLDEN.read_text())
     assert got == want
+
+
+def test_retrieve_matches_recorded_golden(fixture_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert _run(["retrieve", *_fixture_args(fixture_dir), "--premise-cap", "40", "--trace",
+                 "--brute-force", "--out", out]) == 0
+    got = _load_report(out)
+    got.pop("meta")
+    assert got == json.loads(GOLDEN_RETRIEVE.read_text())
 
 
 def test_score_byte_identical_across_runs(fixture_dir, tmp_path):
@@ -227,6 +237,32 @@ def test_evaluate_retrieval_recall_on_annotated_claims(fixture_dir, tmp_path):
     retrieval = _load_report(out)["results"]["retrieval"]
     assert retrieval["n"] == 8  # labeled-consistent claims carry annotations
     assert 0.0 <= retrieval["recall"] <= 1.0
+
+
+def test_evaluate_retrieval_recall_without_annotations_exits_before_scoring(
+    fixture_dir, tmp_path, monkeypatch, capsys
+):
+    claims = tmp_path / "claims.jsonl"
+    records = map(json.loads, (fixture_dir / "claims.jsonl").read_text().splitlines())
+    claims.write_text("".join(
+        json.dumps({k: v for k, v in r.items() if k != "relevant_units"}) + "\n" for r in records
+    ))
+    backend_calls = []
+    evaluate = LexicalOverlapBackend.evaluate
+
+    def counted(self, premise, hypothesis):
+        backend_calls.append(premise)
+        return evaluate(self, premise, hypothesis)
+
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate", counted)
+    out = tmp_path / "r.json"
+    code = _run(["evaluate", "--documents", fixture_dir / "documents.jsonl", "--claims", claims,
+                 "--retrieval-recall", "--out", out])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation", "message": "no claims carry relevant_units annotations"}
+    assert backend_calls == []
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

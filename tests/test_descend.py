@@ -1,11 +1,14 @@
-"""All the claims of a run descend together, across documents: every trace,
-every error and the backend's call count are those of retrieving one claim
-after another, while each level is one batch and each range is split once."""
+"""All the claims of a run descend together, across documents: every trace
+and every error are those of retrieving one claim after another, and a run
+that succeeds calls the backend once per distinct pair that retrieving one
+claim after another scores, while each level is one batch and each range is
+split once."""
 
 import random
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -281,6 +284,34 @@ def test_one_batch_per_level_one_split_per_range(monkeypatch):
     assert [t.to_dict() for t in traces] == [t.to_dict() for t in want]
     assert alone.calls > len(alone.pairs)
     assert backend.calls == len(alone.pairs)
+
+
+@pytest.mark.parametrize("invalid", ["blank claim", "unit over the cap"])
+def test_one_batch_per_level_when_a_claim_fails_its_input_checks(monkeypatch, invalid):
+    rng = random.Random(3)
+    doc = make_sized_doc("d", [rng.randint(2, 6) for _ in range(40)])
+    big = make_sized_doc("big", [3, 3, 50, 3])
+    claims = [
+        Claim(id=f"c{i}", doc_id="d", text=" ".join(doc.units[u].text.split()[:2]))
+        for i, u in enumerate(rng.sample(range(40), 3))
+    ]
+    claims.append(Claim(id="bad", doc_id="d", text=" ") if invalid == "blank claim"
+                  else Claim(id="bad", doc_id="big", text="bigu2w0"))
+    claims.append(Claim(id="after", doc_id="d", text=doc.units[0].text))
+    corpus = Corpus(documents=[doc, big], claims=claims)
+    want = _outcome(lambda: retrievals_reference(claims, corpus, FailingOverlap(), 2, 20, WC))
+    batches = _counted(monkeypatch, "score_batch")
+    got = _outcome(lambda: descend([corpus.document(c.doc_id) for c in claims], claims,
+                                   FailingOverlap(), [2] * len(claims), budget=20, counter=WC))
+    monkeypatch.undo()
+
+    assert got[0] == "error"
+    assert got == want
+    # The valid claims before the invalid one descend to the end, one batch
+    # per level; none is scored on its own to find the invalid claim.
+    depth = max(len(retrieve_reference(doc, c, FailingOverlap(), 2, 20, WC).levels)
+                for c in claims[:3])
+    assert len(batches) == depth
 
 
 def test_retrieve_is_the_one_claim_case():
