@@ -18,6 +18,7 @@ import time
 from dataclasses import fields
 from datetime import datetime, timezone
 from functools import cache
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import __version__
@@ -102,12 +103,93 @@ def _check_output_dirs(args: argparse.Namespace) -> None:
             raise ValidationError(f"cannot write {path}: it is a directory")
 
 
+# Parts held before one write: memory is bounded by a batch, not by the report.
+_BATCH = 4096
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(v: float) -> str:
+    r = float.__repr__(v)
+    return _FLOATS.get(r, r)
+
+
+# Each scalar type's JSON text, as json writes it.
+_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value, fh) -> None:
+    """Write ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``
+    and a newline to ``fh`` in one pass, ``_BATCH`` parts per write. Scalars
+    must be of the exact types in ``_SCALARS`` and keys strings; tuples are
+    written as lists."""
+    parts: list[str] = []
+    put = parts.append
+    quote = encode_basestring
+    scalar = _SCALARS.get
+
+    def flush() -> None:
+        fh.write("".join(parts))
+        parts.clear()
+
+    def write(v, nl: str) -> None:  # ``nl``: a newline and the indent of v's line
+        if isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep, comma = "{" + inner, "," + inner
+            for k in sorted(v):
+                x = v[k]
+                f = scalar(type(x))
+                if f is None:
+                    put(sep + quote(k) + ": ")
+                    write(x, inner)
+                else:
+                    put(sep + quote(k) + ": " + f(x))
+                sep = comma
+                if len(parts) >= _BATCH:
+                    flush()
+            put(nl + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep, comma = "[" + inner, "," + inner
+            for x in v:
+                f = scalar(type(x))
+                if f is None:
+                    put(sep)
+                    write(x, inner)
+                else:
+                    put(sep + f(x))
+                sep = comma
+                if len(parts) >= _BATCH:
+                    flush()
+            put(nl + "]")
+        else:
+            f = scalar(type(v))
+            if f is None:
+                raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+            put(f(v))
+
+    write(value, "\n")
+    put("\n")
+    flush()
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_json(payload, fh)
     else:
-        sys.stdout.write(text)
+        _write_json(payload, sys.stdout)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:

@@ -75,6 +75,16 @@ class RunConfig:
             raise ValidationError(f"retries must be >= 0, got {self.retries}")
         if not (0 <= self.backoff <= FLOAT_MAX):
             raise ValidationError(f"backoff must be finite and >= 0, got {self.backoff}")
+        # Reports carry these strings, and are written as UTF-8 only after scoring.
+        for key, value in self.to_dict().items():
+            try:
+                if isinstance(value, str):
+                    value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValidationError(
+                    f"config key {key!r} cannot be written as UTF-8: {value!r} holds a lone "
+                    "surrogate (a \\ud800 escape, or a path byte that is not UTF-8)"
+                ) from exc
 
     def to_dict(self) -> dict:
         """The config as reports embed it, with the auth header's value masked."""

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -243,15 +245,58 @@ class Corpus:
         return groups
 
     def content_hash(self) -> str:
-        """sha256 over the canonical serialized corpus; stable across runs."""
-        payload = {
-            "documents": [document_to_record(d) for d in self.documents],
-            "claims": [claim_to_record(c) for c in self.claims],
-        }
-        # The records are fresh containers over loaded JSON values: they hold no cycle.
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-                          check_circular=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """sha256 over the canonical serialized corpus, ``{"claims":[…],
+        "documents":[…]}`` in compact sorted-key JSON; stable across runs.
+        The text is fed in pieces, a slice of claims or one document at a
+        time, so no corpus-sized string is built. A string that cannot be
+        written as UTF-8 (a lone surrogate) raises ValidationError naming its
+        record."""
+        h = hashlib.sha256(b'{"claims":[')
+        for i in range(0, len(self.claims), _CLAIMS_PER_HASH):
+            claims = self.claims[i:i + _CLAIMS_PER_HASH]
+            text = _canonical([claim_to_record(c) for c in claims])[1:-1]
+            try:
+                h.update((text if i == 0 else "," + text).encode("utf-8"))
+            except UnicodeEncodeError:
+                bad = next(c for c in claims if _SURROGATE.search(_canonical(claim_to_record(c))))
+                raise _not_utf8_record(f"claim {bad.id!r}") from None
+        h.update(b'],"documents":[')
+        for i, doc in enumerate(self.documents):
+            text = _document_json(doc)
+            try:
+                h.update((text if i == 0 else "," + text).encode("utf-8"))
+            except UnicodeEncodeError:
+                raise _not_utf8_record(f"document {doc.id!r}") from None
+        h.update(b"]}")
+        return h.hexdigest()
+
+
+# The records are fresh containers over loaded JSON values: they hold no cycle.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                              check_circular=False).encode
+_CLAIMS_PER_HASH = 1024  # claim records built and encoded at a time
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
+
+
+def _document_json(doc: Document) -> str:
+    """``_canonical(document_to_record(doc))``, built from the quoted strings
+    of the units that have no extras when the document has none."""
+    if doc.extra:
+        return _canonical(document_to_record(doc))
+    quote = encode_basestring
+    units = ",".join(
+        _canonical({"speaker": speaker, "text": text, **extra}) if extra
+        else f'{{"speaker":{"null" if speaker is None else quote(speaker)},"text":{quote(text)}}}'
+        for _, text, speaker, extra in doc.units
+    )
+    return f'{{"id":{quote(doc.id)},"units":[{units}]}}'
+
+
+def _not_utf8_record(what: str) -> ValidationError:
+    return ValidationError(
+        f"{what} holds a string that cannot be written as UTF-8 (a lone surrogate, "
+        "such as a \\ud800 escape)"
+    )
 
 
 # ---------------------------------------------------------------------------

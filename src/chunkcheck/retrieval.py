@@ -13,9 +13,10 @@ reaches a single unit drops out of later batches. Each distinct (document,
 range, k) is split, and each of its parts joined, once per level. Claims with
 the same text share their pairs through the batch's deduplication. Every
 claim's trace is the one it would get descending alone; a failure raises the
-error of the first failing claim in claim order, though other claims' pairs
-may have been scored by then. A level's pairs are checked as one before its
-batch: when a claim's own pairs fail the input checks (an empty claim, or a
+error of the first failing claim in claim order, and once a pair has failed
+no pair first met in a later claim's parts is started. A level's pairs are
+checked as one before its batch: when a claim's own pairs fail the input
+checks (an empty claim, or a
 single unit over the premise cap), that claim and the claims after it stop
 descending, and only the claims before it are scored, so a scoring failure
 among them names the error instead. The exhaustive baseline,
@@ -142,7 +143,7 @@ def descend(
                     error = exc
                     break
             del pairs[offsets[cut]:]
-        batch = score_batch(backend, pairs, max_workers=max_workers)
+        batch = score_batch(backend, pairs, max_workers=max_workers, ends=offsets[1:cut + 1])
         if not batch.ok:
             cut = bisect_right(offsets, batch.failures[0].index) - 1
             i, lo, hi = active[cut], offsets[cut], offsets[cut + 1]

@@ -9,7 +9,6 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from threading import Lock
 
 from .errors import BackendError, PremiseTooLargeError, ValidationError
@@ -84,14 +83,15 @@ def check_cap(backend: ScorerBackend, pairs, token_counts, cap: int | None) -> N
     _check_pairs(pairs)
 
 
-def _scorer(backend: ScorerBackend, bounds: list[int]):
-    """``score_one(j, pair)`` scores the ``j``-th distinct checked pair of a
-    batch with one backend call. A failure is returned, not raised, so one
-    pair's error leaves the rest of the batch to complete. ``bounds[g]``
-    counts the distinct pairs met by the end of group g: once a pair has
-    failed, a pair first met in a later group is not started and returns
-    None."""
-    stop = bounds[-1]  # distinct pairs from this index on are not started
+def _scorer(backend: ScorerBackend, pairs: list[tuple[str, str]], ends: list[int]):
+    """``score_one(j, pair)`` scores the ``j``-th distinct checked pair of
+    ``pairs`` with one backend call. A failure is returned, not raised, so one
+    pair's error leaves the rest of the batch to complete. ``ends`` are the
+    indices where groups of ``pairs`` end: once a pair has failed, a pair
+    first met in a later group is not started and returns None. The distinct
+    pairs met by the end of each group are counted only once a pair fails."""
+    stop = len(pairs)  # distinct pairs from this index on are not started
+    bounds: list[int] = []  # distinct pairs met by the end of each group
     lock = Lock()
 
     def score_one(j: int, pair: tuple[str, str]) -> float | Exception | None:
@@ -105,6 +105,11 @@ def _scorer(backend: ScorerBackend, bounds: list[int]):
             return prob
         except Exception as exc:  # per-item isolation
             with lock:
+                if not bounds:
+                    met: set[tuple[str, str]] = set()
+                    for start, end in zip([0, *ends], ends):
+                        met.update(pairs[start:end])
+                        bounds.append(len(met))
                 stop = min(stop, bounds[bisect_right(bounds, j)])
             return exc
 
@@ -114,7 +119,7 @@ def _scorer(backend: ScorerBackend, bounds: list[int]):
 def score_pair(backend: ScorerBackend, premise: str, hypothesis: str) -> float:
     """Score one (premise, hypothesis) pair through the backend."""
     _check_pairs([(premise, hypothesis)])
-    result = _scorer(backend, [1])(0, (premise, hypothesis))
+    result = _scorer(backend, [(premise, hypothesis)], [1])(0, (premise, hypothesis))
     if isinstance(result, Exception):
         raise result
     return result
@@ -152,14 +157,9 @@ def score_batch(
     is ``len(pairs)``): once a pair has failed, no pair first met in a later
     group is started, and such a pair's score is None without a failure.
     """
-    ends = ends or [len(pairs)]
-    seen = dict.fromkeys(islice(pairs, ends[0]))
-    bounds = [len(seen)]  # distinct pairs met by the end of each group
-    for start, end in zip(ends, ends[1:]):
-        seen.update(dict.fromkeys(pairs[start:end]))
-        bounds.append(len(seen))
+    seen = dict.fromkeys(pairs)
     _check_pairs(seen)
-    score_one = _scorer(backend, bounds)
+    score_one = _scorer(backend, pairs, ends or [len(pairs)])
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(score_one, range(len(seen)), seen))

@@ -13,6 +13,7 @@ current ones must reproduce exactly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from bisect import bisect_left
 from math import ceil, sqrt
@@ -28,6 +29,8 @@ from chunkcheck.corpus import (
     WhitespaceCounter,
     _not_utf8,
     claim_from_record,
+    claim_to_record,
+    document_to_record,
 )
 from chunkcheck.engine import score_text
 from chunkcheck.errors import CorpusError, ScoringError, ValidationError
@@ -584,3 +587,14 @@ def load_corpus_reference(documents_path, claims_path) -> Corpus:
             raise CorpusError(f"claim {claim.id!r} references unknown document {claim.doc_id!r}")
         claim.validate(by_id[claim.doc_id])
     return corpus
+
+
+def content_hash_reference(corpus: Corpus) -> str:
+    """``Corpus.content_hash`` in one shot: every record in one payload, one
+    canonical ``json.dumps`` and one sha256 over its UTF-8 bytes."""
+    payload = {
+        "documents": [document_to_record(d) for d in corpus.documents],
+        "claims": [claim_to_record(c) for c in corpus.claims],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

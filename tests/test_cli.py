@@ -851,6 +851,63 @@ def test_wrong_typed_record_field_exits_one_at_its_line(tmp_path, capsys, which,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("which", "record", "named"), [
+    ("claim", {"id": "c\ud800"}, "claim 'c\\ud800'"),
+    ("claim", {"text": "A ferry\udfff."}, "claim 'c'"),
+    ("claim", {"note": {"by": ["w\ud800"]}}, "claim 'c'"),
+    ("doc", {"source": "wiki\ud800"}, "document 'd'"),
+    ("unit", {"text": "It rained\ud800."}, "document 'd'"),
+    ("unit", {"speaker": "M\udc00"}, "document 'd'"),
+    ("unit", {"scene": "\ud800"}, "document 'd'"),
+])
+def test_a_corpus_string_that_cannot_be_written_as_utf8_exits_one_before_scoring(
+    tmp_path, monkeypatch, capsys, which, record, named
+):
+    """A lone surrogate, from a \\ud800 escape, loads but cannot be written
+    as UTF-8: the corpus hash names its record and no pair is scored."""
+    calls = []
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
+                        lambda self, premise, hypothesis: calls.append(premise) or 0.5)
+    docs, claims = _corpus_files(tmp_path, **{which: record})
+    out = tmp_path / "r.json"
+    assert _run(["score", "--documents", docs, "--claims", claims, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert err["message"].startswith(f"{named} holds a string that cannot be written as UTF-8")
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("flag", "value", "key"), [
+    ("--endpoint", "http://localhost/\ud800", "endpoint"),
+    ("--auth-header", "X-K\udcff: secret", "auth_header"),
+    ("--relevance-file", "rel-\udcff.json", "relevance_file"),
+    ("--counter", "vocab:vocab-\udcff.txt", "counter"),
+    ("--config", '{"endpoint": "http://localhost/\\ud800"}', "endpoint"),
+])
+def test_a_config_string_that_cannot_be_written_as_utf8_exits_one_before_loading(
+    fixture_dir, tmp_path, monkeypatch, capsys, flag, value, key
+):
+    """A config or flag string that reports carry, holding a lone surrogate
+    (a \\ud800 escape, or a path byte that is not UTF-8 as ``sys.argv``
+    decodes it), exits 1 before the corpus is loaded."""
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the corpus")
+
+    monkeypatch.setattr(cli, "load_corpus", no_loading)
+    if flag == "--config":  # the value is the config file's text
+        path = tmp_path / "config.json"
+        path.write_text(value, encoding="utf-8")
+        value = path
+    out = tmp_path / "r.json"
+    assert _run(["score", *_fixture_args(fixture_dir), flag, value, "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation"
+    assert err["message"].startswith(f"config key {key!r} cannot be written as UTF-8")
+    assert "secret" not in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(("unit", "claim"), [
     ({"speaker": None}, {"label": None, "relevant_units": None}),
     ({"speaker": "Mara"}, {"label": False, "relevant_units": [1, 0, 1]}),

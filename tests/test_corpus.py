@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chunkcheck.config import RunConfig, build_counter
 from chunkcheck.corpus import (
+    _CLAIMS_PER_HASH,
     Claim,
     Corpus,
     Document,
@@ -21,7 +22,7 @@ from chunkcheck.corpus import (
 )
 from chunkcheck.errors import CorpusError, ValidationError
 from helpers import drawn_ints, write_corpus_jsonl
-from oracles import load_corpus_reference
+from oracles import content_hash_reference, load_corpus_reference
 
 # ---------------------------------------------------------------------------
 # Loading and validation
@@ -152,8 +153,13 @@ def test_stats_on_large_synthetic_dialogue_corpus(tmp_path):
 # ---------------------------------------------------------------------------
 # Round-trip serialization
 
-_EXTRA_VALUES = st.one_of(st.integers(-1000, 1000), st.booleans(), st.none(),
-                          st.text(max_size=8))
+_EXTRA_VALUES = st.recursive(
+    st.one_of(st.integers(-1000, 1000), st.booleans(), st.none(), st.text(max_size=8),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=5,
+)
 _EXTRA = st.dictionaries(
     st.text(alphabet="abcdefgh_", min_size=1, max_size=6).filter(
         lambda k: k not in {"id", "doc_id", "text", "label", "relevant_units",
@@ -175,7 +181,8 @@ def corpora(draw):
             Unit(
                 index=i,
                 text=draw(_TEXT),
-                speaker=draw(st.one_of(st.none(), st.sampled_from(["A", "B", "Cee"]))),
+                speaker=draw(st.one_of(st.none(),
+                                       st.sampled_from(["A", "B", "Cee", "Zoë", "話者", ""]))),
                 extra=draw(_EXTRA),
             )
             for i in range(n_units)
@@ -214,6 +221,27 @@ def test_round_trip_is_lossless(tmp_path_factory, corpus):
     assert loaded.documents == corpus.documents
     assert loaded.claims == corpus.claims
     assert loaded.content_hash() == corpus.content_hash()
+
+
+@given(corpora())
+@settings(max_examples=150, deadline=None)
+def test_content_hash_matches_the_one_shot_reference(corpus):
+    """Hashed record by record, the corpus keeps the digest of one canonical
+    ``json.dumps`` over every record: extras on units, documents and claims,
+    non-ASCII text, null and string speakers."""
+    assert corpus.content_hash() == content_hash_reference(corpus)
+
+
+def test_content_hash_across_claim_slices():
+    """Claims are encoded a slice at a time: runs that end on, just after and
+    well past a slice boundary keep the one-shot digest."""
+    doc = Document(id="d", units=[Unit(index=0, text="Der Fährmann wartet.", speaker=None)])
+    for n in (_CLAIMS_PER_HASH, _CLAIMS_PER_HASH + 1, 2 * _CLAIMS_PER_HASH + 7):
+        claims = [Claim(id=f"c{i}", doc_id="d", text=f"Claim {i} — ok.",
+                        gold_label=bool(i % 2) if i % 3 else None,
+                        extra={"n": i} if i % 5 == 0 else {}) for i in range(n)]
+        corpus = Corpus(documents=[doc], claims=claims)
+        assert corpus.content_hash() == content_hash_reference(corpus)
 
 
 def test_unknown_fields_survive_record_round_trip():

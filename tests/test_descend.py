@@ -20,7 +20,7 @@ from chunkcheck.corpus import Claim, Corpus, Document, Unit, VocabCounter, White
 from chunkcheck.errors import ChunkcheckError
 from chunkcheck.retrieval import descend, retrieve
 
-from helpers import drawn_picks, make_sized_doc
+from helpers import FlakyBackend, drawn_picks, make_sized_doc
 from oracles import brute_force_reference, retrievals_reference, retrieve_reference
 
 WC = WhitespaceCounter()
@@ -312,6 +312,24 @@ def test_one_batch_per_level_when_a_claim_fails_its_input_checks(monkeypatch, in
     depth = max(len(retrieve_reference(doc, c, FailingOverlap(), 2, 20, WC).levels)
                 for c in claims[:3])
     assert len(batches) == depth
+
+
+def test_a_failing_claim_stops_its_level_before_the_claims_after_it():
+    """One 512-unit document, a first claim whose every pair fails and 100
+    valid claims after it, one worker: the level scores the failing claim's
+    two pairs and starts none of the 200 after them, and the error is the
+    one claim-by-claim retrieval raises."""
+    doc = make_sized_doc("d", [3] * 512)
+    claims = [Claim(id="bad", doc_id="d", text="BOOM"),
+              *(Claim(id=f"c{i}", doc_id="d", text=doc.units[i].text) for i in range(100))]
+    corpus = Corpus(documents=[doc], claims=claims)
+    want = _outcome(lambda: retrievals_reference(claims, corpus, FlakyBackend(), 2, None, WC))
+    backend = FlakyBackend()
+    got = _outcome(lambda: descend([doc] * len(claims), claims, backend, [2] * len(claims),
+                                   counter=WC))
+    assert got[0] == "error"
+    assert got == want
+    assert backend.calls == 2
 
 
 def test_retrieve_is_the_one_claim_case():
