@@ -166,7 +166,10 @@ def score_batch(
     else:
         results = list(map(score_one, range(len(seen)), seen))
     if len(seen) < len(pairs):
-        seen = dict(zip(seen, results))  # each distinct pair's outcome
+        # Each distinct pair's outcome, written into ``seen`` in place so that
+        # no second dict over every distinct pair is built. CPython allows
+        # updating values while iterating, because the dict's size does not change.
+        seen.update(zip(seen, results))
         results = [seen[pair] for pair in pairs]
 
     failures = [BatchFailure(index=i, error=f"{type(res).__name__}: {res}")

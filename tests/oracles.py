@@ -2,8 +2,8 @@
 versions of the rank-metric kernels, the inversion count, the calibration
 bins, the candidate F1 thresholds (``metrics._thresholds``), the chunk
 packer, the retrieval splitters, the corpus loader, document-by-document
-scoring, and claim-by-claim greedy and exhaustive retrieval; and a replay
-check for retrieval traces.
+scoring, claim-by-claim greedy and exhaustive retrieval, and the overlap
+backend's words; and a replay check for retrieval traces.
 
 The oracles are pure-python, loop-based, written directly from the defining
 formulas so they share no code path with the implementations they check.
@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from bisect import bisect_left
 from math import ceil, sqrt
 from pathlib import Path
 
 import numpy as np
 
+from chunkcheck.backends import _words
 from chunkcheck.chunking import Chunk, ChunkPlan, premise_text
 from chunkcheck.corpus import (
     Corpus,
@@ -494,6 +496,24 @@ def check_pairs_reference(backend, pairs) -> None:
                 raise PremiseTooLargeError(
                     f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
                 )
+
+
+def overlap_words_reference(text: str) -> frozenset[bytes]:
+    """The overlap backend's words as a regex finds them: the maximal runs of
+    ``[a-z0-9']`` in ``text.lower()``, each encoded to bytes."""
+    return frozenset(word.encode("ascii") for word in re.findall(r"[a-z0-9']+", text.lower()))
+
+
+def check_overlap_words_every_code_point() -> None:
+    """``backends._words`` equals ``overlap_words_reference`` on every code
+    point, alone and between two letters, under this Python's Unicode tables.
+    Takes seconds; run from the repository root as
+    ``python3 -c 'import sys; sys.path.insert(0, "tests"); import oracles;
+    oracles.check_overlap_words_every_code_point()'``."""
+    for code in range(0x110000):
+        for text in (chr(code), "a" + chr(code) + "b"):
+            got, want = _words(text), overlap_words_reference(text)
+            assert got == want, f"U+{code:04X} in {text!r}: {sorted(got)} != {sorted(want)}"
 
 
 def _unit_reference(rec, pos) -> Unit:

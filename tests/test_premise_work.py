@@ -1,6 +1,7 @@
 """Premise-side work is done once: prefix-sum splitting and exact-start
 widening return what their scan-based references return, the overlap
-backend's word memo is per instance and changes no score, input checks and
+backend's words are the regex's and its word memo is per instance and changes
+no score, input checks and
 the premise cap raise what pair-by-pair checks raise, and call counts show
 each piece of work happening once."""
 
@@ -33,7 +34,12 @@ from chunkcheck.retrieval import _split_under_cap, brute_force_retrieve, retriev
 from chunkcheck.scoring import score_batch
 
 from helpers import make_sized_doc
-from oracles import check_pairs_reference, split_range_reference, split_under_cap_reference
+from oracles import (
+    check_pairs_reference,
+    overlap_words_reference,
+    split_range_reference,
+    split_under_cap_reference,
+)
 
 WC = WhitespaceCounter()
 _VOCAB = Path(__file__).parents[1] / "data" / "vocab" / "mini_vocab.txt"
@@ -96,10 +102,43 @@ _text = st.lists(
 def test_overlap_memo_scores_as_unmemoised_formula(pairs):
     first, second = LexicalOverlapBackend(), LexicalOverlapBackend()
     for premise, hypothesis in pairs:
-        hyp = _words(hypothesis)
-        want = len(hyp & _words(premise)) / len(hyp) if hyp else 0.0
+        hyp = overlap_words_reference(hypothesis)
+        want = len(hyp & overlap_words_reference(premise)) / len(hyp) if hyp else 0.0
         assert first.evaluate(premise, hypothesis) == want
         assert second.evaluate(premise, hypothesis) == want
+
+
+# ASCII letters, digits and separators; characters whose lower case holds ASCII
+# (U+0130 İ lowers to i + U+0307, the Kelvin sign to k), capital and final
+# sigma, a letter that does not lower (ß), fullwidth letters, Arabic-Indic
+# digits, an emoji and lone surrogates.
+_mixed = st.text(st.one_of(
+    st.sampled_from("abcxyzABCXYZ0189"),
+    st.sampled_from("' \n\r\t.-İ\u212aΣσςßＡａ٣😀\ud800\udc80\udfff"),
+))
+
+
+@given(_mixed, _mixed)
+@settings(max_examples=500, deadline=None)
+@example("odos ΟΔΟΣ", "ΟΔΟΣ odos")
+@example("İ\u212aa", "i\u212a")
+def test_overlap_words_match_the_regex(premise, hypothesis):
+    assert _words(premise) == overlap_words_reference(premise)
+    hyp = overlap_words_reference(hypothesis)
+    want = len(hyp & overlap_words_reference(premise)) / len(hyp) if hyp else 0.0
+    assert LexicalOverlapBackend().evaluate(premise, hypothesis) == want
+
+
+@pytest.mark.parametrize("chars", [
+    [chr(code) for code in range(128)],
+    ["\u0130", "\u212a", "Σ", "σ", "ς"],  # the only non-ASCII lowering to ASCII; sigma's forms
+], ids=["ascii", "lowering-and-sigma"])
+def test_overlap_words_on_single_characters(chars):
+    """Each character alone and between two letters, and capital sigma at a
+    word's end, where it lowers to final sigma."""
+    for c in chars:
+        for text in (c, "a" + c + "b", "ΑΣ" + c, "x" + c + "Σ y"):
+            assert _words(text) == overlap_words_reference(text), repr(text)
 
 
 def _count_words(monkeypatch) -> Counter:

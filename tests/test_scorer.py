@@ -280,6 +280,20 @@ def test_repeated_failing_pair_fails_at_every_index():
                                 for i in (0, 2, 4)]
 
 
+def test_repeated_pairs_keep_their_own_outcomes_by_index():
+    """Repeats that are not adjacent, one distinct pair failing: every index
+    gets its own pair's score or failure, each distinct pair scored once."""
+    pairs = [("a", "h"), ("b", "h"), ("x", "h"), ("a", "h"), ("c", "h"),
+             ("b", "h"), ("x", "h"), ("c", "h"), ("a", "h")]
+    for workers in (1, 3):
+        backend = ScriptedBackend({"a": 0.1, "b": 0.2, "c": 0.3})
+        out = score_batch(backend, pairs, max_workers=workers)
+        assert backend.calls == 4
+        assert out.scores == [0.1, 0.2, None, 0.1, 0.3, 0.2, None, 0.3, 0.1]
+        assert out.failures == [BatchFailure(index=i, error="KeyError: \"unscripted premise: 'x'\"")
+                                for i in (2, 6)]
+
+
 def test_batch_raises_on_invalid_inputs_before_scoring():
     backend = ScriptedBackend({}, default=0.5)
     with pytest.raises(PremiseTooLargeError):
