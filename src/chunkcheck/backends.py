@@ -18,6 +18,7 @@ import time
 import traceback
 from functools import lru_cache
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from urllib.parse import urlsplit
 
 from .corpus import Corpus, Document, format_unit, read_text_file
@@ -121,12 +122,13 @@ class UnitRelevanceBackend(ScorerBackend):
 
 
 def _retry_after_seconds(value: str | None) -> float | None:
-    """A numeric Retry-After value in seconds; None for a date or garbage."""
+    """A numeric Retry-After value in seconds; None for a date, garbage, or a
+    wait longer than ``time.sleep`` accepts."""
     try:
         seconds = float(value)
     except (TypeError, ValueError):
         return None
-    return seconds if 0.0 <= seconds < float("inf") else None
+    return seconds if 0.0 <= seconds <= TIMEOUT_MAX else None
 
 
 def _json_number(value) -> float | None:

@@ -14,9 +14,10 @@ import argparse
 import csv
 import gc
 import json
+import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from functools import cache
 from json.encoder import encode_basestring
@@ -42,13 +43,7 @@ from .engine import score_text  # noqa: F401
 from .engine import AGGREGATIONS, score_texts
 from .errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from .metrics import calibration_curve, ece, evaluate_scores, retrieval_recall, roc_auc
-from .retrieval import (  # noqa: F401
-    TraceLevel,
-    brute_force_retrieve,
-    descend,
-    retrieval_hit,
-    retrieve,
-)
+from .retrieval import brute_force_retrieve, descend, retrieval_hit, retrieve  # noqa: F401
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -93,16 +88,35 @@ def _setup(args: argparse.Namespace):
     return config, corpus, counter, backend, corpus_hash
 
 
-def _check_output_dirs(args: argparse.Namespace) -> None:
-    """Fail before any work when an output file's directory does not exist, or
-    the file is a directory."""
-    for path in (getattr(args, name, None) for name in ("out", "csv", "curve_csv")):
+def _file_key(path: str):
+    """What all paths to one file share: its device and inode (one stat, where
+    resolving stats every component), or the real path of a file not made yet."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Fail before any work when an output file's directory does not exist,
+    the file is a directory, or it is another output or an input file."""
+    named: dict = {}  # each file's key and the first flag naming it
+    for name in ("documents", "claims", "config", "out", "csv", "curve_csv"):
+        path = getattr(args, name, None)
         if not path:
             continue
-        if not Path(path).parent.is_dir():
-            raise ValidationError(f"cannot write {path}: {Path(path).parent} is not a directory")
-        if Path(path).is_dir():
-            raise ValidationError(f"cannot write {path}: it is a directory")
+        flag, key = "--" + name.replace("_", "-"), _file_key(path)
+        if name in ("out", "csv", "curve_csv"):
+            if not Path(path).parent.is_dir():
+                raise ValidationError(
+                    f"cannot write {path}: {Path(path).parent} is not a directory")
+            if Path(path).is_dir():
+                raise ValidationError(f"cannot write {path}: it is a directory")
+            if key in named:
+                raise ValidationError(
+                    f"cannot write {path}: {flag} and {named[key]} name the same file")
+        named.setdefault(key, flag)
 
 
 # Parts held before one write: memory is bounded by a batch, not by the report.
@@ -129,7 +143,9 @@ def _write_json(value, fh) -> None:
     """Write ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``
     and a newline to ``fh`` in one pass, ``_BATCH`` parts per write. Scalars
     must be of the exact types in ``_SCALARS`` and keys strings; tuples are
-    written as lists, and a ``TraceLevel`` as the dict of its fields."""
+    written as lists, and a dataclass as its ``to_dict()`` if its class
+    defines one, or else as the dict of its fields. That view is built when
+    the writer reaches the object and dropped once it is written."""
     parts: list[str] = []
     put = parts.append
     quote = encode_basestring
@@ -177,8 +193,9 @@ def _write_json(value, fh) -> None:
                 if len(parts) >= _BATCH:
                     flush()
             put(nl + "]")
-        elif type(v) is TraceLevel:
-            write(vars(v), nl, write)
+        elif is_dataclass(type(v)):
+            view = getattr(v, "to_dict", None)
+            write(vars(v) if view is None else view(), nl, write)
         else:
             f = scalar(type(v))
             if f is None:
@@ -209,7 +226,7 @@ def _report(command: str, config: RunConfig, corpus_hash: str, results: dict, me
     return {
         "version": __version__,
         "command": command,
-        "config": config.to_dict(),
+        "config": config,
         "corpus_hash": corpus_hash,
         "results": results,
         "meta": {**meta, "created_at": datetime.now(timezone.utc).isoformat()},
@@ -255,8 +272,8 @@ def cmd_score(args, config, corpus, counter, backend):
         corpus, config, counter, backend, config.budget, explain=args.explain
     )
     results = {
-        "claims": [s.to_dict() for s in sentences],
-        "texts": [ts.to_dict() for ts in text_scores],
+        "claims": sentences,
+        "texts": text_scores,
         "scorer_calls_total": sum(s.scorer_calls for s in sentences),
     }
     if args.dump_chunks:
@@ -371,7 +388,7 @@ def cmd_calibrate(args, config, corpus, counter, backend):
         cal = ece(probs, labels, bins=config.ece_bins,
                   decision_threshold=config.decision_threshold)
         entries.append({"budget": budget, "ece": cal.ece, "scorer_calls": calls,
-                        "calibration": cal.to_dict()})
+                        "calibration": cal})
     if args.csv:
         rows = [[e["budget"], e["ece"], e["scorer_calls"]] for e in entries]
         _write_csv(args.csv, ["budget", "ece", "scorer_calls"], rows)
@@ -474,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        _check_output_dirs(args)
+        _check_outputs(args)
         config, corpus, counter, backend, corpus_hash = _setup(args)
         t0 = time.perf_counter()
         results, meta = args.func(args, config, corpus, counter, backend)

@@ -274,10 +274,6 @@ class CalibrationReport:
     n: int
     decision_threshold: float
 
-    # Not ``asdict``, which deep-copies every value: the same dict from shallow copies.
-    def to_dict(self) -> dict:
-        return {**vars(self), "bins": tuple(dict(vars(b)) for b in self.bins)}
-
 
 def _binned(probs, labels, bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Checked probabilities in [0, 1], labels, each probability's bin among

@@ -58,11 +58,6 @@ class TraceLevel:
     scores: list[float]
     chosen: int  # index into candidate_ranges
 
-    # Not ``asdict``: it deep-copies every score and range one by one, several
-    # times the cost of these shallow copies on a traced run of many claims.
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
 class RetrievalTrace:
@@ -71,9 +66,6 @@ class RetrievalTrace:
     result_unit: int
     result_score: float
     scorer_calls: int
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "levels": [lvl.to_dict() for lvl in self.levels]}
 
 
 @dataclass

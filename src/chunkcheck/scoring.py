@@ -116,15 +116,6 @@ def _scorer(backend: ScorerBackend, pairs: list[tuple[str, str]], ends: list[int
     return score_one
 
 
-def score_pair(backend: ScorerBackend, premise: str, hypothesis: str) -> float:
-    """Score one (premise, hypothesis) pair through the backend."""
-    _check_pairs([(premise, hypothesis)])
-    result = _scorer(backend, [(premise, hypothesis)], [1])(0, (premise, hypothesis))
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 @dataclass(frozen=True)
 class BatchFailure:
     index: int

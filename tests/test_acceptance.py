@@ -28,7 +28,7 @@ from chunkcheck.metrics import (
     roc_auc,
 )
 from chunkcheck.retrieval import brute_force_retrieve, call_count_bound, retrieve
-from chunkcheck.scoring import build_prompt, entail_prob, score_batch, score_pair
+from chunkcheck.scoring import build_prompt, entail_prob, score_batch
 from helpers import make_sized_doc, relevance_fixture
 from oracles import (
     auc_pair_counting,
@@ -297,13 +297,13 @@ def test_criterion_10_remote_backend_contract():
             backend = RemoteBackend(
                 server.url, timeout=2.0, max_retries=2, backoff_base=0.05
             )
-            got = score_pair(backend, "a recorded premise", "a hypothesis")
+            got = backend.evaluate("a recorded premise", "a hypothesis")
             assert abs(got - 0.8807970779778823) < 1e-12
 
             server.transient_failures = 1
             t0 = time.perf_counter()
             before = len(server.requests)
-            again = score_pair(backend, "premise after hiccup", "h")
+            again = backend.evaluate("premise after hiccup", "h")
             assert abs(again - 0.8807970779778823) < 1e-12
             assert len(server.requests) - before == 2  # failed once, retried once
             assert time.perf_counter() - t0 >= 0.05  # waited out the backoff

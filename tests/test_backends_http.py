@@ -15,7 +15,7 @@ from chunkcheck.backends import RemoteBackend
 from chunkcheck.cli import main
 from chunkcheck.config import RunConfig, build_backend
 from chunkcheck.errors import BackendError, ValidationError
-from chunkcheck.scoring import score_batch, score_pair
+from chunkcheck.scoring import score_batch
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -138,13 +138,13 @@ def _backend(server, **kw):
 
 def test_logits_response_becomes_probability(server):
     backend = _backend(server)
-    got = score_pair(backend, "a premise", "a hypothesis")
+    got = backend.evaluate("a premise", "a hypothesis")
     assert abs(got - 0.8807970779778823) < 1e-12
 
 
 def test_request_wire_format(server):
     backend = _backend(server)
-    score_pair(backend, "the premise text", "the hypothesis")
+    backend.evaluate("the premise text", "the hypothesis")
     req = server.requests[-1]
     assert req["prompt"] == (
         "the premise text Question: does this imply 'the hypothesis'? Yes or no?"
@@ -154,7 +154,7 @@ def test_request_wire_format(server):
 
 def test_direct_probability_response(server):
     backend = _backend(server)
-    got = score_pair(backend, "p DIRECT_PROB", "h")
+    got = backend.evaluate("p DIRECT_PROB", "h")
     assert got == 0.42
 
 
@@ -162,7 +162,7 @@ def test_transient_failure_is_retried_with_backoff(server):
     server.transient_failures = 1
     backend = _backend(server, backoff_base=0.05)
     t0 = time.perf_counter()
-    got = score_pair(backend, "needs a retry", "h")
+    got = backend.evaluate("needs a retry", "h")
     elapsed = time.perf_counter() - t0
     assert abs(got - 0.8807970779778823) < 1e-12
     assert len(server.requests) == 2
@@ -172,7 +172,7 @@ def test_transient_failure_is_retried_with_backoff(server):
 def test_persistent_failure_reports_attempts_and_endpoint(server):
     backend = _backend(server, max_retries=2)
     with pytest.raises(BackendError) as err:
-        score_pair(backend, "p ALWAYS_FAIL", "h")
+        backend.evaluate("p ALWAYS_FAIL", "h")
     assert err.value.attempts == 3  # initial try + 2 retries
     assert server.url in str(err.value)
     assert len(server.requests) == 3
@@ -181,14 +181,14 @@ def test_persistent_failure_reports_attempts_and_endpoint(server):
 def test_client_error_is_not_retried(server):
     backend = _backend(server)
     with pytest.raises(BackendError):
-        score_pair(backend, "p CLIENT_ERROR", "h")
+        backend.evaluate("p CLIENT_ERROR", "h")
     assert len(server.requests) == 1
 
 
 def test_redirect_is_fatal_and_not_followed(server):
     backend = _backend(server)
     with pytest.raises(BackendError, match="answered HTTP 301") as err:
-        score_pair(backend, "p REDIRECT", "h")
+        backend.evaluate("p REDIRECT", "h")
     assert err.value.attempts == 1
     assert len(server.requests) == 1
 
@@ -196,13 +196,13 @@ def test_redirect_is_fatal_and_not_followed(server):
 def test_malformed_json_is_fatal(server):
     backend = _backend(server)
     with pytest.raises(BackendError, match="invalid JSON"):
-        score_pair(backend, "p BAD_JSON", "h")
+        backend.evaluate("p BAD_JSON", "h")
 
 
 def test_missing_payload_is_fatal(server):
     backend = _backend(server)
     with pytest.raises(BackendError, match="logits"):
-        score_pair(backend, "p NO_PAYLOAD", "h")
+        backend.evaluate("p NO_PAYLOAD", "h")
 
 
 @pytest.mark.parametrize(
@@ -219,15 +219,15 @@ def test_missing_payload_is_fatal(server):
 def test_non_numeric_values_are_fatal(server, body):
     backend = _backend(server)
     with pytest.raises(BackendError, match="numeric") as err:
-        score_pair(backend, f"p BODY:{body}", "h")
+        backend.evaluate(f"p BODY:{body}", "h")
     assert err.value.attempts == 1
     assert err.value.endpoint == server.url
 
 
 def test_integer_values_are_numbers(server):
     backend = _backend(server)
-    assert score_pair(backend, 'p BODY:{"probability": 1}', "h") == 1.0
-    assert abs(score_pair(backend, 'p BODY:{"logits": [2, 0]}', "h") - 0.8807970779778823) < 1e-12
+    assert backend.evaluate('p BODY:{"probability": 1}', "h") == 1.0
+    assert abs(backend.evaluate('p BODY:{"logits": [2, 0]}', "h") - 0.8807970779778823) < 1e-12
 
 
 def test_unreachable_endpoint(tmp_path):
@@ -235,7 +235,7 @@ def test_unreachable_endpoint(tmp_path):
         "http://127.0.0.1:1/score", timeout=0.2, max_retries=1, backoff_base=0.01
     )
     with pytest.raises(BackendError) as err:
-        score_pair(backend, "p", "h")
+        backend.evaluate("p", "h")
     assert err.value.attempts == 2
     assert "127.0.0.1:1" in str(err.value)
 
@@ -277,7 +277,7 @@ def test_batch_isolates_bad_probability_bodies(server, marker, error):
 
 def test_auth_header_forwarded(server):
     backend = _backend(server, auth_header="Authorization: Bearer sekrit")
-    score_pair(backend, "p", "h")
+    backend.evaluate("p", "h")
     assert server.requests[-1]["headers"].get("Authorization") == "Bearer sekrit"
 
 
@@ -293,11 +293,21 @@ def test_rate_limit_is_retried_after_retry_after(server):
     server.rate_limited, server.retry_after = 1, "0.2"
     backend = _backend(server, backoff_base=0.01)
     t0 = time.perf_counter()
-    got = score_pair(backend, "rate limited once", "h")
+    got = backend.evaluate("rate limited once", "h")
     elapsed = time.perf_counter() - t0
     assert abs(got - 0.8807970779778823) < 1e-12
     assert len(server.requests) == 2  # attempts == 2
     assert elapsed >= 0.2  # slept for Retry-After, not the 0.01 s backoff
+
+
+def test_retry_after_too_long_to_sleep_falls_back_to_the_backoff(server):
+    # 1e10 s is over threading.TIMEOUT_MAX, which time.sleep refuses with an
+    # OverflowError; like a date, it means the usual backoff.
+    server.rate_limited, server.retry_after = 1, "1e10"
+    out = score_batch(_backend(server, backoff_base=0.01), [("rate limited once", "h")])
+    assert out.ok
+    assert abs(out.scores[0] - 0.8807970779778823) < 1e-12
+    assert len(server.requests) == 2
 
 
 @pytest.mark.parametrize("retry_after", [None, "Wed, 21 Oct 2015 07:28:00 GMT"])
@@ -306,7 +316,7 @@ def test_persistent_rate_limit_fails_after_retries(server, retry_after):
     backend = _backend(server, max_retries=2, backoff_base=0.01)
     t0 = time.perf_counter()
     with pytest.raises(BackendError) as err:
-        score_pair(backend, "p ALWAYS_429", "h")
+        backend.evaluate("p ALWAYS_429", "h")
     assert err.value.attempts == 3
     assert "429" in str(err.value)
     assert len(server.requests) == 3
@@ -354,7 +364,7 @@ def test_environment_settings_match_per_request_resolution(server, monkeypatch, 
     assert RemoteBackend("http://example.invalid/s")._session.proxies["http"] == (
         "http://proxy.invalid:3128"
     )
-    score_pair(_backend(server), "p", "h")  # bypasses the proxy, sends netrc credentials
+    _backend(server).evaluate("p", "h")  # bypasses the proxy, sends netrc credentials
     assert server.requests[-1]["headers"]["Authorization"].startswith("Basic ")
 
 
@@ -400,7 +410,7 @@ def test_http_proxy_receives_absolute_form_target(server, monkeypatch):
     host, port = server.httpd.server_address
     monkeypatch.setenv("HTTP_PROXY", f"http://{host}:{port}")
     backend = RemoteBackend("http://model.invalid:8080/v1/score?x=1", timeout=2.0, max_retries=0)
-    assert abs(score_pair(backend, "p", "h") - 0.8807970779778823) < 1e-12
+    assert abs(backend.evaluate("p", "h") - 0.8807970779778823) < 1e-12
     assert len(server.requests) == 1
     assert server.requests[0]["path"] == "http://model.invalid:8080/v1/score?x=1"
     assert server.requests[0]["headers"]["Host"] == "model.invalid:8080"

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import os
 import subprocess
@@ -24,6 +25,7 @@ from helpers import write_probe_corpus
 
 GOLDEN = Path(__file__).parent / "data" / "golden_score_report.json"
 GOLDEN_RETRIEVE = Path(__file__).parent / "data" / "golden_retrieve_report.json"
+GOLDEN_CALIBRATE = Path(__file__).parent / "data" / "golden_calibrate_report.json"
 
 
 def _fixture_args(fixture_dir):
@@ -67,6 +69,15 @@ def test_retrieve_matches_recorded_golden(fixture_dir, tmp_path):
     got = _load_report(out)
     got.pop("meta")
     assert got == json.loads(GOLDEN_RETRIEVE.read_text())
+
+
+def test_calibrate_matches_recorded_golden(fixture_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert _run(["calibrate", *_fixture_args(fixture_dir), "--budgets", "16,64,512",
+                 "--out", out]) == 0
+    got = _load_report(out)
+    got.pop("meta")
+    assert got == json.loads(GOLDEN_CALIBRATE.read_text())
 
 
 def test_score_byte_identical_across_runs(fixture_dir, tmp_path):
@@ -415,7 +426,7 @@ def test_calibrate_uses_the_decision_threshold(fixture_dir, tmp_path):
         ]
         want = ece_op(probs, labels, decision_threshold=0.3)
         assert entry["ece"] == want.ece
-        assert entry["calibration"] == json.loads(json.dumps(want.to_dict()))
+        assert entry["calibration"] == json.loads(json.dumps(asdict(want)))
 
 
 def test_decision_threshold_outside_the_unit_interval_exits_one_before_scoring(
@@ -650,15 +661,21 @@ def test_report_masks_auth_header_value(fixture_dir, tmp_path, monkeypatch, sour
     ("no-colon-token", "***"),
 ])
 def test_report_dicts_equal_asdict(header, masked):
-    """The reports' ``to_dict`` methods build what ``dataclasses.asdict``
-    builds, the config with its auth header's value masked."""
+    """The config's and the evaluation report's ``to_dict`` build what
+    ``dataclasses.asdict`` builds, the config with its auth header's value
+    masked, and the report writer writes a calibration report, which has no
+    ``to_dict``, as ``json.dumps`` writes its ``asdict``."""
     config = RunConfig(auth_header=header, endpoint="http://localhost/x", premise_cap=64,
                        relevance_file="rel.json", decision_threshold=0.25)
     assert config.to_dict() == {**asdict(config), "auth_header": masked}
     scores, labels = [0.1, 0.4, 0.4, 0.8, 0.95, 1.0], [False, True, False, True, True, False]
     for report in (ece_op(scores, labels, bins=4, decision_threshold=0.3),
-                   ece_op([], [], bins=10),
-                   evaluate_scores(scores, labels),
+                   ece_op([], [], bins=10)):
+        sink = io.StringIO()
+        cli._write_json({"calibration": report}, sink)
+        assert sink.getvalue() == json.dumps({"calibration": asdict(report)}, sort_keys=True,
+                                             indent=2, ensure_ascii=False) + "\n"
+    for report in (evaluate_scores(scores, labels),
                    evaluate_scores([0.5] * 4, [True, False, True, False])):  # null correlations
         got, want = report.to_dict(), asdict(report)
         assert got == want
@@ -941,6 +958,15 @@ def test_unreadable_corpus_file_exits_one(fixture_dir, tmp_path, capsys, which):
     assert err["message"].startswith(f"{bad}:2: not UTF-8 text")
     assert not out.exists()
 
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)  # a path that cannot be resolved
+    args[which] = loop
+    assert _run(["score", "--documents", args["documents"], "--claims", args["claims"],
+                 "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation",
+                   "message": f"{loop}: cannot read file (Too many levels of symbolic links)"}
+
 
 @pytest.mark.parametrize(("command", "flag"), [
     (["score"], "--out"),
@@ -978,6 +1004,49 @@ def test_output_path_that_is_a_directory_fails_before_loading(
     assert _run([*command, *_fixture_args(fixture_dir), flag, tmp_path]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "validation", "message": f"cannot write {tmp_path}: it is a directory"}
+
+
+@pytest.mark.parametrize(("command", "outputs", "message"), [
+    (["calibrate", "--budgets", "16,64"], ["--csv", "r.csv", "--out", "r.csv"],
+     "cannot write r.csv: --csv and --out name the same file"),
+    (["calibrate", "--budgets", "16,64"], ["--csv", "r.csv", "--curve-csv", "sub/../r.csv"],
+     "cannot write sub/../r.csv: --curve-csv and --csv name the same file"),
+    (["score"], ["--out", "./documents.jsonl"],
+     "cannot write ./documents.jsonl: --out and --documents name the same file"),
+    (["bench", "--budgets", "16,64"], ["--csv", "claims.jsonl"],
+     "cannot write claims.jsonl: --csv and --claims name the same file"),
+    (["score"], ["--out", "sub/../config.json"],
+     "cannot write sub/../config.json: --out and --config name the same file"),
+    (["score"], ["--out", "hard-link.jsonl"],
+     "cannot write hard-link.jsonl: --out and --documents name the same file"),
+    (["calibrate", "--budgets", "16,64"], ["--out", "sub/new.json", "--curve-csv",
+                                           "sub-link/new.json"],
+     "cannot write sub-link/new.json: --curve-csv and --out name the same file"),
+], ids=["csv-out", "csv-curve-csv", "out-documents", "csv-claims", "out-config", "hard-link",
+        "symlinked-directory"])
+def test_output_naming_another_output_or_an_input_fails_before_scoring(
+    fixture_dir, tmp_path, monkeypatch, capsys, command, outputs, message
+):
+    """Output paths are compared with each other and with the input files,
+    through links, and a collision exits 1 before any file is written or any
+    pair is scored."""
+    calls = []
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
+                        lambda self, premise, hypothesis: calls.append(premise) or 0.5)
+    for name in ("documents.jsonl", "claims.jsonl"):
+        (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
+    (tmp_path / "config.json").write_text("{}")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub-link").symlink_to("sub")
+    os.link(tmp_path / "documents.jsonl", tmp_path / "hard-link.jsonl")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    monkeypatch.chdir(tmp_path)
+    assert _run([*command, "--documents", "documents.jsonl", "--claims", "claims.jsonl",
+                 "--config", "config.json", *outputs]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {"type": "validation",
+                                                           "message": message}
+    assert calls == []
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_duplicate_claim_id_exits_one(tmp_path, capsys):

@@ -18,7 +18,7 @@ from chunkcheck.chunking import UNIT_SEPARATOR
 from chunkcheck.cli import _retrievals, cmd_retrieve
 from chunkcheck.corpus import Claim, Corpus, Document, Unit, VocabCounter, WhitespaceCounter
 from chunkcheck.errors import ChunkcheckError
-from chunkcheck.retrieval import descend, retrieve
+from chunkcheck.retrieval import RetrievalTrace, descend, retrieve
 
 from helpers import FlakyBackend, drawn_picks, make_sized_doc
 from oracles import brute_force_reference, retrievals_reference, retrieve_reference
@@ -125,7 +125,7 @@ def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
     corpus, k, cap, counter, failing, workers = _draw_case(docs_units, texts, data)
     claims = corpus.claims
     want = _outcome(lambda: [
-        (claim.id, doc.id, trace.to_dict())
+        (claim.id, doc.id, trace)
         for claim, doc, trace in retrievals_reference(
             claims, corpus, FailingOverlap(failing), k, cap, counter, workers
         )
@@ -134,7 +134,7 @@ def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
 
     def together():
         traces = _retrievals(claims, corpus, config, counter, FailingOverlap(failing))
-        return [(c.id, c.doc_id, t.to_dict()) for c, t in zip(claims, traces, strict=True)]
+        return [(c.id, c.doc_id, t) for c, t in zip(claims, traces, strict=True)]
 
     assert _outcome(together) == want
 
@@ -164,17 +164,17 @@ def test_brute_force_per_document_matches_claim_by_claim(docs_units, texts, data
             doc = corpus.document(claim.doc_id)
             trace = retrieve_reference(doc, claim, alone, k, cap, counter)
             bf = brute_force_reference(doc, claim, alone, cap, counter)
-            rows.append((trace.to_dict(), (bf.unit, bf.score, bf.scorer_calls,
-                                           bf.unit == trace.result_unit)))
+            rows.append((trace, (bf.unit, bf.score, bf.scorer_calls,
+                                 bf.unit == trace.result_unit)))
         return rows
 
     together = FailingOverlap(failing, units_only)
 
     def batched():
         return [
-            ({"claim_id": e["claim_id"], "result_unit": e["result_unit"],
-              "result_score": e["result_score"], "scorer_calls": e["scorer_calls"],
-              "levels": [vars(level) for level in e["trace"]]},
+            (RetrievalTrace(claim_id=e["claim_id"], levels=e["trace"],
+                            result_unit=e["result_unit"], result_score=e["result_score"],
+                            scorer_calls=e["scorer_calls"]),
              tuple(e["brute_force"][key] for key in ("unit", "score", "scorer_calls", "agrees")))
             for e in _cli_retrieve(corpus, together, k, cap, counter, workers)
         ]
@@ -281,7 +281,7 @@ def test_one_batch_per_level_one_split_per_range(monkeypatch):
     # descending together, the batch's deduplication scores each pair once.
     alone = FailingOverlap()
     want = [retrieve_reference(doc, c, alone, 2, 512, WC) for c in claims]
-    assert [t.to_dict() for t in traces] == [t.to_dict() for t in want]
+    assert traces == want
     assert alone.calls > len(alone.pairs)
     assert backend.calls == len(alone.pairs)
 

@@ -6,7 +6,6 @@ from chunkcheck.chunking import make_chunks, premise_text
 from chunkcheck.corpus import Claim, Document, Unit, WhitespaceCounter
 from chunkcheck.engine import aggregate_scores, score_sentence, score_text
 from chunkcheck.errors import ScoringError, ValidationError
-from chunkcheck.scoring import score_pair
 from helpers import FlakyBackend, ScriptedBackend, make_doc, relevance_fixture
 
 WC = WhitespaceCounter()
@@ -36,11 +35,11 @@ def test_max_over_chunks():
     assert got.scorer_calls == 3
 
 
-def test_single_chunk_reduces_to_score_pair(overlap_backend):
+def test_single_chunk_reduces_to_one_backend_call(overlap_backend):
     doc = Document(id="d", units=[Unit(index=0, text="alpha beta gamma")])
     plan = make_chunks(doc, 100, WC)
     got = score_sentence(plan, _claim("d", "beta gamma"), overlap_backend)
-    direct = score_pair(overlap_backend, plan.chunks[0].text, "beta gamma")
+    direct = overlap_backend.evaluate(plan.chunks[0].text, "beta gamma")
     assert got.score == direct
     assert got.scorer_calls == 1
 
@@ -55,9 +54,9 @@ def test_overlap_three_single_unit_chunks(overlap_backend):
     got = score_sentence(plan, _claim("d", "c d"), overlap_backend)
     assert got.score == 1.0
     assert got.argmax_chunk == (1, 2)
-    # oracle: exhaustive score_pair over the chunks
+    # oracle: the backend on every chunk
     exhaustive = [
-        score_pair(overlap_backend, chunk.text, "c d") for chunk in plan.chunks
+        overlap_backend.evaluate(chunk.text, "c d") for chunk in plan.chunks
     ]
     assert got.score == max(exhaustive)
 

@@ -192,7 +192,7 @@ def test_capped_retrieval_splits_once_per_level(monkeypatch):
 
     monkeypatch.setattr(retrieval, "_split_under_cap", split_under_cap_reference)
     reference = retrieve(doc, claim, LexicalOverlapBackend(), k=2, budget=512, counter=WC)
-    assert reference.to_dict() == trace.to_dict()
+    assert reference == trace
 
 
 def _first_error(check, *args):

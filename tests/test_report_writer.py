@@ -1,11 +1,14 @@
 """The report writer streams, in batches, exactly the text of
 ``json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)`` plus a
-newline; a write that fails partway exits 3."""
+newline, a dataclass written as its ``to_dict()`` or its fields; a write
+that fails partway exits 3."""
 
 import io
 import json
 import sys
+from dataclasses import asdict, dataclass
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -76,7 +79,41 @@ def test_writer_matches_json_dumps(value):
     assert sink.getvalue() == _dumps(value)
 
 
-@pytest.mark.parametrize("value", [{"a": {1, 2}}, [object()], b"bytes"])
+@dataclass
+class _Fields:
+    name: str
+    values: tuple
+    extra: object = None
+
+
+@dataclass
+class _View:
+    """A dataclass whose ``to_dict`` reshapes its fields."""
+
+    start: int
+    end: int
+
+    def to_dict(self) -> dict:
+        return {"range": [self.start, self.end], "width": self.end - self.start}
+
+
+def test_a_dataclass_is_written_as_its_to_dict_or_its_fields():
+    plain = _Fields(name="é", values=(1.5, None, "x"), extra={"k": [True]})
+    view = _View(2, 5)
+    value = {"a": [plain, (view, {"b": plain})], "c": (view,), "d": plain, "e": view}
+    want = {"a": [asdict(plain), [view.to_dict(), {"b": asdict(plain)}]],
+            "c": [view.to_dict()], "d": asdict(plain), "e": view.to_dict()}
+    sink = _Sink()
+    _write_json(value, sink)
+    assert sink.getvalue() == _dumps(want)
+    sink = _Sink()
+    _write_json([view, plain], sink)
+    assert sink.getvalue() == _dumps([view.to_dict(), asdict(plain)])
+
+
+@pytest.mark.parametrize("value", [
+    {"a": {1, 2}}, [object()], b"bytes", [np.float64(0.5)], {"x": _Fields("s", (1,), {2})},
+])
 def test_a_value_json_cannot_write_raises_type_error(value):
     with pytest.raises(TypeError, match="is not JSON serializable"):
         _write_json(value, _Sink())

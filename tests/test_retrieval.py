@@ -21,7 +21,6 @@ from chunkcheck.retrieval import (
     retrieval_hit,
     retrieve,
 )
-from chunkcheck.scoring import score_pair
 from helpers import ScriptedBackend, make_doc, relevance_fixture
 from oracles import verify_trace
 
@@ -97,7 +96,7 @@ def test_brute_force_matches_independent_loop():
     backend = LexicalOverlapBackend()
     bf = brute_force_retrieve(doc, claim, backend)
     probs = [
-        score_pair(backend, premise_text(doc, i, i + 1), claim.text)
+        backend.evaluate(premise_text(doc, i, i + 1), claim.text)
         for i in range(50)
     ]
     best = max(range(50), key=lambda i: (probs[i], -i))
@@ -227,7 +226,7 @@ def test_parts_default_to_the_counter_that_enforces_the_cap(data_dir):
     claim = _claim("d", "number3 unbelievable")
     # whitespace by default: 4-token units fit a cap of 8, and so do their pairs
     implicit = retrieve(doc, claim, backend, budget=8)
-    assert implicit.to_dict() == retrieve(doc, claim, backend, budget=8, counter=WC).to_dict()
+    assert implicit == retrieve(doc, claim, backend, budget=8, counter=WC)
     assert len(implicit.levels[-1].candidate_ranges) == 2
     with pytest.raises(PremiseTooLargeError, match="premise has 9 tokens"):
         retrieve(doc, claim, backend, budget=8, counter=vocab)

@@ -3,6 +3,7 @@ errors are those of scoring one document after another, the ``--concurrency``
 workers are shared by the documents, and a pair repeated in two documents
 reaches the backend once."""
 
+import io
 import json
 import threading
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkcheck.backends import LexicalOverlapBackend
-from chunkcheck.cli import cmd_score, main
+from chunkcheck.cli import _write_json, cmd_score, main
 from chunkcheck.corpus import Claim, Corpus, Document, Unit, WhitespaceCounter
 from chunkcheck.engine import score_texts
 from chunkcheck.errors import ChunkcheckError, ScoringError, ValidationError
@@ -58,13 +59,21 @@ def _corpora(draw):
     return Corpus(documents=docs, claims=claims)
 
 
+def _written(results) -> str:
+    """``cmd_score``'s results as the report writer writes them."""
+    sink = io.StringIO()
+    _write_json(results, sink)
+    return sink.getvalue()
+
+
 def _results(text_scores, sentences) -> str:
-    """``cmd_score``'s results, serialized as reports are."""
+    """The results ``cmd_score`` reports for these scores, as ``json.dumps``
+    writes them in a report."""
     return json.dumps({
         "claims": [s.to_dict() for s in sentences],
         "texts": [ts.to_dict() for ts in text_scores],
         "scorer_calls_total": sum(s.scorer_calls for s in sentences),
-    }, sort_keys=True)
+    }, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _outcome(run):
@@ -88,8 +97,8 @@ def test_run_batch_reports_equal_document_by_document(corpus, budgets, explain, 
                                  premise_cap=cap)
         args = SimpleNamespace(explain=explain, dump_chunks=False)
         backend = CountingOverlap()
-        got, got_error = _outcome(lambda: json.dumps(
-            cmd_score(args, config, corpus, WC, backend)[0], sort_keys=True))
+        got, got_error = _outcome(
+            lambda: _written(cmd_score(args, config, corpus, WC, backend)[0]))
         want, want_error = _outcome(lambda: _results(*score_corpus_reference(
             corpus, budget, LexicalOverlapBackend(), WC, aggregation, workers, explain, cap)))
         assert got_error == want_error

@@ -20,7 +20,6 @@ from chunkcheck.scoring import (
     build_prompt,
     entail_prob,
     score_batch,
-    score_pair,
 )
 from helpers import FlakyBackend, ScriptedBackend, relevance_fixture
 
@@ -121,26 +120,26 @@ def test_entail_prob_matches_high_precision_reference():
 
 
 # ---------------------------------------------------------------------------
-# score_pair
+# The overlap oracle
 
 
 def test_overlap_oracle_full_containment(overlap_backend):
-    assert score_pair(overlap_backend, "a b c d", "b c") == 1.0
+    assert overlap_backend.evaluate("a b c d", "b c") == 1.0
 
 
 def test_overlap_oracle_disjoint(overlap_backend):
-    assert score_pair(overlap_backend, "a b", "x y") == 0.0
+    assert overlap_backend.evaluate("a b", "x y") == 0.0
 
 
 def test_overlap_oracle_partial(overlap_backend):
-    assert score_pair(overlap_backend, "a b c d", "a b x y") == 0.5
+    assert overlap_backend.evaluate("a b c d", "a b x y") == 0.5
 
 
-def test_score_pair_deterministic(overlap_backend):
+def test_overlap_oracle_deterministic(overlap_backend):
     pairs = [("alpha beta gamma", "beta gamma"), ("p q", "q r s")]
     for premise, hyp in pairs:
-        first = score_pair(overlap_backend, premise, hyp)
-        second = score_pair(overlap_backend, premise, hyp)
+        first = overlap_backend.evaluate(premise, hyp)
+        second = overlap_backend.evaluate(premise, hyp)
         assert first == second
 
 
@@ -191,7 +190,7 @@ def test_batch_matches_sequential_loop(overlap_backend):
         )
         for _ in range(100)
     ]
-    sequential = [score_pair(overlap_backend, p, h) for p, h in pairs]
+    sequential = [overlap_backend.evaluate(p, h) for p, h in pairs]
     for workers in (1, 4):
         batch = score_batch(overlap_backend, pairs, max_workers=workers)
         assert batch.ok
@@ -313,7 +312,7 @@ def test_shared_cache_safe_under_concurrent_batches(overlap_backend):
         )
         for _ in range(200)
     ]
-    want = [score_pair(overlap_backend, p, h) for p, h in pairs]
+    want = [overlap_backend.evaluate(p, h) for p, h in pairs]
     for _ in range(3):  # repeated concurrent passes over one backend
         out = score_batch(overlap_backend, pairs, max_workers=8)
         assert out.ok
@@ -331,7 +330,7 @@ def test_unit_relevance_backend_is_max_composable():
     for _ in range(40):
         a = rng.randrange(0, 12)
         b = rng.randrange(a + 1, 13)
-        got = score_pair(backend, premise_text(doc, a, b), "anything")
+        got = backend.evaluate(premise_text(doc, a, b), "anything")
         assert got == max(scores[a:b])
 
 
