@@ -265,46 +265,26 @@ class RemoteBackend(ScorerBackend):
                 retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
                 continue
             if resp.status != 200:
-                raise BackendError(
-                    f"endpoint {self.endpoint} answered HTTP {resp.status}",
-                    attempts=attempts,
-                    endpoint=self.endpoint,
-                )
-            return self._parse(resp, attempts)
+                raise BackendError(f"endpoint {self.endpoint} answered HTTP {resp.status}")
+            return self._parse(resp)
         raise BackendError(
-            f"endpoint {self.endpoint} unreachable after {attempts} attempts: {last_error}",
-            attempts=attempts,
-            endpoint=self.endpoint,
+            f"endpoint {self.endpoint} unreachable after {attempts} attempts: {last_error}"
         )
 
-    def _parse(self, resp, attempts: int) -> float:
+    def _parse(self, resp) -> float:
         try:
             body = json.loads(resp.data)
         except ValueError as exc:
-            raise BackendError(
-                f"endpoint {self.endpoint} returned invalid JSON: {exc}",
-                attempts=attempts,
-                endpoint=self.endpoint,
-            ) from exc
+            raise BackendError(f"endpoint {self.endpoint} returned invalid JSON: {exc}") from exc
         if isinstance(body, dict) and "logits" in body:
             logits = body["logits"]
             values = [_json_number(v) for v in logits] if isinstance(logits, list) else []
             if len(values) != 2 or None in values:
-                raise BackendError(
-                    f"expected two numeric logits, got {logits!r}", attempts=attempts,
-                    endpoint=self.endpoint,
-                )
+                raise BackendError(f"expected two numeric logits, got {logits!r}")
             return entail_prob(*values)
         if isinstance(body, dict) and "probability" in body:
             probability = _json_number(body["probability"])
             if probability is None:
-                raise BackendError(
-                    f"expected a numeric probability, got {body['probability']!r}",
-                    attempts=attempts, endpoint=self.endpoint,
-                )
+                raise BackendError(f"expected a numeric probability, got {body['probability']!r}")
             return probability
-        raise BackendError(
-            f"response missing 'logits' or 'probability': {body!r}",
-            attempts=attempts,
-            endpoint=self.endpoint,
-        )
+        raise BackendError(f"response missing 'logits' or 'probability': {body!r}")

@@ -4,8 +4,9 @@ Reports are JSON with sorted keys. Everything nondeterministic (timestamps,
 wall-clock timings) lives under the top-level "meta" key so that the rest of
 the report is byte-identical across runs; golden comparisons drop "meta".
 
-Exit codes: 0 success, 1 validation error, 2 backend/transport error,
-3 internal error.
+Exit codes: 0 success, or the failing error's ``exit_code``, which each class
+in ``errors`` declares next to the ``kind`` reported on stderr: 1 validation,
+2 scoring or backend, 3 internal (any other exception too).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import gc
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -41,7 +43,7 @@ from .config import (  # noqa: F401
 from .corpus import Corpus, load_corpus
 from .engine import score_text  # noqa: F401
 from .engine import AGGREGATIONS, score_texts
-from .errors import BackendError, ChunkcheckError, ScoringError, ValidationError
+from .errors import ChunkcheckError, ValidationError
 from .metrics import calibration_curve, ece, evaluate_scores, retrieval_recall, roc_auc
 from .retrieval import brute_force_retrieve, descend, retrieval_hit, retrieve  # noqa: F401
 
@@ -76,6 +78,7 @@ def _setup(args: argparse.Namespace):
     subcommand shares, done before any scorer call."""
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     config = resolve_config(args.config, overrides)
+    _check_outputs(args, config)
     corpus = load_corpus(args.documents, args.claims)
     counter = build_counter(config)
     backend = build_backend(config, corpus)
@@ -88,34 +91,40 @@ def _setup(args: argparse.Namespace):
     return config, corpus, counter, backend, corpus_hash
 
 
-def _file_key(path: str):
-    """What all paths to one file share: its device and inode (one stat, where
-    resolving stats every component), or the real path of a file not made yet."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return os.path.realpath(path)
-    return st.st_dev, st.st_ino
-
-
-def _check_outputs(args: argparse.Namespace) -> None:
-    """Fail before any work when an output file's directory does not exist,
-    the file is a directory, or it is another output or an input file."""
+def _check_outputs(args: argparse.Namespace, config: RunConfig) -> None:
+    """Fail before loading when an output file's directory does not exist, the
+    file is a directory or cannot be stat'ed, or it is another output or an
+    input file: the corpus, the config file, or the relevance or vocab file."""
+    vocab = config.counter.removeprefix("vocab:") if config.counter.startswith("vocab:") else None
+    paths = [("--documents", args.documents), ("--claims", args.claims),
+             ("--config", args.config), ("--relevance-file", config.relevance_file),
+             ("--counter", vocab), ("--out", args.out),
+             ("--csv", getattr(args, "csv", None)),
+             ("--curve-csv", getattr(args, "curve_csv", None))]
     named: dict = {}  # each file's key and the first flag naming it
-    for name in ("documents", "claims", "config", "out", "csv", "curve_csv"):
-        path = getattr(args, name, None)
+    for flag, path in paths:
         if not path:
             continue
-        flag, key = "--" + name.replace("_", "-"), _file_key(path)
-        if name in ("out", "csv", "curve_csv"):
-            if not Path(path).parent.is_dir():
-                raise ValidationError(
-                    f"cannot write {path}: {Path(path).parent} is not a directory")
-            if Path(path).is_dir():
+        output = flag in ("--out", "--csv", "--curve-csv")
+        if output and not Path(path).parent.is_dir():
+            raise ValidationError(f"cannot write {path}: {Path(path).parent} is not a directory")
+        # A file's key is what all paths to it share: its device and inode
+        # (one stat, where resolving stats every component), or the real path
+        # of a file not made yet. An input that cannot be stat'ed is left to
+        # its reader's message.
+        try:
+            st = os.stat(path)
+        except OSError as exc:
+            if output and not isinstance(exc, FileNotFoundError):
+                raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+            key = os.path.realpath(path)
+        else:
+            if output and stat.S_ISDIR(st.st_mode):
                 raise ValidationError(f"cannot write {path}: it is a directory")
-            if key in named:
-                raise ValidationError(
-                    f"cannot write {path}: {flag} and {named[key]} name the same file")
+            key = st.st_dev, st.st_ino
+        if output and key in named:
+            raise ValidationError(
+                f"cannot write {path}: {flag} and {named[key]} name the same file")
         named.setdefault(key, flag)
 
 
@@ -483,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; that slot is reserved for
-        # backend/transport failures here.
+        # scoring and backend failures here.
         return 0 if exc.code in (0, None) else 1
     # The command's data holds no reference cycles, so the cyclic collector
     # would only re-traverse it; it is paused for the command and the
@@ -491,26 +500,16 @@ def main(argv: list[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        _check_outputs(args)
         config, corpus, counter, backend, corpus_hash = _setup(args)
         t0 = time.perf_counter()
         results, meta = args.func(args, config, corpus, counter, backend)
         meta["wall_clock_s"] = time.perf_counter() - t0
         _emit(_report(args.command, config, corpus_hash, results, meta), args.out)
         return 0
-    except (BackendError,) as exc:
-        _error_report("backend", str(exc))
-        return 2
-    except (ScoringError,) as exc:
-        _error_report("scoring", str(exc))
-        return 2
-    except (ValidationError,) as exc:
-        _error_report("validation", str(exc))
-        return 1
     except ChunkcheckError as exc:
-        _error_report("internal", str(exc))
-        return 3
-    except Exception as exc:  # pragma: no cover - last resort
+        _error_report(exc.kind, str(exc))
+        return exc.exit_code
+    except Exception as exc:  # last resort
         _error_report("internal", f"{type(exc).__name__}: {exc}")
         return 3
     finally:

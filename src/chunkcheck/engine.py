@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .chunking import Chunk, ChunkPlan, make_chunks
 from .corpus import Claim, Document, TokenCounter
 from .errors import ScoringError, ValidationError
-from .scoring import BatchFailure, ScorerBackend, check_cap, first_max, score_batch
+from .scoring import ScorerBackend, check_cap, first_max, score_batch
 
 AGGREGATIONS = ("min", "mean")
 
@@ -72,8 +72,7 @@ def _score_claims(items, pairs, ends, backend, max_workers, explain):
     """Score every (plan, claims) item in one batch, item i's ``_pairs``
     ending at ``ends[i]`` in ``pairs``: each item's sentence scores.
 
-    A failure raises the ScoringError of the first failing claim in order,
-    with ``partial`` and ``failures`` indexed by chunk within that claim;
+    A failure raises the ScoringError of the first failing claim in order;
     the pairs of its item and of the items before it have been scored by
     then, and no pair first met in a later item has been started since.
     """
@@ -87,18 +86,9 @@ def _score_claims(items, pairs, ends, backend, max_workers, explain):
             hi = lo + n
             probs = batch.scores[lo:hi]
             if first_failure < hi:
-                failures = [
-                    BatchFailure(index=f.index - lo, error=f.error)
-                    for f in batch.failures
-                    if f.index < hi
-                ]
-                raise ScoringError(
-                    f"claim {claim.id!r}: {len(failures)} of {n} chunk "
-                    f"scorings failed ({failures[0].error})",
-                    claim_id=claim.id,
-                    partial=list(zip(plan.chunks, probs)),
-                    failures=failures,
-                )
+                failed = sum(f.index < hi for f in batch.failures)
+                raise ScoringError(f"claim {claim.id!r}: {failed} of {n} chunk scorings "
+                                   f"failed ({batch.failures[0].error})")
             best = first_max(probs)
             sentence_scores.append(
                 SentenceScore(
@@ -124,7 +114,7 @@ def score_sentence(
     """Max entailment probability of the claim over the plan's chunks.
 
     Issues one scorer call per chunk (batched); any chunk failure after the
-    backend's retries fails the sentence with partial results attached.
+    backend's retries fails the sentence with a ScoringError.
     """
     pairs = _pairs(plan, [claim])
     scored = _score_claims([(plan, [claim])], pairs, [len(pairs)], backend, max_workers, explain)

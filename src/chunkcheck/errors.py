@@ -1,12 +1,22 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class names the ``kind`` its error is reported as and the CLI's
+``exit_code`` for it; an error carries nothing but its message.
+"""
 
 
 class ChunkcheckError(Exception):
     """Base class for all package errors."""
 
+    kind = "internal"
+    exit_code = 3
+
 
 class ValidationError(ChunkcheckError):
     """Bad input: malformed data, violated invariant, out-of-range value."""
+
+    kind = "validation"
+    exit_code = 1
 
 
 class CorpusError(ValidationError):
@@ -26,22 +36,14 @@ class PremiseTooLargeError(ValidationError):
 
 
 class BackendError(ChunkcheckError):
-    """Scorer backend failed to produce a usable result.
+    """Scorer backend failed to produce a usable result."""
 
-    ``attempts`` counts transport attempts made before giving up.
-    """
-
-    def __init__(self, message, attempts=1, endpoint=None):
-        self.attempts = attempts
-        self.endpoint = endpoint
-        super().__init__(message)
+    kind = "backend"
+    exit_code = 2
 
 
 class ScoringError(ChunkcheckError):
-    """A sentence could not be fully scored; partial results are attached."""
+    """A sentence, or a claim's retrieval, could not be fully scored."""
 
-    def __init__(self, message, claim_id=None, partial=None, failures=None):
-        self.claim_id = claim_id
-        self.partial = partial if partial is not None else []
-        self.failures = failures if failures is not None else []
-        super().__init__(message)
+    kind = "scoring"
+    exit_code = 2

@@ -41,13 +41,7 @@ from itertools import accumulate
 from .chunking import premise_text, split_range
 from .corpus import Claim, Document, TokenCounter, WhitespaceCounter
 from .errors import ScoringError, ValidationError
-from .scoring import (
-    BatchFailure,
-    ScorerBackend,
-    check_cap,
-    first_max,
-    score_batch,
-)
+from .scoring import ScorerBackend, check_cap, first_max, score_batch
 
 _WHITESPACE = WhitespaceCounter()  # one default instance: a document caches counts per counter
 
@@ -138,17 +132,9 @@ def descend(
         batch = score_batch(backend, pairs, max_workers=max_workers, ends=offsets[1:cut + 1])
         if not batch.ok:
             cut = bisect_right(offsets, batch.failures[0].index) - 1
-            i, lo, hi = active[cut], offsets[cut], offsets[cut + 1]
-            failures = [
-                BatchFailure(index=f.index - lo, error=f.error)
-                for f in batch.failures if f.index < hi
-            ]
             error = ScoringError(
-                f"claim {claims[i].id!r}: retrieval scoring failed at ranges {level[cut][0]} "
-                f"({failures[0].error})",
-                claim_id=claims[i].id,
-                partial=levels[i],
-                failures=failures,
+                f"claim {claims[active[cut]].id!r}: retrieval scoring failed at ranges "
+                f"{level[cut][0]} ({batch.failures[0].error})"
             )
         for i in active[cut:]:
             del ranges[i]

@@ -403,10 +403,7 @@ def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None,
         if not batch.ok:
             raise ScoringError(
                 f"claim {claim.id!r}: retrieval scoring failed at ranges {parts} "
-                f"({batch.failures[0].error})",
-                claim_id=claim.id,
-                partial=levels,
-                failures=batch.failures,
+                f"({batch.failures[0].error})"
             )
         chosen = first_max(batch.scores)
         levels.append(TraceLevel(candidate_ranges=parts, scores=batch.scores, chosen=chosen))
@@ -448,10 +445,7 @@ def brute_force_reference(doc, claim, backend, budget=None, counter=None) -> Bru
     if not batch.ok:
         raise ScoringError(
             f"claim {claim.id!r}: retrieval scoring failed at ranges {ranges} "
-            f"({batch.failures[0].error})",
-            claim_id=claim.id,
-            partial=[],
-            failures=batch.failures,
+            f"({batch.failures[0].error})"
         )
     best = first_max(batch.scores)
     return BruteForceResult(unit=best, score=batch.scores[best], scorer_calls=len(ranges))

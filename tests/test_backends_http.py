@@ -173,8 +173,7 @@ def test_persistent_failure_reports_attempts_and_endpoint(server):
     backend = _backend(server, max_retries=2)
     with pytest.raises(BackendError) as err:
         backend.evaluate("p ALWAYS_FAIL", "h")
-    assert err.value.attempts == 3  # initial try + 2 retries
-    assert server.url in str(err.value)
+    assert f"{server.url} unreachable after 3 attempts" in str(err.value)  # try + 2 retries
     assert len(server.requests) == 3
 
 
@@ -187,9 +186,8 @@ def test_client_error_is_not_retried(server):
 
 def test_redirect_is_fatal_and_not_followed(server):
     backend = _backend(server)
-    with pytest.raises(BackendError, match="answered HTTP 301") as err:
+    with pytest.raises(BackendError, match="answered HTTP 301"):
         backend.evaluate("p REDIRECT", "h")
-    assert err.value.attempts == 1
     assert len(server.requests) == 1
 
 
@@ -218,10 +216,9 @@ def test_missing_payload_is_fatal(server):
 )
 def test_non_numeric_values_are_fatal(server, body):
     backend = _backend(server)
-    with pytest.raises(BackendError, match="numeric") as err:
+    with pytest.raises(BackendError, match="numeric"):
         backend.evaluate(f"p BODY:{body}", "h")
-    assert err.value.attempts == 1
-    assert err.value.endpoint == server.url
+    assert len(server.requests) == 1
 
 
 def test_integer_values_are_numbers(server):
@@ -236,8 +233,7 @@ def test_unreachable_endpoint(tmp_path):
     )
     with pytest.raises(BackendError) as err:
         backend.evaluate("p", "h")
-    assert err.value.attempts == 2
-    assert "127.0.0.1:1" in str(err.value)
+    assert "127.0.0.1:1/score unreachable after 2 attempts" in str(err.value)
 
 
 def test_batch_items_fail_independently(server):
@@ -317,8 +313,7 @@ def test_persistent_rate_limit_fails_after_retries(server, retry_after):
     t0 = time.perf_counter()
     with pytest.raises(BackendError) as err:
         backend.evaluate("p ALWAYS_429", "h")
-    assert err.value.attempts == 3
-    assert "429" in str(err.value)
+    assert "unreachable after 3 attempts: rate limited HTTP 429" in str(err.value)
     assert len(server.requests) == 3
     assert time.perf_counter() - t0 < 1.0
 

@@ -16,7 +16,7 @@ from chunkcheck.chunking import make_chunks
 from chunkcheck.cli import build_parser, main
 from chunkcheck.config import BACKENDS, RunConfig, resolve_config
 from chunkcheck.corpus import WhitespaceCounter, load_corpus
-from chunkcheck.errors import ValidationError
+from chunkcheck.errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from chunkcheck.metrics import calibration_curve
 from chunkcheck.metrics import ece as ece_op
 from chunkcheck.metrics import evaluate_scores, f1_macro_optimal, kendall_tau, pearson, roc_auc
@@ -26,6 +26,8 @@ from helpers import write_probe_corpus
 GOLDEN = Path(__file__).parent / "data" / "golden_score_report.json"
 GOLDEN_RETRIEVE = Path(__file__).parent / "data" / "golden_retrieve_report.json"
 GOLDEN_CALIBRATE = Path(__file__).parent / "data" / "golden_calibrate_report.json"
+GOLDEN_EVALUATE = Path(__file__).parent / "data" / "golden_evaluate_report.json"
+GOLDEN_BENCH = Path(__file__).parent / "data" / "golden_bench_report.json"
 
 
 def _fixture_args(fixture_dir):
@@ -78,6 +80,24 @@ def test_calibrate_matches_recorded_golden(fixture_dir, tmp_path):
     got = _load_report(out)
     got.pop("meta")
     assert got == json.loads(GOLDEN_CALIBRATE.read_text())
+
+
+def test_evaluate_matches_recorded_golden(fixture_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert _run(["evaluate", *_fixture_args(fixture_dir), "--retrieval-recall",
+                 "--out", out]) == 0
+    got = _load_report(out)
+    got.pop("meta")
+    assert got == json.loads(GOLDEN_EVALUATE.read_text())
+
+
+def test_bench_matches_recorded_golden(fixture_dir, tmp_path):
+    out = tmp_path / "report.json"
+    assert _run(["bench", *_fixture_args(fixture_dir), "--budgets", "16,64,512",
+                 "--out", out]) == 0
+    got = _load_report(out)
+    got.pop("meta")
+    assert got == json.loads(GOLDEN_BENCH.read_text())
 
 
 def test_score_byte_identical_across_runs(fixture_dir, tmp_path):
@@ -696,6 +716,25 @@ def test_usage_error_maps_to_validation_exit(fixture_dir, capsys):
     assert main(["score", *_fixture_args(fixture_dir), "--cache-size", "64"]) == 1  # a deleted flag
 
 
+@pytest.mark.parametrize(("error", "code", "kind", "message"), [
+    (ValidationError("bad input"), 1, "validation", "bad input"),
+    (ScoringError("claim 'c0' failed"), 2, "scoring", "claim 'c0' failed"),
+    (BackendError("endpoint down"), 2, "backend", "endpoint down"),
+    (ChunkcheckError("broken invariant"), 3, "internal", "broken invariant"),
+    (RuntimeError("unexpected"), 3, "internal", "RuntimeError: unexpected"),
+], ids=["validation", "scoring", "backend", "chunkcheck", "runtime"])
+def test_each_error_maps_to_its_exit_code_and_type(fixture_dir, tmp_path, monkeypatch, capsys,
+                                                   error, code, kind, message):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "score_texts", failing)
+    out = tmp_path / "r.json"
+    assert _run(["score", *_fixture_args(fixture_dir), "--out", out]) == code
+    assert json.loads(capsys.readouterr().err) == {"error": {"type": kind, "message": message}}
+    assert not out.exists()
+
+
 def test_oversized_premise_exits_one(fixture_dir, tmp_path, capsys):
     code = _run(["score", *_fixture_args(fixture_dir), "--premise-cap", "3",
                  "--out", tmp_path / "r.json"])
@@ -1006,6 +1045,26 @@ def test_output_path_that_is_a_directory_fails_before_loading(
     assert err == {"type": "validation", "message": f"cannot write {tmp_path}: it is a directory"}
 
 
+@pytest.mark.parametrize(("command", "flag"), [
+    (["score"], "--out"),
+    (["calibrate", "--budgets", "16,64"], "--csv"),
+    (["calibrate", "--budgets", "16,64"], "--curve-csv"),
+])
+def test_output_path_that_cannot_be_stat_ed_fails_before_loading(
+    fixture_dir, tmp_path, monkeypatch, capsys, command, flag
+):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("loaded the corpus before checking the output path")
+
+    monkeypatch.setattr(cli, "load_corpus", no_loading)
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    assert _run([*command, *_fixture_args(fixture_dir), flag, loop]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "validation",
+                   "message": f"cannot write {loop}: Too many levels of symbolic links"}
+
+
 @pytest.mark.parametrize(("command", "outputs", "message"), [
     (["calibrate", "--budgets", "16,64"], ["--csv", "r.csv", "--out", "r.csv"],
      "cannot write r.csv: --csv and --out name the same file"),
@@ -1022,19 +1081,29 @@ def test_output_path_that_is_a_directory_fails_before_loading(
     (["calibrate", "--budgets", "16,64"], ["--out", "sub/new.json", "--curve-csv",
                                            "sub-link/new.json"],
      "cannot write sub-link/new.json: --curve-csv and --out name the same file"),
+    (["score"], ["--backend", "unit-relevance", "--relevance-file", "rel.json",
+                 "--out", "rel.json"],
+     "cannot write rel.json: --out and --relevance-file name the same file"),
+    (["score"], ["--counter", "vocab:v.txt", "--out", "v.txt"],
+     "cannot write v.txt: --out and --counter name the same file"),
 ], ids=["csv-out", "csv-curve-csv", "out-documents", "csv-claims", "out-config", "hard-link",
-        "symlinked-directory"])
+        "symlinked-directory", "out-relevance-file", "out-vocab"])
 def test_output_naming_another_output_or_an_input_fails_before_scoring(
     fixture_dir, tmp_path, monkeypatch, capsys, command, outputs, message
 ):
     """Output paths are compared with each other and with the input files,
     through links, and a collision exits 1 before any file is written or any
-    pair is scored."""
+    pair is scored. The relevance and vocab files named in the config are
+    inputs too."""
     calls = []
-    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
-                        lambda self, premise, hypothesis: calls.append(premise) or 0.5)
+    for backend in (LexicalOverlapBackend, UnitRelevanceBackend):
+        monkeypatch.setattr(backend, "evaluate",
+                            lambda self, premise, hypothesis: calls.append(premise) or 0.5)
     for name in ("documents.jsonl", "claims.jsonl"):
         (tmp_path / name).write_bytes((fixture_dir / name).read_bytes())
+    (tmp_path / "rel.json").write_bytes((fixture_dir / "relevance.json").read_bytes())
+    vocab = fixture_dir.parent / "vocab" / "mini_vocab.txt"
+    (tmp_path / "v.txt").write_bytes(vocab.read_bytes())
     (tmp_path / "config.json").write_text("{}")
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub-link").symlink_to("sub")

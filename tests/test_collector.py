@@ -5,6 +5,7 @@ exit. These tests assert counts only."""
 
 import gc
 import json
+import re
 import socket
 
 import pytest
@@ -92,12 +93,13 @@ def test_remote_commands_with_retries_leave_no_cyclic_garbage(collector, fixture
 
 
 def _attempts_on_closed_port() -> int:
+    """The attempt count the closed port's error message gives."""
     backend = RemoteBackend(_closed_port_url(), timeout=2.0, max_retries=3,
                             backoff_base=0.001)
     try:
         backend.evaluate("a premise", "a hypothesis")
     except BackendError as exc:
-        return exc.attempts
+        return int(re.search(r"unreachable after (\d+) attempts", str(exc))[1])
     return 0
 
 

@@ -6,6 +6,7 @@ from chunkcheck.chunking import make_chunks, premise_text
 from chunkcheck.corpus import Claim, Document, Unit, WhitespaceCounter
 from chunkcheck.engine import aggregate_scores, score_sentence, score_text
 from chunkcheck.errors import ScoringError, ValidationError
+from chunkcheck.scoring import score_batch
 from helpers import FlakyBackend, ScriptedBackend, make_doc, relevance_fixture
 
 WC = WhitespaceCounter()
@@ -99,10 +100,14 @@ def test_chunk_failure_fails_sentence_with_partials():
     backend = FlakyBackend(marker="BOOM", score=0.7)
     with pytest.raises(ScoringError) as err:
         score_sentence(plan, _claim("d", "hello"), backend)
-    partial = err.value.partial
-    assert partial[0][1] == 0.7
-    assert partial[1][1] is None
-    assert err.value.claim_id == "c0"
+    assert str(err.value) == (
+        "claim 'c0': 1 of 2 chunk scorings failed (RuntimeError: scripted failure)"
+    )
+    assert backend.calls == 2
+    # The per-chunk partial results are score_batch's to give.
+    batch = score_batch(backend, [(chunk.text, "hello") for chunk in plan.chunks])
+    assert batch.scores == [0.7, None]
+    assert [f.index for f in batch.failures] == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +190,13 @@ def test_text_failure_is_first_failing_claims_error():
     with pytest.raises(ScoringError) as err:
         score_text(doc, _text("d", texts), 4, backend, WC)
     assert backend.calls == n_chunks * len(texts)  # the whole text was scored
-    assert err.value.claim_id == "s1"
-    assert [f.index for f in err.value.failures] == list(range(n_chunks))
-    assert [c for c, _ in err.value.partial] == plan.chunks
-    assert all(p is None for _, p in err.value.partial)
+    assert str(err.value) == (
+        f"claim 's1': {n_chunks} of {n_chunks} chunk scorings failed "
+        "(RuntimeError: scripted failure)"
+    )
     with pytest.raises(ScoringError) as alone:
         score_sentence(plan, Claim(id="s1", doc_id="d", text=texts[1]), backend)
     assert str(err.value) == str(alone.value)
-    assert err.value.failures == alone.value.failures
-    assert err.value.partial == alone.value.partial
 
 
 def test_text_doc_mismatch(overlap_backend):
