@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from threading import TIMEOUT_MAX
 
 from .backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend
 from .corpus import Corpus, TokenCounter, VocabCounter, WhitespaceCounter, read_text_file
-from .engine import AGGREGATIONS
+from .engine import check_aggregation
 from .errors import ValidationError
 from .scoring import ScorerBackend
 
@@ -24,8 +24,6 @@ BACKENDS = ("overlap", "remote", "unit-relevance")
 MAX_CONCURRENCY = 256
 # ece allocates arrays of this many bins, so a mistyped huge count fails here, before scoring.
 MAX_ECE_BINS = 10_000
-# The bound of a finite float; an int over it fails the finite checks as inf does.
-FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -53,10 +51,7 @@ class RunConfig:
             raise ValidationError(f"budget must be >= 1, got {self.budget}")
         if self.k < 2:
             raise ValidationError(f"branching factor must be >= 2, got {self.k}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValidationError(
-                f"unknown aggregation {self.aggregation!r}; choose from {AGGREGATIONS}"
-            )
+        check_aggregation(self.aggregation)
         if not (1 <= self.ece_bins <= MAX_ECE_BINS):
             raise ValidationError(
                 f"ece_bins must be between 1 and {MAX_ECE_BINS}, got {self.ece_bins}"
@@ -69,12 +64,17 @@ class RunConfig:
             )
         if self.premise_cap is not None and self.premise_cap < 1:
             raise ValidationError(f"premise_cap must be >= 1, got {self.premise_cap}")
-        if not (0 < self.timeout <= FLOAT_MAX):
-            raise ValidationError(f"timeout must be finite and > 0, got {self.timeout}")
+        # TIMEOUT_MAX: the longest wait sockets and ``time.sleep`` take; nan fails too.
+        if not (0 < self.timeout <= TIMEOUT_MAX):
+            raise ValidationError(
+                f"timeout must be finite, > 0 and <= {TIMEOUT_MAX}, got {self.timeout}"
+            )
         if self.retries < 0:
             raise ValidationError(f"retries must be >= 0, got {self.retries}")
-        if not (0 <= self.backoff <= FLOAT_MAX):
-            raise ValidationError(f"backoff must be finite and >= 0, got {self.backoff}")
+        if not (0 <= self.backoff <= TIMEOUT_MAX):
+            raise ValidationError(
+                f"backoff must be finite, >= 0 and <= {TIMEOUT_MAX}, got {self.backoff}"
+            )
         # Reports carry these strings, and are written as UTF-8 only after scoring.
         for key, value in self.to_dict().items():
             try:

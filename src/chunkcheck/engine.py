@@ -121,13 +121,13 @@ def score_sentence(
     return scored[0][0]
 
 
-def _check_aggregation(aggregation: str) -> None:
+def check_aggregation(aggregation: str) -> None:
     if aggregation not in AGGREGATIONS:
         raise ValidationError(f"unknown aggregation {aggregation!r}; choose from {AGGREGATIONS}")
 
 
 def aggregate_scores(values: list[float], aggregation: str) -> float:
-    _check_aggregation(aggregation)
+    check_aggregation(aggregation)
     return min(values) if aggregation == "min" else sum(values) / len(values)
 
 
@@ -156,7 +156,7 @@ def score_texts(
     text is started. An unknown ``aggregation`` raises before any pair is
     scored.
     """
-    _check_aggregation(aggregation)
+    check_aggregation(aggregation)
     items, pairs, ends, error = [], [], [], None
     try:
         for doc, claims in texts:

@@ -20,11 +20,10 @@ class ValidationError(ChunkcheckError):
 
 
 class CorpusError(ValidationError):
-    """Malformed corpus file. Carries path and 1-based line number when known."""
+    """Malformed corpus file; the message starts with the path and the 1-based
+    line number when known."""
 
     def __init__(self, message, path=None, line=None):
-        self.path = path
-        self.line = line
         loc = ""
         if path is not None:
             loc = f"{path}: " if line is None else f"{path}:{line}: "

@@ -144,4 +144,4 @@ def drawn_ints(draw, n: int, dtype: str) -> np.ndarray:
 
 def drawn_picks(draw, pool, n: int) -> list:
     """n draws from a pool of at most 256 values; every sequence can come out."""
-    return np.asarray(pool)[drawn_ints(draw, n, "u1") % len(pool)].tolist()
+    return np.asarray(pool)[drawn_ints(draw, n, "u1").astype(np.intp) % len(pool)].tolist()

@@ -77,7 +77,7 @@ def test_malformed_line_reports_line_number(tmp_path):
     bad.write_text('{"id": "ok", "doc_id": "d", "text": "t"}\n{not json}\n')
     with pytest.raises(CorpusError) as err:
         read_claims_jsonl(bad)
-    assert err.value.line == 2
+    assert str(err.value).startswith(f"{bad}:2: ")
 
 
 def test_missing_field_reports_line(tmp_path):
@@ -431,8 +431,6 @@ def test_load_corpus_matches_reference_loader(tmp_path_factory, files):
             load_corpus(*paths)
         assert type(err.value) is type(exc)
         assert str(err.value) == str(exc)
-        assert (getattr(err.value, "path", None), getattr(err.value, "line", None)) == (
-            getattr(exc, "path", None), getattr(exc, "line", None))
         return
     got = load_corpus(*paths)
     assert got.documents == want.documents
@@ -451,7 +449,7 @@ def test_undecodable_byte_reports_its_line(tmp_path):
     bad.write_bytes(line.encode() * 500 + b'{"id": "caf\xe9"}\n')
     with pytest.raises(CorpusError, match="not UTF-8") as err:
         read_claims_jsonl(bad)
-    assert err.value.line == 501
+    assert str(err.value).startswith(f"{bad}:501: ")
 
 
 # ---------------------------------------------------------------------------
