@@ -772,6 +772,23 @@ BAD_INPUT = [
     ("test_duplicate_claim_id_exits_one", "score",
      {"claims.jsonl": _jsonl(*_CLAIMS, {**_CLAIMS[0], "doc_id": "reef-survey"})},
      "duplicate claim id 'c01'", SCORING),
+    # values that load but break an invariant, named by id rather than by line
+    *[(f"test_corpus_value_error_exits_one_before_scoring[{name}]", "score", edits, message,
+       SCORING)
+      for name, edits, message in [
+          ("empty-document-id", _two_records(doc={"id": ""}), "document id must be non-empty"),
+          ("no-units", _two_records(doc={"units": []}), "document 'd' has no units"),
+          ("blank-unit", _two_records(unit={"text": " \t"}), "unit 1 has empty text"),
+          ("duplicate-document-id",
+           {"documents.jsonl": _jsonl(*[{"id": "d", "units": [{"text": "x"}]}] * 2)},
+           "duplicate document id 'd'"),
+          ("unknown-document", _two_records(claim={"doc_id": "zz"}),
+           "claim 'c' references unknown document 'zz'"),
+          ("empty-claim-id", _two_records(claim={"id": ""}), "claim id must be non-empty"),
+          ("blank-claim", _two_records(claim={"text": "  "}), "claim 'c' has empty text"),
+          ("relevant-unit-out-of-range", _two_records(claim={"relevant_units": [2, 0, -1]}),
+           "claim 'c': relevant unit indices [-1, 2] out of range for document 'd' with 2 units"),
+      ]],
     # relevance and vocab files
     *[(f"test_wrong_shaped_relevance_file_exits_one[{name}]",
        f"retrieve {_RELEVANCE} relevance.json", {"relevance.json": text},
