@@ -77,13 +77,13 @@ class UnitRelevanceBackend(ScorerBackend):
                 raise ValidationError(
                     f"document {doc_id!r}: {len(scores)} scores for {len(doc.units)} units"
                 )
-            for unit, s in zip(doc.units, scores):
+            for pos, (unit, s) in enumerate(zip(doc.units, scores)):
                 if not (0.0 <= s <= 1.0):
                     raise ValidationError(f"relevance score {s} outside [0, 1]")
                 line = format_unit(unit)
                 if "\n" in line:
                     raise ValidationError(
-                        f"document {doc_id!r} unit {unit.index}: text contains a newline"
+                        f"document {doc_id!r} unit {pos}: text contains a newline"
                     )
                 prev = self._line_scores.get(line)
                 self._line_scores[line] = s if prev is None else max(prev, s)

@@ -104,26 +104,20 @@ class VocabCounter(TokenCounter):
 
 
 class _UnitFields(NamedTuple):
-    index: int
     text: str
     speaker: str | None
     extra: dict
 
 
 class Unit(_UnitFields):
-    """One atomic unit of a document: a sentence or a speaker turn. Immutable;
-    each unit holds its own ``extra`` dict."""
+    """One atomic unit of a document: a sentence or a speaker turn. Its index
+    is its position in ``Document.units``. Immutable; each unit holds its own
+    ``extra`` dict."""
 
     __slots__ = ()
 
-    def __new__(cls, index, text, speaker=None, extra=None):
-        return tuple.__new__(cls, (index, text, speaker, {} if extra is None else extra))
-
-    def validate(self) -> None:
-        if not self.text.strip():
-            raise ValidationError(f"unit {self.index} has empty text")
-        if self.index < 0:
-            raise ValidationError(f"unit index must be >= 0, got {self.index}")
+    def __new__(cls, text, speaker=None, extra=None):
+        return tuple.__new__(cls, (text, speaker, {} if extra is None else extra))
 
 
 def format_unit(unit: Unit) -> str:
@@ -140,18 +134,6 @@ class Document:
     extra: dict = field(default_factory=dict)
     _token_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def validate(self) -> None:
-        if not self.id:
-            raise ValidationError("document id must be non-empty")
-        if not self.units:
-            raise ValidationError(f"document {self.id!r} has no units")
-        for pos, unit in enumerate(self.units):
-            if unit.index != pos or not unit.text.strip():
-                unit.validate()  # raises for blank text or a negative index
-                raise ValidationError(
-                    f"document {self.id!r}: unit index {unit.index} at position {pos}"
-                )
 
     @cached_property
     def _unit_lines(self) -> list[str]:
@@ -189,20 +171,6 @@ class Claim:
     relevant_units: frozenset[int] | None = None
     extra: dict = field(default_factory=dict)
 
-    def validate(self, document: Document | None = None) -> None:
-        if not self.id:
-            raise ValidationError("claim id must be non-empty")
-        if not self.text.strip():
-            raise ValidationError(f"claim {self.id!r} has empty text")
-        if document is not None and self.relevant_units:
-            n = len(document.units)
-            bad = sorted(i for i in self.relevant_units if i < 0 or i >= n)
-            if bad:
-                raise ValidationError(
-                    f"claim {self.id!r}: relevant unit indices {bad} out of range "
-                    f"for document {document.id!r} with {n} units"
-                )
-
 
 @dataclass
 class Corpus:
@@ -210,9 +178,17 @@ class Corpus:
     claims: list[Claim]
 
     def validate(self) -> None:
+        """The corpus's value checks: non-empty ids and texts, unique ids, and
+        claims that point into their documents. An error names a record's id."""
         seen = set()
         for doc in self.documents:
-            doc.validate()
+            if not doc.id:
+                raise ValidationError("document id must be non-empty")
+            if not doc.units:
+                raise ValidationError(f"document {doc.id!r} has no units")
+            for pos, unit in enumerate(doc.units):
+                if not unit.text.strip():
+                    raise ValidationError(f"document {doc.id!r}: unit {pos} has empty text")
             if doc.id in seen:
                 raise ValidationError(f"duplicate document id {doc.id!r}")
             seen.add(doc.id)
@@ -221,11 +197,23 @@ class Corpus:
             if claim.id in seen:
                 raise ValidationError(f"duplicate claim id {claim.id!r}")
             seen.add(claim.id)
-            if claim.doc_id not in self._by_id:
+            doc = self._by_id.get(claim.doc_id)
+            if doc is None:
                 raise CorpusError(
                     f"claim {claim.id!r} references unknown document {claim.doc_id!r}"
                 )
-            claim.validate(self._by_id[claim.doc_id])
+            if not claim.id:
+                raise ValidationError("claim id must be non-empty")
+            if not claim.text.strip():
+                raise ValidationError(f"claim {claim.id!r} has empty text")
+            if claim.relevant_units:
+                n = len(doc.units)
+                bad = sorted(i for i in claim.relevant_units if i < 0 or i >= n)
+                if bad:
+                    raise ValidationError(
+                        f"claim {claim.id!r}: relevant unit indices {bad} out of range "
+                        f"for document {doc.id!r} with {n} units"
+                    )
 
     @cached_property
     def _by_id(self) -> dict[str, Document]:
@@ -287,7 +275,7 @@ def _document_json(doc: Document) -> str:
     units = ",".join(
         _canonical({"speaker": speaker, "text": text, **extra}) if extra
         else f'{{"speaker":{"null" if speaker is None else quote(speaker)},"text":{quote(text)}}}'
-        for _, text, speaker, extra in doc.units
+        for text, speaker, extra in doc.units
     )
     return f'{{"id":{quote(doc.id)},"units":[{units}]}}'
 
@@ -316,7 +304,7 @@ def _unit_from_record(rec: dict, pos: int) -> Unit:
             extra = {} if rec.keys() <= _UNIT_KEYS else {
                 k: v for k, v in rec.items() if k not in _UNIT_KEYS
             }
-            return Unit(index=pos, text=text, speaker=speaker, extra=extra)
+            return Unit(text=text, speaker=speaker, extra=extra)
     raise ValidationError(
         f"unit {pos} must be an object with a string 'text' and a string or null "
         f"'speaker', got {rec!r:.60}"
@@ -333,7 +321,7 @@ def document_from_record(rec: dict) -> Document:
         k: v for k, v in rec.items() if k not in _DOC_KEYS
     }
     # The common shape is built inline: only a string "text" and a string or null "speaker".
-    built = [tuple.__new__(Unit, (pos, text, speaker, {}))
+    built = [tuple.__new__(Unit, (text, speaker, {}))
              if (type(u) is dict and type(text := u.get("text")) is str
                  and ((speaker := u.get("speaker")) is None or type(speaker) is str)
                  and len(u) == 1 + ("speaker" in u))
@@ -457,8 +445,10 @@ def read_claims_jsonl(path: str | Path) -> list[Claim]:
 def load_corpus(documents_path: str | Path, claims_path: str | Path) -> Corpus:
     """Load and cross-validate a documents file plus a claims file.
 
-    Raises CorpusError with the offending line number for malformed records,
-    dangling doc_id references, or out-of-range relevant-unit indices.
+    A malformed or wrong-typed record raises CorpusError with its file and
+    line number. A value check of ``Corpus.validate`` (a dangling doc_id or
+    an out-of-range relevant-unit index, say) raises ValidationError naming
+    the record's id, not its line.
     """
     corpus = Corpus(
         documents=read_documents_jsonl(documents_path),

@@ -224,13 +224,3 @@ def retrieval_hit(trace: RetrievalTrace, relevant_units: frozenset[int] | set[in
         raise ValidationError("relevant_units must be non-empty")
     return trace.result_unit in relevant_units
 
-
-def call_count_bound(n: int, k: int) -> int:
-    """Upper bound on greedy scorer calls: k * ceil(log_k n) + k."""
-    depth = 0
-    reach = 1
-    while reach < n:  # ceil(log_k n) without float fuzz
-        reach *= k
-        depth += 1
-    return k * depth + k
-

@@ -33,7 +33,7 @@ def make_sized_doc(doc_id: str, unit_token_counts: list[int]) -> Document:
     units = []
     for i, c in enumerate(unit_token_counts):
         word = f"{doc_id}u{i}w"
-        units.append(Unit(i, word + f" {word}".join(numbers[:c]) if c else ""))
+        units.append(Unit(word + f" {word}".join(numbers[:c]) if c else ""))
     return Document(id=doc_id, units=units)
 
 
@@ -58,8 +58,8 @@ def probe_corpus(n_docs: int = 2000, units_per_doc: int = 20, claims_per_doc: in
     docs, claims = [], []
     for d in range(n_docs):
         doc = Document(id=f"p{d:04d}", units=[
-            Unit(i, " ".join(rng.choices(words, k=rng.randint(6, 14))))
-            for i in range(units_per_doc)
+            Unit(" ".join(rng.choices(words, k=rng.randint(6, 14))))
+            for _ in range(units_per_doc)
         ])
         docs.append(doc)
         for c in range(claims_per_doc):

@@ -418,6 +418,16 @@ def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None,
             )
 
 
+def call_count_bound(n: int, k: int) -> int:
+    """Upper bound on greedy scorer calls: k * ceil(log_k n) + k."""
+    depth = 0
+    reach = 1
+    while reach < n:  # ceil(log_k n) without float fuzz
+        reach *= k
+        depth += 1
+    return k * depth + k
+
+
 def retrievals_reference(claims, corpus, backend, k=2, budget=None, counter=None,
                          max_workers=1) -> list[tuple]:
     """(claim, document, trace) per claim, retrieving one claim after another
@@ -515,7 +525,7 @@ def _unit_reference(rec, pos) -> Unit:
         text, speaker = rec.get("text"), rec.get("speaker")
         if isinstance(text, str) and (speaker is None or isinstance(speaker, str)):
             extra = {k: v for k, v in rec.items() if k not in ("speaker", "text")}
-            return Unit(index=pos, text=text, speaker=speaker, extra=extra)
+            return Unit(text=text, speaker=speaker, extra=extra)
     raise ValidationError(
         f"unit {pos} must be an object with a string 'text' and a string or null "
         f"'speaker', got {rec!r:.60}"
@@ -569,9 +579,10 @@ def _read_jsonl_reference(path, build, required):
 
 def load_corpus_reference(documents_path, claims_path) -> Corpus:
     """The loader record by record: ``json.loads`` on each line, each unit
-    through the general builder, and every unit's ``validate`` called. Claims
-    and the not-UTF-8 error go through the library's own ``claim_from_record``
-    and ``_not_utf8``, which the fast path leaves as they were."""
+    through the general builder, and every unit's text checked on its own.
+    Claims and the not-UTF-8 error go through the library's own
+    ``claim_from_record`` and ``_not_utf8``, which the fast path leaves as
+    they were."""
     corpus = Corpus(
         documents=_read_jsonl_reference(documents_path, _document_reference, {"id", "units"}),
         claims=_read_jsonl_reference(claims_path, claim_from_record, {"id", "doc_id", "text"}),
@@ -583,11 +594,8 @@ def load_corpus_reference(documents_path, claims_path) -> Corpus:
         if not doc.units:
             raise ValidationError(f"document {doc.id!r} has no units")
         for pos, unit in enumerate(doc.units):
-            unit.validate()
-            if unit.index != pos:
-                raise ValidationError(
-                    f"document {doc.id!r}: unit index {unit.index} at position {pos}"
-                )
+            if not unit.text.strip():
+                raise ValidationError(f"document {doc.id!r}: unit {pos} has empty text")
         if doc.id in seen:
             raise ValidationError(f"duplicate document id {doc.id!r}")
         seen.add(doc.id)
@@ -599,7 +607,15 @@ def load_corpus_reference(documents_path, claims_path) -> Corpus:
         seen.add(claim.id)
         if claim.doc_id not in by_id:
             raise CorpusError(f"claim {claim.id!r} references unknown document {claim.doc_id!r}")
-        claim.validate(by_id[claim.doc_id])
+        if not claim.id:
+            raise ValidationError("claim id must be non-empty")
+        if not claim.text.strip():
+            raise ValidationError(f"claim {claim.id!r} has empty text")
+        n = len(by_id[claim.doc_id].units)
+        bad = sorted(i for i in claim.relevant_units or () if not 0 <= i < n)
+        if bad:
+            raise ValidationError(f"claim {claim.id!r}: relevant unit indices {bad} out of range "
+                                  f"for document {claim.doc_id!r} with {n} units")
     return corpus
 
 

@@ -27,12 +27,13 @@ from chunkcheck.metrics import (
     pearson,
     roc_auc,
 )
-from chunkcheck.retrieval import brute_force_retrieve, call_count_bound, retrieve
+from chunkcheck.retrieval import brute_force_retrieve, retrieve
 from chunkcheck.scoring import build_prompt, entail_prob, score_batch
 from helpers import make_sized_doc, relevance_fixture
 from oracles import (
     auc_pair_counting,
     best_macro_f1_by_cuts,
+    call_count_bound,
     ece_by_hand,
     pearson_naive,
     tau_b_enumeration,

@@ -22,6 +22,9 @@ DELETED = [
     ("corpus", "write_claims_jsonl"),
     ("corpus", "make_counter"),
     ("corpus", "GeneratedText"),
+    ("corpus", "Unit.validate"),
+    ("corpus", "Document.validate"),
+    ("corpus", "Claim.validate"),
     ("engine", "classify"),
     ("engine", "SentenceScore.elapsed_ms"),
     ("metrics", "macro_f1"),
@@ -29,6 +32,7 @@ DELETED = [
     ("retrieval", "verify_trace"),
     ("retrieval", "_score_ranges"),
     ("retrieval", "brute_force_all"),
+    ("retrieval", "call_count_bound"),
     ("scoring", "ScoreCache"),
     ("scoring", "_sha256"),
     ("config", "RunConfig.cache_size"),

@@ -22,11 +22,9 @@ def test_synthetic_documents_keep_their_texts():
     for n, words in ((1, 1), (7, 3), (300, 1), (12, 0), (3, 12)):
         doc = make_doc("d5", n, words)
         assert [u.text for u in doc.units] == word_by_word("d5", [words] * n)
-        assert [u.index for u in doc.units] == list(range(n))
     counts = [0, 1, 11, 2, 0, 3]
     doc = make_sized_doc("x", counts)
-    assert doc == Document(id="x", units=[Unit(index=i, text=t)
-                                          for i, t in enumerate(word_by_word("x", counts))])
+    assert doc == Document(id="x", units=[Unit(text=t) for t in word_by_word("x", counts)])
     assert doc.unit_token_counts(WC) == counts
 
 

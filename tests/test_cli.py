@@ -584,7 +584,8 @@ def _jsonl(*records) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
-_CLAIMS = [json.loads(line) for line in (FIXTURE / "claims.jsonl").read_text().splitlines()]
+_DOCUMENTS, _CLAIMS = ([json.loads(line) for line in (FIXTURE / name).read_text().splitlines()]
+                       for name in ("documents.jsonl", "claims.jsonl"))
 
 
 def _claims(drop=(), **fields) -> dict:
@@ -778,7 +779,8 @@ BAD_INPUT = [
       for name, edits, message in [
           ("empty-document-id", _two_records(doc={"id": ""}), "document id must be non-empty"),
           ("no-units", _two_records(doc={"units": []}), "document 'd' has no units"),
-          ("blank-unit", _two_records(unit={"text": " \t"}), "unit 1 has empty text"),
+          ("blank-unit", _two_records(unit={"text": " \t"}),
+           "document 'd': unit 1 has empty text"),
           ("duplicate-document-id",
            {"documents.jsonl": _jsonl(*[{"id": "d", "units": [{"text": "x"}]}] * 2)},
            "duplicate document id 'd'"),
@@ -804,6 +806,12 @@ BAD_INPUT = [
            ": document 'reef-survey' needs an array of numbers"),
           ("no-documents", "{}", " has no scores for document 'ops-briefing'"),
       ]],
+    ("test_unit_text_with_a_newline_exits_one_under_unit_relevance",
+     f"retrieve {_RELEVANCE} relevance.json",
+     {"documents.jsonl": _jsonl({**_DOCUMENTS[0], "units": [*_DOCUMENTS[0]["units"][:7],
+                                                             {"text": "Rain\nfell."}]},
+                                *_DOCUMENTS[1:])},
+     "document 'ops-briefing' unit 7: text contains a newline", SCORING),
     ("test_deeply_nested_json_exits_one_before_scoring[--relevance-file]",
      f"retrieve {_RELEVANCE} deep.jsonl", _DEEP,
      "relevance file deep.jsonl is not valid JSON: …", SCORING),

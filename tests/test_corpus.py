@@ -88,23 +88,21 @@ def test_missing_field_reports_line(tmp_path):
 
 
 def test_document_invariants():
-    with pytest.raises(ValidationError):
-        Document(id="d", units=[]).validate()
-    with pytest.raises(ValidationError):
-        Document(id="d", units=[Unit(index=0, text="   ")]).validate()
-    with pytest.raises(ValidationError):
-        Document(id="d", units=[Unit(index=1, text="x")]).validate()
+    for units, message in [([], "document 'd' has no units"),
+                           ([Unit("x"), Unit("   ")], "document 'd': unit 1 has empty text")]:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Corpus(documents=[Document(id="d", units=units)], claims=[]).validate()
 
 
 def test_duplicate_document_id_rejected():
-    d1 = Document(id="d", units=[Unit(index=0, text="a")])
-    d2 = Document(id="d", units=[Unit(index=0, text="b")])
+    d1 = Document(id="d", units=[Unit(text="a")])
+    d2 = Document(id="d", units=[Unit(text="b")])
     with pytest.raises(ValidationError, match="duplicate"):
         Corpus(documents=[d1, d2], claims=[]).validate()
 
 
 def test_duplicate_claim_id_rejected():
-    docs = [Document(id=d, units=[Unit(index=0, text="a")]) for d in ("d1", "d2")]
+    docs = [Document(id=d, units=[Unit(text="a")]) for d in ("d1", "d2")]
     claims = [Claim(id="c", doc_id="d1", text="x"), Claim(id="c", doc_id="d2", text="y")]
     with pytest.raises(ValidationError, match="duplicate claim id 'c'"):
         Corpus(documents=docs, claims=claims).validate()
@@ -179,13 +177,12 @@ def corpora(draw):
         n_units = draw(st.integers(1, 6))
         units = [
             Unit(
-                index=i,
                 text=draw(_TEXT),
                 speaker=draw(st.one_of(st.none(),
                                        st.sampled_from(["A", "B", "Cee", "Zoë", "話者", ""]))),
                 extra=draw(_EXTRA),
             )
-            for i in range(n_units)
+            for _ in range(n_units)
         ]
         documents.append(Document(id=f"doc{d}", units=units, extra=draw(_EXTRA)))
     claims = []
@@ -235,7 +232,7 @@ def test_content_hash_matches_the_one_shot_reference(corpus):
 def test_content_hash_across_claim_slices():
     """Claims are encoded a slice at a time: runs that end on, just after and
     well past a slice boundary keep the one-shot digest."""
-    doc = Document(id="d", units=[Unit(index=0, text="Der Fährmann wartet.", speaker=None)])
+    doc = Document(id="d", units=[Unit(text="Der Fährmann wartet.", speaker=None)])
     for n in (_CLAIMS_PER_HASH, _CLAIMS_PER_HASH + 1, 2 * _CLAIMS_PER_HASH + 7):
         claims = [Claim(id=f"c{i}", doc_id="d", text=f"Claim {i} — ok.",
                         gold_label=bool(i % 2) if i % 3 else None,
@@ -296,13 +293,14 @@ def test_loaded_records_do_not_share_extra_dicts():
 
 
 def test_unit_is_an_immutable_record():
-    unit = Unit(index=0, text="a")
-    assert unit == Unit(0, "a", None, {}) == Unit(index=0, text="a", speaker=None, extra={})
-    assert unit != Unit(index=0, text="a", speaker="S")
-    assert unit != Unit(index=0, text="a", extra={"k": 1})
-    assert (unit.index, unit.text, unit.speaker, unit.extra) == (0, "a", None, {})
-    assert unit.extra is not Unit(index=1, text="b").extra
-    for name in ("index", "text", "speaker", "extra"):
+    assert Unit._fields == ("text", "speaker", "extra")
+    unit = Unit(text="a")
+    assert unit == Unit("a", None, {}) == Unit(text="a", speaker=None, extra={})
+    assert unit != Unit(text="a", speaker="S")
+    assert unit != Unit(text="a", extra={"k": 1})
+    assert (unit.text, unit.speaker, unit.extra) == ("a", None, {})
+    assert unit.extra is not Unit(text="b").extra
+    for name in Unit._fields:
         with pytest.raises(AttributeError):
             setattr(unit, name, None)
 
@@ -485,7 +483,7 @@ def test_token_count_caches_keep_counters_apart(tmp_path):
     (tmp_path / "v2").mkdir()
     (tmp_path / "v1" / "vocab.txt").write_text("un\n##believ\n##able\ntokens\n")
     (tmp_path / "v2" / "vocab.txt").write_text("unbelievable\ntokens\n")
-    units = [Unit(index=0, text="unbelievable tokens"), Unit(index=1, text="Unbelievable tokens")]
+    units = [Unit(text="unbelievable tokens"), Unit(text="Unbelievable tokens")]
     doc = Document(id="d", units=units)
     v1 = VocabCounter(tmp_path / "v1" / "vocab.txt")
     v2 = VocabCounter(tmp_path / "v2" / "vocab.txt")

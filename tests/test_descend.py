@@ -96,7 +96,7 @@ def _picks(draw, pool, n):
 def _draw_case(docs_units, texts, data):
     """(corpus, k, cap, counter, failing claim texts, workers)."""
     docs = [
-        Document(id=f"d{j}", units=[Unit(index=i, text=t) for i, t in enumerate(units)])
+        Document(id=f"d{j}", units=[Unit(text=t) for t in units])
         for j, units in enumerate(docs_units)
     ]
     n_claims = data.draw(st.integers(1, 12), label="claims")
@@ -182,7 +182,7 @@ def test_brute_force_per_document_matches_claim_by_claim(docs_units, texts, data
 
 def test_brute_force_error_before_a_later_claims_descent_error():
     doc = Document(id="d", units=[
-        Unit(index=i, text=t) for i, t in enumerate(["alpha", "beta", "gamma", "delta", "zap"])
+        Unit(text=t) for t in ["alpha", "beta", "gamma", "delta", "zap"]
     ])
     claims = [Claim(id="c0", doc_id="d", text="alpha"), Claim(id="c1", doc_id="d", text="zap")]
     corpus = Corpus(documents=[doc], claims=claims)

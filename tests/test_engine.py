@@ -37,7 +37,7 @@ def test_max_over_chunks():
 
 
 def test_single_chunk_reduces_to_one_backend_call(overlap_backend):
-    doc = Document(id="d", units=[Unit(index=0, text="alpha beta gamma")])
+    doc = Document(id="d", units=[Unit(text="alpha beta gamma")])
     plan = make_chunks(doc, 100, WC)
     got = score_sentence(plan, _claim("d", "beta gamma"), overlap_backend)
     direct = overlap_backend.evaluate(plan.chunks[0].text, "beta gamma")
@@ -48,7 +48,7 @@ def test_single_chunk_reduces_to_one_backend_call(overlap_backend):
 def test_overlap_three_single_unit_chunks(overlap_backend):
     doc = Document(
         id="d",
-        units=[Unit(index=0, text="a b"), Unit(index=1, text="c d"), Unit(index=2, text="e f")],
+        units=[Unit(text="a b"), Unit(text="c d"), Unit(text="e f")],
     )
     plan = make_chunks(doc, 2, WC)
     assert len(plan.chunks) == 3
@@ -93,7 +93,7 @@ def test_plan_claim_document_mismatch():
 def test_chunk_failure_fails_sentence_with_partials():
     doc = Document(
         id="d",
-        units=[Unit(index=0, text="fine one"), Unit(index=1, text="has BOOM inside")],
+        units=[Unit(text="fine one"), Unit(text="has BOOM inside")],
     )
     plan = make_chunks(doc, 3, WC)
     assert len(plan.chunks) == 2
@@ -119,7 +119,7 @@ def _text(doc_id, texts):
 
 
 def test_single_sentence_text_equal_under_both_aggregations(overlap_backend):
-    doc = Document(id="d", units=[Unit(index=0, text="p q r")])
+    doc = Document(id="d", units=[Unit(text="p q r")])
     for agg in ("min", "mean"):
         ts = score_text(doc, _text("d", ["p q"]), 100, overlap_backend, WC, aggregation=agg)
         assert ts.aggregate == ts.sentence_scores[0].score
@@ -136,9 +136,9 @@ def test_text_equals_sentence_loop(overlap_backend):
     doc = Document(
         id="d",
         units=[
-            Unit(index=0, text="the tide rose fast"),
-            Unit(index=1, text="boats left the harbor"),
-            Unit(index=2, text="nets dried on deck"),
+            Unit(text="the tide rose fast"),
+            Unit(text="boats left the harbor"),
+            Unit(text="nets dried on deck"),
         ],
     )
     texts = ["the tide rose", "boats left", "nets dried on deck quickly"]

@@ -233,7 +233,7 @@ _unit_text = st.sampled_from([" ", "a", "a b", "a b c", "a b c d e", "a b c d e 
 def test_cap_checks_raise_the_pairwise_first_error(unit_texts, claim_texts, budget, cap):
     """score_text, retrieve and brute force raise what the pair-by-pair
     reference raises on the pairs of the batch that fails, or nothing."""
-    doc = Document(id="d", units=[Unit(index=i, text=t) for i, t in enumerate(unit_texts)])
+    doc = Document(id="d", units=[Unit(text=t) for t in unit_texts])
     claims = [Claim(id=f"c{i}", doc_id="d", text=t) for i, t in enumerate(claim_texts)]
     backend = LexicalOverlapBackend()
     runs = [
@@ -275,8 +275,8 @@ def test_shipped_counters_count_a_premise_as_its_unit_sum(units, counter, data):
     counting the joined premise; both shipped counters agree, because the
     newline between unit lines is whitespace to ``str.split``."""
     doc = Document(id="d", units=[
-        Unit(index=i, text=sep.join(words), speaker=speaker)
-        for i, (speaker, words, sep) in enumerate(units)
+        Unit(text=sep.join(words), speaker=speaker)
+        for speaker, words, sep in units
     ])
     start, end = _subrange(data, len(units))
     prefix = doc._token_prefix_sums(counter)

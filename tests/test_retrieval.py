@@ -17,12 +17,11 @@ from chunkcheck.corpus import (
 from chunkcheck.errors import PremiseTooLargeError, ValidationError
 from chunkcheck.retrieval import (
     brute_force_retrieve,
-    call_count_bound,
     retrieval_hit,
     retrieve,
 )
 from helpers import ScriptedBackend, make_doc, relevance_fixture
-from oracles import verify_trace
+from oracles import call_count_bound, verify_trace
 
 WC = WhitespaceCounter()
 
@@ -88,8 +87,8 @@ def test_brute_force_matches_independent_loop():
     rng = random.Random(21)
     vocab = ["ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen"]
     units = [
-        Unit(index=i, text=" ".join(rng.choices(vocab, k=rng.randint(2, 5))))
-        for i in range(50)
+        Unit(text=" ".join(rng.choices(vocab, k=rng.randint(2, 5))))
+        for _ in range(50)
     ]
     doc = Document(id="d", units=units)
     claim = _claim("d", "cat dog elk")
@@ -219,7 +218,7 @@ def test_oversized_single_unit_is_rejected_before_scoring():
 
 def test_parts_default_to_the_counter_that_enforces_the_cap(data_dir):
     # Each unit is 4 whitespace tokens but 9 mini_vocab tokens.
-    units = [Unit(index=i, text=f"unbelievable tokens number{i} unbelievable") for i in range(8)]
+    units = [Unit(text=f"unbelievable tokens number{i} unbelievable") for i in range(8)]
     doc = Document(id="d", units=units)
     vocab = VocabCounter(data_dir / "vocab" / "mini_vocab.txt")
     backend = LexicalOverlapBackend()
@@ -247,9 +246,9 @@ def test_overlap_scorer_can_mislead_greedy_descent():
     doc = Document(
         id="d",
         units=[
-            Unit(index=0, text="alpha beta"),
-            Unit(index=1, text="gamma delta"),
-            Unit(index=2, text="alpha gamma"),
+            Unit(text="alpha beta"),
+            Unit(text="gamma delta"),
+            Unit(text="alpha gamma"),
         ],
     )
     claim = _claim("d", "alpha gamma")

@@ -49,7 +49,7 @@ def _corpora(draw):
             units = draw(st.sampled_from(docs)).units
         else:
             texts = draw(st.lists(_unit_text, min_size=1, max_size=6))
-            units = [Unit(i, t) for i, t in enumerate(texts)]
+            units = [Unit(t) for t in texts]
         docs.append(Document(id=f"d{d}", units=list(units)))
     claim_texts = draw(st.lists(_unit_text, min_size=1, max_size=4))
     owners = draw(st.permutations([d for d in range(len(docs))
@@ -227,8 +227,8 @@ def test_a_blank_text_raises_after_the_documents_before_it():
     """A pair failing the input checks raises what scoring document by
     document raises: a failed pair of an earlier document first."""
     backend = FlakyBackend(marker="BOOM", score=0.5)
-    ok = Document(id="ok", units=[Unit(0, "alpha beta")])
-    blank = Document(id="blank", units=[Unit(0, "gamma")])
+    ok = Document(id="ok", units=[Unit("alpha beta")])
+    blank = Document(id="blank", units=[Unit("gamma")])
     texts = [(ok, [Claim(id="c0", doc_id="ok", text="BOOM")]),
              (blank, [Claim(id="c1", doc_id="blank", text="   ")])]
     with pytest.raises(ScoringError, match="claim 'c0'"):
@@ -245,7 +245,7 @@ def test_a_blank_text_raises_after_the_documents_before_it():
 
 def test_an_unknown_aggregation_raises_before_any_pair_is_scored():
     backend = FlakyBackend()
-    doc = Document(id="d", units=[Unit(0, "alpha")])
+    doc = Document(id="d", units=[Unit("alpha")])
     with pytest.raises(ValidationError, match="unknown aggregation 'median'"):
         score_texts([(doc, [Claim(id="c", doc_id="d", text="alpha")])], 10, backend, WC,
                     aggregation="median")

@@ -145,7 +145,7 @@ def test_overlap_oracle_deterministic(overlap_backend):
 
 def _capped_doc():
     """Two single-unit chunks at budget 1: 1 token, then 4 tokens."""
-    units = [Unit(index=0, text="one"), Unit(index=1, text="one two three four")]
+    units = [Unit(text="one"), Unit(text="one two three four")]
     return Document(id="d", units=units)
 
 
