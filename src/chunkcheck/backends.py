@@ -82,8 +82,9 @@ class UnitRelevanceBackend(ScorerBackend):
                     raise ValidationError(f"relevance score {s} outside [0, 1]")
                 line = format_unit(unit)
                 if "\n" in line:
+                    where = "text" if "\n" in unit.text else "speaker"
                     raise ValidationError(
-                        f"document {doc_id!r} unit {pos}: text contains a newline"
+                        f"document {doc_id!r} unit {pos}: {where} contains a newline"
                     )
                 prev = self._line_scores.get(line)
                 self._line_scores[line] = s if prev is None else max(prev, s)

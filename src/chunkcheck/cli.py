@@ -254,8 +254,9 @@ def _score_corpus(corpus, config, counter, backend, budget, explain=False):
     return text_scores, [by_claim[c.id] for c in corpus.claims]
 
 
-def _retrievals(claims, corpus, config, counter, backend, brute_force=False):
-    """Greedy traces under the premise cap, every claim descending together.
+def _retrievals(claims, corpus, config, counter, backend, brute_force=False, keep_levels=False):
+    """Greedy traces under the premise cap, every claim descending together,
+    holding their levels only with ``keep_levels`` (``retrieve --trace``).
     With ``brute_force`` each claim's trace is followed by its exhaustive one:
     the one-level descent, whose branching factor splits the document into
     its units, so it shares the first level's batch with the greedy descent,
@@ -269,6 +270,7 @@ def _retrievals(claims, corpus, config, counter, backend, brute_force=False):
     return descend(
         docs, claims, backend, ks,
         budget=config.premise_cap, counter=counter, max_workers=config.concurrency,
+        keep_levels=keep_levels,
     )
 
 
@@ -294,7 +296,7 @@ def cmd_score(args, config, corpus, counter, backend):
 
 def cmd_retrieve(args, config, corpus, counter, backend):
     claims = corpus.claims
-    traces = _retrievals(claims, corpus, config, counter, backend, args.brute_force)
+    traces = _retrievals(claims, corpus, config, counter, backend, args.brute_force, args.trace)
     if args.brute_force:
         traces, brute = traces[::2], traces[1::2]
     entries = []

@@ -4,8 +4,8 @@ A document is an ordered list of atomic units: one sentence for prose, one
 speaker turn for dialogue. A claim is a single generated sentence, already
 split, to be verified against one document; it may carry a gold
 consistency label and the set of source-unit indices annotated as relevant
-evidence. Unknown fields of a record are kept on load and counted in the
-corpus hash.
+evidence. Unknown fields of a record are kept on load, as a read-only
+mapping, and counted in the corpus hash.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from json.encoder import encode_basestring
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import CorpusError, ValidationError
@@ -102,22 +104,26 @@ class VocabCounter(TokenCounter):
 # ---------------------------------------------------------------------------
 # Domain types
 
+# The ``extra`` of every record without unknown fields: one shared, read-only mapping.
+_NO_EXTRA = MappingProxyType({})
+
 
 class _UnitFields(NamedTuple):
     text: str
     speaker: str | None
-    extra: dict
+    extra: Mapping
 
 
 class Unit(_UnitFields):
     """One atomic unit of a document: a sentence or a speaker turn. Its index
-    is its position in ``Document.units``. Immutable; each unit holds its own
-    ``extra`` dict."""
+    is its position in ``Document.units``. Immutable: ``extra`` is a
+    read-only view of the given mapping, so units can share it."""
 
     __slots__ = ()
 
     def __new__(cls, text, speaker=None, extra=None):
-        return tuple.__new__(cls, (text, speaker, {} if extra is None else extra))
+        extra = MappingProxyType(extra) if extra else _NO_EXTRA
+        return tuple.__new__(cls, (text, speaker, extra))
 
 
 def format_unit(unit: Unit) -> str:
@@ -131,7 +137,7 @@ def format_unit(unit: Unit) -> str:
 class Document:
     id: str
     units: list[Unit]
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = field(default_factory=lambda: _NO_EXTRA)
     _token_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -160,7 +166,7 @@ class Document:
         return cached
 
 
-@dataclass
+@dataclass(slots=True)
 class Claim:
     """One generated sentence to verify against its source document."""
 
@@ -169,7 +175,7 @@ class Claim:
     text: str
     gold_label: bool | None = None
     relevant_units: frozenset[int] | None = None
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = field(default_factory=lambda: _NO_EXTRA)
 
 
 @dataclass
@@ -297,13 +303,18 @@ _CLAIM_REQUIRED = frozenset({"id", "doc_id", "text"})
 _INT_ONLY = frozenset({int})
 
 
+def _extra(rec: dict, known: frozenset[str]) -> Mapping:
+    """The record's unknown fields, read-only; ``_NO_EXTRA`` when it has none."""
+    if rec.keys() <= known:
+        return _NO_EXTRA
+    return MappingProxyType({k: v for k, v in rec.items() if k not in known})
+
+
 def _unit_from_record(rec: dict, pos: int) -> Unit:
     if isinstance(rec, dict):
         text, speaker = rec.get("text"), rec.get("speaker")
         if isinstance(text, str) and (speaker is None or isinstance(speaker, str)):
-            extra = {} if rec.keys() <= _UNIT_KEYS else {
-                k: v for k, v in rec.items() if k not in _UNIT_KEYS
-            }
+            extra = {k: v for k, v in rec.items() if k not in _UNIT_KEYS}
             return Unit(text=text, speaker=speaker, extra=extra)
     raise ValidationError(
         f"unit {pos} must be an object with a string 'text' and a string or null "
@@ -317,16 +328,13 @@ def document_from_record(rec: dict) -> Document:
         raise ValidationError(f"document 'id' must be a string, got {doc_id!r:.40}")
     if not isinstance(units, list):
         raise ValidationError(f"document {doc_id!r} 'units' must be an array, got {units!r:.40}")
-    extra = {} if rec.keys() <= _DOC_KEYS else {
-        k: v for k, v in rec.items() if k not in _DOC_KEYS
-    }
     # The common shape is built inline: only a string "text" and a string or null "speaker".
-    built = [tuple.__new__(Unit, (text, speaker, {}))
+    built = [tuple.__new__(Unit, (text, speaker, _NO_EXTRA))
              if (type(u) is dict and type(text := u.get("text")) is str
                  and ((speaker := u.get("speaker")) is None or type(speaker) is str)
                  and len(u) == 1 + ("speaker" in u))
              else _unit_from_record(u, pos) for pos, u in enumerate(units)]
-    return Document(id=doc_id, units=built, extra=extra)
+    return Document(id=doc_id, units=built, extra=_extra(rec, _DOC_KEYS))
 
 
 def document_to_record(doc: Document) -> dict:
@@ -354,12 +362,16 @@ def claim_from_record(rec: dict) -> Claim:
                 f"claim {claim_id!r} 'relevant_units' must be null or an array of integers, "
                 f"got {relevant!r:.40}"
             )
-        relevant = frozenset(relevant)
-    extra = {} if rec.keys() <= _CLAIM_KEYS else {
-        k: v for k, v in rec.items() if k not in _CLAIM_KEYS
-    }
+        relevant = _unit_set(tuple(relevant))
     return Claim(id=claim_id, doc_id=doc_id, text=text, gold_label=label,
-                 relevant_units=relevant, extra=extra)
+                 relevant_units=relevant, extra=_extra(rec, _CLAIM_KEYS))
+
+
+@lru_cache(maxsize=1024)
+def _unit_set(indices: tuple[int, ...]) -> frozenset[int]:
+    """One shared set per recently seen list of relevant units: most claims
+    name the same few."""
+    return frozenset(indices)
 
 
 def claim_to_record(claim: Claim) -> dict:

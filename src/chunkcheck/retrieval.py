@@ -77,11 +77,17 @@ def descend(
     budget: int | None = None,
     counter: TokenCounter = _WHITESPACE,
     max_workers: int = 1,
+    keep_levels: bool = True,
 ) -> list[RetrievalTrace]:
     """``retrieve`` for every claim, ``docs[i]`` and ``ks[i]`` being
     ``claims[i]``'s document and branching factor, descending together: one
     batch per level over the parts of every claim still descending, across
     all the documents.
+
+    Levels are kept only with ``keep_levels``: ``retrieve`` keeps them, and
+    the CLI asks for them only for ``retrieve --trace``, the one report that
+    writes them. Without it every trace's ``levels`` stays empty; its result
+    and scorer calls are the same.
 
     Raises the error of the first claim, in order, whose descent fails.
     Claims after a failing one stop descending; the ones before it go on,
@@ -96,6 +102,7 @@ def descend(
 
     ranges = {i: (0, len(doc.units)) for i, doc in enumerate(docs)}  # still descending
     levels: list[list[TraceLevel]] = [[] for _ in claims]
+    calls = [0] * len(claims)
     traces: list[RetrievalTrace | None] = [None] * len(claims)
     error = None
     while ranges:
@@ -141,7 +148,9 @@ def descend(
         for i, (ps, _, _), a, b in zip(active[:cut], level, offsets, offsets[1:]):
             sc = batch.scores[a:b]
             chosen = first_max(sc)
-            levels[i].append(TraceLevel(candidate_ranges=ps, scores=sc, chosen=chosen))
+            calls[i] += b - a
+            if keep_levels:
+                levels[i].append(TraceLevel(candidate_ranges=ps, scores=sc, chosen=chosen))
             start, end = ranges[i] = ps[chosen]
             if end - start == 1:
                 del ranges[i]
@@ -150,7 +159,7 @@ def descend(
                     levels=levels[i],
                     result_unit=start,
                     result_score=sc[chosen],
-                    scorer_calls=sum(len(lvl.scores) for lvl in levels[i]),
+                    scorer_calls=calls[i],
                 )
     if error is not None:
         raise error

@@ -168,6 +168,29 @@ def test_retrieve_trace_on_fixture(fixture_dir, tmp_path):
         assert entry["scorer_calls"] <= entry["brute_force"]["scorer_calls"]
 
 
+def test_loaded_records_share_equal_values_and_untraced_retrieve_keeps_results(tmp_path):
+    """Identities counted on a loaded probe corpus, with no unknown fields:
+    every record shares one ``extra`` and claims naming the same relevant
+    units share one set. ``retrieve --brute-force`` without ``--trace``, which
+    keeps no levels, reports what it reports with ``--trace``, less the trace."""
+    paths = write_probe_corpus(tmp_path, n_docs=4, units_per_doc=6, claims_per_doc=10)
+    corpus = load_corpus(*paths)
+    units = [u for doc in corpus.documents for u in doc.units]
+    assert len({id(r.extra) for r in [*corpus.documents, *units, *corpus.claims]}) == 1
+    sets = {c.relevant_units for c in corpus.claims}
+    assert len(sets) <= 6 < len(corpus.claims)
+    assert len({id(c.relevant_units) for c in corpus.claims}) == len(sets)
+    reports = []
+    for flags in ([], ["--trace"]):
+        out = tmp_path / f"retrieve{len(flags)}.json"
+        assert _run(["retrieve", "--documents", paths[0], "--claims", paths[1],
+                     "--brute-force", *flags, "--out", out]) == 0
+        reports.append(_load_report(out)["results"]["retrievals"])
+    untraced, traced = reports
+    assert len(untraced) == 40 and all(entry.pop("trace") for entry in traced)
+    assert untraced == traced
+
+
 def test_retrieve_empty_claims_gives_empty_report(fixture_dir, tmp_path):
     empty = tmp_path / "claims.jsonl"
     empty.write_text("")
@@ -812,6 +835,13 @@ BAD_INPUT = [
                                                              {"text": "Rain\nfell."}]},
                                 *_DOCUMENTS[1:])},
      "document 'ops-briefing' unit 7: text contains a newline", SCORING),
+    ("test_unit_speaker_with_a_newline_exits_one_under_unit_relevance",
+     f"retrieve {_RELEVANCE} relevance.json",
+     {"documents.jsonl": _jsonl({**_DOCUMENTS[0], "units": [*_DOCUMENTS[0]["units"][:7],
+                                                             {"speaker": "Ve\nga",
+                                                              "text": "Rain fell."}]},
+                                *_DOCUMENTS[1:])},
+     "document 'ops-briefing' unit 7: speaker contains a newline", SCORING),
     ("test_deeply_nested_json_exits_one_before_scoring[--relevance-file]",
      f"retrieve {_RELEVANCE} deep.jsonl", _DEEP,
      "relevance file deep.jsonl is not valid JSON: …", SCORING),

@@ -284,12 +284,21 @@ def test_content_hash_is_pinned(tmp_path):
     )
 
 
-def test_loaded_records_do_not_share_extra_dicts():
-    doc = document_from_record({"id": "d", "units": [{"text": "a"}, {"text": "b"}]})
+def test_loaded_records_share_one_read_only_empty_extra():
+    """Records without unknown fields share one empty ``extra``; a record
+    with them gets its own. No record's ``extra`` can be written."""
+    doc = document_from_record(
+        {"id": "d", "units": [{"text": "a"}, {"text": "b"}, {"text": "c", "scene": 2}]}
+    )
     claims = [claim_from_record({"id": c, "doc_id": "d", "text": "t"}) for c in "ab"]
-    extras = [doc.extra, *(u.extra for u in doc.units), *(c.extra for c in claims)]
-    assert extras == [{}] * 5
-    assert len({id(e) for e in extras}) == 5
+    claims.append(claim_from_record({"id": "c", "doc_id": "d", "text": "t", "model": "m"}))
+    empty = [doc.extra, *(u.extra for u in doc.units[:2]), *(c.extra for c in claims[:2])]
+    assert empty == [{}] * 5
+    assert len({id(e) for e in empty}) == 1
+    assert (doc.units[2].extra, claims[2].extra) == ({"scene": 2}, {"model": "m"})
+    for extra in (*empty, doc.units[2].extra, claims[2].extra):
+        with pytest.raises(TypeError):
+            extra["k"] = 1
 
 
 def test_unit_is_an_immutable_record():
@@ -299,7 +308,10 @@ def test_unit_is_an_immutable_record():
     assert unit != Unit(text="a", speaker="S")
     assert unit != Unit(text="a", extra={"k": 1})
     assert (unit.text, unit.speaker, unit.extra) == ("a", None, {})
-    assert unit.extra is not Unit(text="b").extra
+    assert unit.extra is Unit(text="b").extra
+    for extra in (unit.extra, Unit(text="a", extra={"k": 1}).extra):
+        with pytest.raises(TypeError):
+            extra["k"] = 2
     for name in Unit._fields:
         with pytest.raises(AttributeError):
             setattr(unit, name, None)
@@ -436,7 +448,9 @@ def test_load_corpus_matches_reference_loader(tmp_path_factory, files):
     units = [u for d in got.documents for u in d.units]
     assert all(type(u) is Unit for u in units)
     assert [u.extra for u in units] == [u.extra for d in want.documents for u in d.units]
-    assert len({id(u.extra) for u in units}) == len(units)
+    with_extra = [u for u in units if u.extra]
+    assert len({id(u.extra) for u in with_extra}) == len(with_extra)
+    assert len({id(u.extra) for u in units if not u.extra}) <= 1
     assert got.claims == want.claims
     assert got.content_hash() == want.content_hash()
 

@@ -5,6 +5,7 @@ claim after another scores, while each level is one batch and each range is
 split once."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,11 +128,17 @@ def test_lockstep_matches_claim_by_claim(docs_units, texts, data):
     ])
     config = SimpleNamespace(k=k, premise_cap=cap, concurrency=workers)
 
-    def together():
-        traces = _retrievals(claims, corpus, config, counter, FailingOverlap(failing))
+    def together(keep_levels):
+        traces = _retrievals(claims, corpus, config, counter, FailingOverlap(failing),
+                             keep_levels=keep_levels)
         return [(c.id, c.doc_id, t) for c, t in zip(claims, traces, strict=True)]
 
-    assert _outcome(together) == want
+    assert _outcome(lambda: together(True)) == want
+    # Without levels, each trace keeps its result and its scorer calls.
+    status, value = want
+    if status == "ok":
+        value = [(c, d, replace(t, levels=[])) for c, d, t in value]
+    assert _outcome(lambda: together(False)) == (status, value)
 
 
 def _cli_retrieve(corpus, backend, k, cap, counter, workers, brute_force=True):
