@@ -95,10 +95,9 @@ def _check_outputs(args: argparse.Namespace, config: RunConfig) -> None:
     """Fail before loading when an output file's directory does not exist, the
     file is a directory or cannot be stat'ed, or it is another output or an
     input file: the corpus, the config file, or the relevance or vocab file."""
-    vocab = config.counter.removeprefix("vocab:") if config.counter.startswith("vocab:") else None
     paths = [("--documents", args.documents), ("--claims", args.claims),
              ("--config", args.config), ("--relevance-file", config.relevance_file),
-             ("--counter", vocab), ("--out", args.out),
+             ("--counter", config.vocab_path()), ("--out", args.out),
              ("--csv", getattr(args, "csv", None)),
              ("--curve-csv", getattr(args, "curve_csv", None))]
     named: dict = {}  # each file's key and the first flag naming it
@@ -250,7 +249,7 @@ def _score_corpus(corpus, config, counter, backend, budget, explain=False):
         texts, budget, backend, counter, aggregation=config.aggregation,
         max_workers=config.concurrency, explain=explain, cap=config.premise_cap,
     )
-    by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentence_scores}
+    by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentences}
     return text_scores, [by_claim[c.id] for c in corpus.claims]
 
 
@@ -301,14 +300,10 @@ def cmd_retrieve(args, config, corpus, counter, backend):
         traces, brute = traces[::2], traces[1::2]
     entries = []
     for i, (claim, trace) in enumerate(zip(claims, traces)):
-        entry = {
-            "claim_id": claim.id,
-            "result_unit": trace.result_unit,
-            "result_score": trace.result_score,
-            "scorer_calls": trace.scorer_calls,
-        }
+        entry = dict(vars(trace))  # claim_id, result_unit, result_score and scorer_calls
+        levels = entry.pop("levels")
         if args.trace:
-            entry["trace"] = trace.levels
+            entry["trace"] = levels
         if args.brute_force:
             bf = brute[i]
             entry["brute_force"] = {

@@ -47,6 +47,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.backend not in BACKENDS:
             raise ValidationError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
+        if self.backend == "remote" and not self.endpoint:
+            raise ValidationError(
+                f"remote backend needs an endpoint (flag, config file, or ${ENDPOINT_ENV})"
+            )
+        if self.backend == "unit-relevance" and not self.relevance_file:
+            raise ValidationError("unit-relevance backend needs --relevance-file")
+        self.vocab_path()  # an unknown counter raises
         if self.budget < 1:
             raise ValidationError(f"budget must be >= 1, got {self.budget}")
         if self.k < 2:
@@ -85,6 +92,17 @@ class RunConfig:
                     f"config key {key!r} cannot be written as UTF-8: {value!r} holds a lone "
                     "surrogate (a \\ud800 escape, or a path byte that is not UTF-8)"
                 ) from exc
+
+    def vocab_path(self) -> str | None:
+        """The vocabulary file of the ``vocab:<path>`` counter, None for the
+        ``whitespace`` counter; any other counter raises."""
+        if self.counter == "whitespace":
+            return None
+        if self.counter.startswith("vocab:"):
+            return self.counter.removeprefix("vocab:")
+        raise ValidationError(
+            f"unknown token counter {self.counter!r}; use 'whitespace' or 'vocab:<path>'"
+        )
 
     def to_dict(self) -> dict:
         """The config as reports embed it, with the auth header's value masked."""
@@ -142,29 +160,19 @@ def resolve_config(config_path: str | None = None, overrides: dict | None = None
 
 def build_counter(config: RunConfig) -> TokenCounter:
     """The configured counter: ``whitespace`` or ``vocab:<path>``."""
-    kind = config.counter
-    if kind == "whitespace":
-        return WhitespaceCounter()
-    if kind.startswith("vocab:"):
-        return VocabCounter(kind.split(":", 1)[1])
-    raise ValidationError(f"unknown token counter {kind!r}; use 'whitespace' or 'vocab:<path>'")
+    path = config.vocab_path()
+    return WhitespaceCounter() if path is None else VocabCounter(path)
 
 
 def build_backend(config: RunConfig, corpus: Corpus | None = None) -> ScorerBackend:
-    """The configured backend."""
+    """The configured backend, of a config that ``RunConfig.validate`` passed."""
     if config.backend == "overlap":
         return LexicalOverlapBackend()
     if config.backend == "unit-relevance":
-        if not config.relevance_file:
-            raise ValidationError("unit-relevance backend needs --relevance-file")
         if corpus is None:
             raise ValidationError("unit-relevance backend needs a loaded corpus")
         return UnitRelevanceBackend.from_file(config.relevance_file, corpus)
     if config.backend == "remote":
-        if not config.endpoint:
-            raise ValidationError(
-                f"remote backend needs an endpoint (flag, config file, or ${ENDPOINT_ENV})"
-            )
         return RemoteBackend(
             endpoint=config.endpoint,
             auth_header=config.auth_header,

@@ -44,17 +44,9 @@ class SentenceScore:
 @dataclass
 class TextScore:
     doc_id: str
-    sentence_scores: list[SentenceScore]
+    sentences: list[SentenceScore]
     aggregate: float
     aggregation: str
-
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "aggregate": self.aggregate,
-            "aggregation": self.aggregation,
-            "sentences": [s.to_dict() for s in self.sentence_scores],
-        }
 
 
 def _pairs(plan: ChunkPlan, claims: list[Claim]) -> list[tuple[str, str]]:
@@ -81,7 +73,7 @@ def _score_claims(items, pairs, ends, backend, max_workers, explain):
     out, lo = [], 0
     for plan, claims in items:
         n = len(plan.chunks)
-        sentence_scores = []
+        sentences = []
         for claim in claims:
             hi = lo + n
             probs = batch.scores[lo:hi]
@@ -90,7 +82,7 @@ def _score_claims(items, pairs, ends, backend, max_workers, explain):
                 raise ScoringError(f"claim {claim.id!r}: {failed} of {n} chunk scorings "
                                    f"failed ({batch.failures[0].error})")
             best = first_max(probs)
-            sentence_scores.append(
+            sentences.append(
                 SentenceScore(
                     claim_id=claim.id,
                     score=probs[best],
@@ -100,7 +92,7 @@ def _score_claims(items, pairs, ends, backend, max_workers, explain):
                 )
             )
             lo = hi
-        out.append(sentence_scores)
+        out.append(sentences)
     return out
 
 
@@ -164,7 +156,7 @@ def score_texts(
                 raise ValidationError(f"no claims to score for document {doc.id!r}")
             plan = make_chunks(doc, budget, counter)
             text_pairs = _pairs(plan, claims)
-            check_cap(backend, text_pairs, (chunk.token_count for chunk in plan.chunks), cap)
+            check_cap(text_pairs, (chunk.token_count for chunk in plan.chunks), cap)
             items.append((plan, claims))
             pairs += text_pairs
             ends.append(len(pairs))
@@ -176,11 +168,11 @@ def score_texts(
     return [
         TextScore(
             doc_id=plan.doc_id,
-            sentence_scores=sentence_scores,
-            aggregate=aggregate_scores([s.score for s in sentence_scores], aggregation),
+            sentences=sentences,
+            aggregate=aggregate_scores([s.score for s in sentences], aggregation),
             aggregation=aggregation,
         )
-        for (plan, _), sentence_scores in zip(items, scored)
+        for (plan, _), sentences in zip(items, scored)
     ]
 
 

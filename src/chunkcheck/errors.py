@@ -31,7 +31,7 @@ class CorpusError(ValidationError):
 
 
 class PremiseTooLargeError(ValidationError):
-    """Premise exceeds the backend's token budget; truncation is never silent."""
+    """Premise exceeds the run's premise cap; truncation is never silent."""
 
 
 class BackendError(ChunkcheckError):

@@ -84,10 +84,11 @@ def descend(
     batch per level over the parts of every claim still descending, across
     all the documents.
 
-    Levels are kept only with ``keep_levels``: ``retrieve`` keeps them, and
-    the CLI asks for them only for ``retrieve --trace``, the one report that
-    writes them. Without it every trace's ``levels`` stays empty; its result
-    and scorer calls are the same.
+    Each claim's trace is made before the first level. Each level adds its
+    calls and, with ``keep_levels``, itself; the level that reaches one unit
+    sets the result. Only ``retrieve`` and ``retrieve --trace``, the one
+    report that writes levels, keep them; a trace without them has the same
+    result and scorer calls.
 
     Raises the error of the first claim, in order, whose descent fails.
     Claims after a failing one stop descending; the ones before it go on,
@@ -101,9 +102,7 @@ def descend(
             raise ValidationError(f"branching factor must be >= 2, got {k}")
 
     ranges = {i: (0, len(doc.units)) for i, doc in enumerate(docs)}  # still descending
-    levels: list[list[TraceLevel]] = [[] for _ in claims]
-    calls = [0] * len(claims)
-    traces: list[RetrievalTrace | None] = [None] * len(claims)
+    traces = [RetrievalTrace(claim.id, [], 0, 0.0, 0) for claim in claims]
     error = None
     while ranges:
         active = list(ranges)
@@ -125,13 +124,13 @@ def descend(
         ]
         cut = len(active)  # the claims from active[cut] on stop descending
         try:
-            check_cap(backend, pairs, (n for _, _, sizes in level for n in sizes), budget)
+            check_cap(pairs, (n for _, _, sizes in level for n in sizes), budget)
         except ValidationError:
             # The first claim whose own pairs fail the input checks names the
             # error; only the claims before it are scored.
             for cut, (i, (_, texts, sizes)) in enumerate(zip(active, level)):
                 try:
-                    check_cap(backend, [(t, claims[i].text) for t in texts], sizes, budget)
+                    check_cap([(t, claims[i].text) for t in texts], sizes, budget)
                 except ValidationError as exc:
                     error = exc
                     break
@@ -146,21 +145,15 @@ def descend(
         for i in active[cut:]:
             del ranges[i]
         for i, (ps, _, _), a, b in zip(active[:cut], level, offsets, offsets[1:]):
-            sc = batch.scores[a:b]
+            trace, sc = traces[i], batch.scores[a:b]
             chosen = first_max(sc)
-            calls[i] += b - a
+            trace.scorer_calls += b - a
             if keep_levels:
-                levels[i].append(TraceLevel(candidate_ranges=ps, scores=sc, chosen=chosen))
+                trace.levels.append(TraceLevel(candidate_ranges=ps, scores=sc, chosen=chosen))
             start, end = ranges[i] = ps[chosen]
             if end - start == 1:
                 del ranges[i]
-                traces[i] = RetrievalTrace(
-                    claim_id=claims[i].id,
-                    levels=levels[i],
-                    result_unit=start,
-                    result_score=sc[chosen],
-                    scorer_calls=calls[i],
-                )
+                trace.result_unit, trace.result_score = start, sc[chosen]
     if error is not None:
         raise error
     return traces

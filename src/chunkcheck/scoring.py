@@ -68,7 +68,7 @@ def _check_pairs(pairs) -> None:
             checked.add(hypothesis)
 
 
-def check_cap(backend: ScorerBackend, pairs, token_counts, cap: int | None) -> None:
+def check_cap(pairs, token_counts, cap: int | None) -> None:
     """Reject an empty premise or hypothesis, or a premise over ``cap`` tokens,
     before any pair is scored, from the counts the caller holds
     (``token_counts[i]`` counts ``pairs[i]``'s premise), raising what a
@@ -78,7 +78,7 @@ def check_cap(backend: ScorerBackend, pairs, token_counts, cap: int | None) -> N
             if n > cap:
                 _check_pairs(pairs[: i + 1])
                 raise PremiseTooLargeError(
-                    f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
+                    f"premise has {n} tokens, over the premise cap of {cap}"
                 )
     _check_pairs(pairs)
 

@@ -321,9 +321,7 @@ def make_chunks_reference(doc, budget, counter) -> ChunkPlan:
         chunks.append(Chunk(doc_id=doc.id, start=i, end=j, text=premise_text(doc, i, j),
                             token_count=total, oversized=(j == i + 1 and total > budget)))
         i = j
-    plan = ChunkPlan(doc_id=doc.id, budget=budget, chunks=chunks)
-    plan.validate(n)
-    return plan
+    return ChunkPlan(doc_id=doc.id, budget=budget, chunks=chunks)
 
 
 def split_range_reference(doc, start, end, k, counter):
@@ -378,7 +376,7 @@ def score_corpus_reference(corpus, budget, backend, counter, aggregation="min", 
                    max_workers, explain, cap)
         for doc_id, claims in corpus.grouped_texts().items()
     ]
-    by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentence_scores}
+    by_claim = {s.claim_id: s for ts in text_scores for s in ts.sentences}
     return text_scores, [by_claim[c.id] for c in corpus.claims]
 
 
@@ -398,7 +396,7 @@ def retrieve_reference(doc, claim, backend, k=2, budget=None, counter=None,
         pairs = [(premise_text(doc, a, b), claim.text) for a, b in parts]
         if budget is not None:
             prefix = doc._token_prefix_sums(counter)
-            check_cap(backend, pairs, (prefix[b] - prefix[a] for a, b in parts), budget)
+            check_cap(pairs, (prefix[b] - prefix[a] for a, b in parts), budget)
         batch = score_batch(backend, pairs, max_workers=max_workers)
         if not batch.ok:
             raise ScoringError(
@@ -450,7 +448,7 @@ def brute_force_reference(doc, claim, backend, budget=None, counter=None) -> Bru
     ranges = [(i, i + 1) for i in range(len(doc.units))]
     pairs = [(premise_text(doc, a, b), claim.text) for a, b in ranges]
     if budget is not None:
-        check_cap(backend, pairs, doc.unit_token_counts(counter), budget)
+        check_cap(pairs, doc.unit_token_counts(counter), budget)
     batch = score_batch(backend, pairs)
     if not batch.ok:
         raise ScoringError(
@@ -483,9 +481,9 @@ def verify_trace(doc, claim, backend, trace) -> None:
     assert trace.levels[-1].scores[trace.levels[-1].chosen] == trace.result_score
 
 
-def check_pairs_reference(backend, pairs) -> None:
+def check_pairs_reference(pairs, cap, counter) -> None:
     """Input checks pair by pair, with nothing skipped: empty premise, empty
-    hypothesis, then the premise cap."""
+    hypothesis, then the premise cap, counted with ``counter``."""
     from chunkcheck.errors import PremiseTooLargeError, ValidationError
 
     for premise, hypothesis in pairs:
@@ -493,13 +491,10 @@ def check_pairs_reference(backend, pairs) -> None:
             raise ValidationError("premise must be non-empty")
         if not hypothesis.strip():
             raise ValidationError("hypothesis must be non-empty")
-        cap = backend.max_premise_tokens
         if cap is not None:
-            n = backend.budget_counter.count(premise)
+            n = counter.count(premise)
             if n > cap:
-                raise PremiseTooLargeError(
-                    f"premise has {n} tokens, backend {backend.name!r} admits {cap}"
-                )
+                raise PremiseTooLargeError(f"premise has {n} tokens, over the premise cap of {cap}")
 
 
 def overlap_words_reference(text: str) -> frozenset[bytes]:

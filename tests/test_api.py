@@ -25,8 +25,10 @@ DELETED = [
     ("corpus", "Unit.validate"),
     ("corpus", "Document.validate"),
     ("corpus", "Claim.validate"),
+    ("chunking", "ChunkPlan.validate"),
     ("engine", "classify"),
     ("engine", "SentenceScore.elapsed_ms"),
+    ("engine", "TextScore.to_dict"),
     ("metrics", "macro_f1"),
     ("metrics", "candidate_thresholds"),
     ("retrieval", "verify_trace"),

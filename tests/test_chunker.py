@@ -61,6 +61,11 @@ def test_budget_below_one_rejected():
         make_chunks(doc, 0, WC)
 
 
+def test_document_without_units_rejected():
+    with pytest.raises(ValidationError, match="^document 'd' has no units$"):
+        make_chunks(Document(id="d", units=[]), 16, WC)
+
+
 def test_chunk_text_matches_premise():
     doc = make_sized_doc("d", [3, 4, 5])
     plan = make_chunks(doc, 7, WC)
@@ -91,6 +96,7 @@ def test_chunks_partition_and_reconstruct(sizes, budget):
     rebuilt = UNIT_SEPARATOR.join(c.text for c in plan.chunks)
     assert rebuilt == premise_text(doc, 0, len(sizes))
     for c in plan.chunks:
+        assert c.start < c.end
         assert c.token_count == sum(sizes[c.start : c.end])
         if c.end - c.start > 1:
             assert c.token_count <= budget

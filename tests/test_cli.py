@@ -18,7 +18,7 @@ import chunkcheck.cli as cli
 from chunkcheck.backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend
 from chunkcheck.chunking import make_chunks
 from chunkcheck.cli import build_parser, main
-from chunkcheck.config import BACKENDS, RunConfig, resolve_config
+from chunkcheck.config import AUTH_ENV, BACKENDS, ENDPOINT_ENV, RunConfig, resolve_config
 from chunkcheck.corpus import WhitespaceCounter, load_corpus
 from chunkcheck.errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from chunkcheck.metrics import calibration_curve
@@ -28,11 +28,18 @@ from chunkcheck.metrics import evaluate_scores, f1_macro_optimal, kendall_tau, p
 from helpers import write_probe_corpus
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixture"
-GOLDEN = Path(__file__).parent / "data" / "golden_score_report.json"
-GOLDEN_RETRIEVE = Path(__file__).parent / "data" / "golden_retrieve_report.json"
-GOLDEN_CALIBRATE = Path(__file__).parent / "data" / "golden_calibrate_report.json"
-GOLDEN_EVALUATE = Path(__file__).parent / "data" / "golden_evaluate_report.json"
-GOLDEN_BENCH = Path(__file__).parent / "data" / "golden_bench_report.json"
+DATA = Path(__file__).parent / "data"
+# (flags after the fixture's files, recorded report): each report, "meta"
+# dropped, must equal its golden file. CI's console-script step checks the
+# rows whose golden file is named after the command.
+GOLDEN_REPORTS = [
+    ("score", "golden_score_report.json"),
+    ("score --explain --dump-chunks --budget 16", "golden_score_explain_report.json"),
+    ("retrieve --premise-cap 40 --trace --brute-force", "golden_retrieve_report.json"),
+    ("calibrate --budgets 16,64,512", "golden_calibrate_report.json"),
+    ("evaluate --retrieval-recall", "golden_evaluate_report.json"),
+    ("bench --budgets 16,64,512", "golden_bench_report.json"),
+]
 
 
 def _fixture_args(fixture_dir):
@@ -60,49 +67,16 @@ def _sans_meta(report):
 # score
 
 
-def test_score_matches_recorded_golden(fixture_dir, tmp_path):
+@pytest.mark.parametrize(("argv", "golden"), GOLDEN_REPORTS,
+                         ids=["score", "score-explain", "retrieve", "calibrate", "evaluate",
+                              "bench"])
+def test_report_matches_recorded_golden(fixture_dir, tmp_path, argv, golden):
+    command, *flags = argv.split()
     out = tmp_path / "report.json"
-    assert _run(["score", *_fixture_args(fixture_dir), "--out", out]) == 0
+    assert _run([command, *_fixture_args(fixture_dir), *flags, "--out", out]) == 0
     got = _load_report(out)
     got.pop("meta")
-    want = json.loads(GOLDEN.read_text())
-    assert got == want
-
-
-def test_retrieve_matches_recorded_golden(fixture_dir, tmp_path):
-    out = tmp_path / "report.json"
-    assert _run(["retrieve", *_fixture_args(fixture_dir), "--premise-cap", "40", "--trace",
-                 "--brute-force", "--out", out]) == 0
-    got = _load_report(out)
-    got.pop("meta")
-    assert got == json.loads(GOLDEN_RETRIEVE.read_text())
-
-
-def test_calibrate_matches_recorded_golden(fixture_dir, tmp_path):
-    out = tmp_path / "report.json"
-    assert _run(["calibrate", *_fixture_args(fixture_dir), "--budgets", "16,64,512",
-                 "--out", out]) == 0
-    got = _load_report(out)
-    got.pop("meta")
-    assert got == json.loads(GOLDEN_CALIBRATE.read_text())
-
-
-def test_evaluate_matches_recorded_golden(fixture_dir, tmp_path):
-    out = tmp_path / "report.json"
-    assert _run(["evaluate", *_fixture_args(fixture_dir), "--retrieval-recall",
-                 "--out", out]) == 0
-    got = _load_report(out)
-    got.pop("meta")
-    assert got == json.loads(GOLDEN_EVALUATE.read_text())
-
-
-def test_bench_matches_recorded_golden(fixture_dir, tmp_path):
-    out = tmp_path / "report.json"
-    assert _run(["bench", *_fixture_args(fixture_dir), "--budgets", "16,64,512",
-                 "--out", out]) == 0
-    got = _load_report(out)
-    got.pop("meta")
-    assert got == json.loads(GOLDEN_BENCH.read_text())
+    assert got == json.loads((DATA / golden).read_text())
 
 
 def test_score_byte_identical_across_runs(fixture_dir, tmp_path):
@@ -735,7 +709,11 @@ BAD_INPUT = [
      "score --counter vocab:vocab-\udcff.txt", {},
      _surrogate("counter", "vocab:vocab-\udcff.txt"), LOADING),
     ("test_invalid_flag_combo_exits_one", "score --backend unit-relevance", {},
-     "unit-relevance backend needs --relevance-file", SCORING),
+     "unit-relevance backend needs --relevance-file", LOADING),
+    ("test_remote_backend_without_an_endpoint_exits_one_before_loading", "score --backend remote",
+     {}, "remote backend needs an endpoint (flag, config file, or $CHUNKCHECK_ENDPOINT)", LOADING),
+    ("test_unknown_counter_exits_one_before_loading", "score --counter bogus", {},
+     "unknown token counter 'bogus'; use 'whitespace' or 'vocab:<path>'", LOADING),
     # corpus files
     *[(test.format(name), f"{command} --{name} {path}", edits, message, SCORING)
       for name in ("documents", "claims")
@@ -912,10 +890,10 @@ BAD_INPUT = [
       for command in ("calibrate", "bench")],
     # premises over the cap
     ("test_oversized_premise_exits_one", "score --premise-cap 3", {},
-     "premise has 69 tokens, backend 'overlap' admits 3", SCORING),
+     "premise has 69 tokens, over the premise cap of 3", SCORING),
     *[(f"test_premise_over_the_cap_of_the_configured_counter_exits_one[{command}]",
        f"{command} --premise-cap 4 --counter vocab:v.txt",
-       _CAPPED, "premise has 10 tokens, backend 'overlap' admits 4", SCORING)
+       _CAPPED, "premise has 10 tokens, over the premise cap of 4", SCORING)
       for command in ("score", "retrieve")],
 ]
 
@@ -959,7 +937,10 @@ def _tree() -> dict:
 def _check_bad_input(monkeypatch, capsys, argv, edits, message, stage):
     """Exit 1 with one JSON line of type validation on stderr and the row's
     message, no backend call, the corpus not loaded for a row checked before
-    loading, and no file made or changed."""
+    loading, and no file made or changed. The row's flags and files are its
+    only config: the endpoint and auth header variables are unset."""
+    for name in (ENDPOINT_ENV, AUTH_ENV):
+        monkeypatch.delenv(name, raising=False)
     _write(edits)
     before = _tree()
     calls, loads = [], []
@@ -1088,5 +1069,5 @@ def test_python_dash_m_runs_the_cli(fixture_dir, tmp_path):
     assert run("score", *_fixture_args(fixture_dir), "--out", out).returncode == 0
     got = _load_report(out)
     got.pop("meta")
-    assert got == json.loads(GOLDEN.read_text())
+    assert got == json.loads((DATA / "golden_score_report.json").read_text())
     assert run().returncode == 1

@@ -122,7 +122,7 @@ def test_single_sentence_text_equal_under_both_aggregations(overlap_backend):
     doc = Document(id="d", units=[Unit(text="p q r")])
     for agg in ("min", "mean"):
         ts = score_text(doc, _text("d", ["p q"]), 100, overlap_backend, WC, aggregation=agg)
-        assert ts.aggregate == ts.sentence_scores[0].score
+        assert ts.aggregate == ts.sentences[0].score
 
 
 def test_aggregation_arithmetic():
@@ -148,7 +148,7 @@ def test_text_equals_sentence_loop(overlap_backend):
         score_sentence(plan, Claim(id=f"s{i}", doc_id="d", text=t), overlap_backend).score
         for i, t in enumerate(texts)
     ]
-    assert [s.score for s in ts.sentence_scores] == loop
+    assert [s.score for s in ts.sentences] == loop
     assert ts.aggregate == min(loop)
 
 
@@ -158,8 +158,8 @@ def test_text_scorer_call_accounting(overlap_backend):
     n_chunks = len(plan.chunks)
     texts = ["du0w0", "du2w1 du3w0", "du5w1"]
     ts = score_text(doc, _text("d", texts), 4, overlap_backend, WC)
-    assert all(s.scorer_calls == n_chunks for s in ts.sentence_scores)
-    assert sum(s.scorer_calls for s in ts.sentence_scores) == n_chunks * len(texts)
+    assert all(s.scorer_calls == n_chunks for s in ts.sentences)
+    assert sum(s.scorer_calls for s in ts.sentences) == n_chunks * len(texts)
 
 
 def test_text_is_scored_as_one_batch(overlap_backend, monkeypatch):

@@ -8,7 +8,6 @@ each piece of work happening once."""
 import random
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -203,21 +202,14 @@ def _first_error(check, *args):
     return None
 
 
-def _reference_backend(backend, cap):
-    """What ``check_pairs_reference`` reads: a name, a cap and its counter."""
-    return SimpleNamespace(name=backend.name, max_premise_tokens=cap, budget_counter=WC)
-
-
 _check_text = st.sampled_from(["", " ", "a", "a b", "a b c", "a b c d e"])
 
 
 @given(st.lists(st.tuples(_check_text, _check_text), max_size=12))
 @settings(max_examples=400, deadline=None)
 def test_batch_checks_raise_the_pairwise_first_error(pairs):
-    backend = LexicalOverlapBackend()
-    reference = _reference_backend(backend, None)
-    want = _first_error(check_pairs_reference, reference, list(dict.fromkeys(pairs)))
-    assert _first_error(score_batch, backend, pairs) == want
+    want = _first_error(check_pairs_reference, list(dict.fromkeys(pairs)), None, WC)
+    assert _first_error(score_batch, LexicalOverlapBackend(), pairs) == want
 
 
 _unit_text = st.sampled_from([" ", "a", "a b", "a b c", "a b c d e", "a b c d e f g h"])
@@ -248,7 +240,7 @@ def test_cap_checks_raise_the_pairwise_first_error(unit_texts, claim_texts, budg
         score = module.score_batch
 
         def checked(backend, pairs, **kwargs):
-            check_pairs_reference(_reference_backend(backend, cap), pairs)
+            check_pairs_reference(pairs, cap, WC)
             return score(backend, pairs, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:

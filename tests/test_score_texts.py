@@ -71,7 +71,8 @@ def _results(text_scores, sentences) -> str:
     writes them in a report."""
     return json.dumps({
         "claims": [s.to_dict() for s in sentences],
-        "texts": [ts.to_dict() for ts in text_scores],
+        "texts": [{"doc_id": ts.doc_id, "aggregate": ts.aggregate, "aggregation": ts.aggregation,
+                   "sentences": [s.to_dict() for s in ts.sentences]} for ts in text_scores],
         "scorer_calls_total": sum(s.scorer_calls for s in sentences),
     }, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -151,7 +152,7 @@ _FINE = ("ok", ["gamma delta"]), ("c-ok", "ok", "gamma")
       "message": "claim 'c-fail': 1 of 1 chunk scorings failed (RuntimeError: scripted failure)"},
      [("alpha beta", "BOOM here")]),
     ([_OVER_CAP, _FAILING, _FINE], 1,
-     {"type": "validation", "message": "premise has 6 tokens, backend 'overlap' admits 5"},
+     {"type": "validation", "message": "premise has 6 tokens, over the premise cap of 5"},
      []),
 ])
 def test_first_failing_document_names_the_error(tmp_path, capsys, backend_calls, workers, texts,

@@ -155,7 +155,7 @@ def _text(*sentences):
 
 def test_score_text_rejects_oversized_chunk():
     backend = ScriptedBackend({}, default=0.5)
-    message = "premise has 4 tokens, backend 'scripted' admits 3"
+    message = "premise has 4 tokens, over the premise cap of 3"
     with pytest.raises(PremiseTooLargeError, match=message):
         score_text(_capped_doc(), _text("h"), 1, backend, WC, cap=3)
     assert backend.calls == 0
