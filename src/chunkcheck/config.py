@@ -20,6 +20,7 @@ ENDPOINT_ENV = "CHUNKCHECK_ENDPOINT"
 AUTH_ENV = "CHUNKCHECK_AUTH_HEADER"
 
 BACKENDS = ("overlap", "remote", "unit-relevance")
+_NO_RELEVANCE_FILE = "unit-relevance backend needs --relevance-file"
 # Scoring starts up to this many worker threads, one per distinct pair at most.
 MAX_CONCURRENCY = 256
 # ece allocates arrays of this many bins, so a mistyped huge count fails here, before scoring.
@@ -52,7 +53,7 @@ class RunConfig:
                 f"remote backend needs an endpoint (flag, config file, or ${ENDPOINT_ENV})"
             )
         if self.backend == "unit-relevance" and not self.relevance_file:
-            raise ValidationError("unit-relevance backend needs --relevance-file")
+            raise ValidationError(_NO_RELEVANCE_FILE)
         self.vocab_path()  # an unknown counter raises
         if self.budget < 1:
             raise ValidationError(f"budget must be >= 1, got {self.budget}")
@@ -171,6 +172,8 @@ def build_backend(config: RunConfig, corpus: Corpus | None = None) -> ScorerBack
     if config.backend == "unit-relevance":
         if corpus is None:
             raise ValidationError("unit-relevance backend needs a loaded corpus")
+        if not config.relevance_file:  # a config that never went through validate
+            raise ValidationError(_NO_RELEVANCE_FILE)
         return UnitRelevanceBackend.from_file(config.relevance_file, corpus)
     if config.backend == "remote":
         return RemoteBackend(

@@ -15,6 +15,9 @@ Conventions, pinned once here:
 - Every float input must be finite: NaN or an infinity raises
   ValidationError.
 - Labels are one-dimensional, and each element is read by its truthiness.
+
+numpy is imported when a metric first needs it, so commands that compute no
+metric, such as `score` and `retrieve`, never load it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,22 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ValidationError
+
+
+class _DeferredNumpy:
+    """Stands in for numpy until its first attribute read, which imports numpy
+    and rebinds this module's `np` to it, so later reads cost nothing."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _DeferredNumpy()
 
 
 def _as_float_array(x, name: str) -> np.ndarray:

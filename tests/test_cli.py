@@ -18,7 +18,14 @@ import chunkcheck.cli as cli
 from chunkcheck.backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend
 from chunkcheck.chunking import make_chunks
 from chunkcheck.cli import build_parser, main
-from chunkcheck.config import AUTH_ENV, BACKENDS, ENDPOINT_ENV, RunConfig, resolve_config
+from chunkcheck.config import (
+    AUTH_ENV,
+    BACKENDS,
+    ENDPOINT_ENV,
+    RunConfig,
+    build_backend,
+    resolve_config,
+)
 from chunkcheck.corpus import WhitespaceCounter, load_corpus
 from chunkcheck.errors import BackendError, ChunkcheckError, ScoringError, ValidationError
 from chunkcheck.metrics import calibration_curve
@@ -31,7 +38,7 @@ FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixture"
 DATA = Path(__file__).parent / "data"
 # (flags after the fixture's files, recorded report): each report, "meta"
 # dropped, must equal its golden file. CI's console-script step checks the
-# rows whose golden file is named after the command.
+# same rows against the installed entry point.
 GOLDEN_REPORTS = [
     ("score", "golden_score_report.json"),
     ("score --explain --dump-chunks --budget 16", "golden_score_explain_report.json"),
@@ -388,6 +395,19 @@ def test_config_file_with_flag_override(fixture_dir, tmp_path):
     assert config["aggregation"] == "mean"  # file survives
     assert config["premise_cap"] is None
     assert config["timeout"] == 5
+
+
+def test_build_backend_without_a_relevance_file_is_a_validation_error(fixture_dir):
+    """A hand-built config that ``validate`` never saw gets the error that
+    ``validate`` gives, not a ``TypeError`` from opening ``None``."""
+    corpus = load_corpus(fixture_dir / "documents.jsonl", fixture_dir / "claims.jsonl")
+    config = RunConfig(backend="unit-relevance")
+    with pytest.raises(ValidationError) as validated:
+        config.validate()
+    with pytest.raises(ValidationError) as built:
+        build_backend(config, corpus)
+    assert str(built.value) == str(validated.value)
+    assert "--relevance-file" in str(built.value)
 
 
 def test_endpoint_from_environment(fixture_dir, tmp_path, monkeypatch, capsys):
@@ -1008,36 +1028,47 @@ def test_well_typed_record_fields_load(workdir, unit, claim):
 # ---------------------------------------------------------------------------
 # start-up
 
-_HTTP_STACK_PROBE = """
+_HEAVY_MODULE_PROBE = """
 import socket, sys
-import chunkcheck, chunkcheck.cli
+import chunkcheck, chunkcheck.cli, chunkcheck.metrics
 fixture, out = sys.argv[1:]
-for command in ("score", "retrieve"):
-    code = chunkcheck.cli.main([command, "--documents", f"{fixture}/documents.jsonl",
+def run(*argv):
+    code = chunkcheck.cli.main([*argv, "--documents", f"{fixture}/documents.jsonl",
                                 "--claims", f"{fixture}/claims.jsonl",
                                 "--backend", "overlap", "--out", out])
-    assert code == 0, (command, code)
-print(sorted(m for m in ("requests", "urllib3") if m in sys.modules))
+    assert code == 0, (argv, code)
+def loaded():
+    print(sorted(m for m in ("numpy", "requests", "urllib3") if m in sys.modules))
+run("score")
+run("retrieve")
+run("retrieve", "--brute-force")
+loaded()
+run("evaluate")
+loaded()
 def no_connection(self, address):
     raise AssertionError(f"connected to {address}")
 socket.socket.connect = no_connection
 from chunkcheck.backends import RemoteBackend
 RemoteBackend("http://127.0.0.1:9/score")
-print(sorted(m for m in ("requests", "urllib3") if m in sys.modules))
+loaded()
 """
 
 
-def test_only_a_remote_backend_loads_the_http_stack(fixture_dir, tmp_path):
-    """Offline commands never import requests or urllib3; building a
-    RemoteBackend imports both and opens no connection. A subprocess, since
-    this one has imported requests already."""
+def test_only_metrics_load_numpy_and_only_remote_loads_the_http_stack(fixture_dir, tmp_path):
+    """``score`` and ``retrieve``, brute force included, import neither numpy
+    nor the HTTP stack, even with ``chunkcheck.metrics`` imported; ``evaluate``
+    imports numpy, and building a RemoteBackend imports requests and urllib3
+    and opens no connection. A subprocess, since this one has imported all
+    three already."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _HTTP_STACK_PROBE, str(fixture_dir), str(tmp_path / "r.json")],
+        [sys.executable, "-c", _HEAVY_MODULE_PROBE, str(fixture_dir), str(tmp_path / "r.json")],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['requests', 'urllib3']"]
+    assert proc.stdout.splitlines() == [
+        "[]", "['numpy']", "['numpy', 'requests', 'urllib3']",
+    ]
 
 
 def test_importing_the_package_loads_no_heavy_module():
