@@ -19,7 +19,7 @@ import traceback
 from functools import lru_cache
 from pathlib import Path
 from threading import TIMEOUT_MAX
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 from .corpus import Corpus, Document, format_unit, read_text_file
 from .errors import BackendError, ValidationError
@@ -153,6 +153,97 @@ def _clear_frames(exc: BaseException) -> None:
             traceback.clear_frames(error.__traceback__)
 
 
+def mask_password(url: str) -> str:
+    """``url`` with the password of its userinfo, if it has one, written as
+    ``***``: the endpoint as reports and error messages show it."""
+    head, sep, rest = url.partition("://")
+    netloc = rest
+    for stop in "/?#":
+        netloc = netloc.partition(stop)[0]
+    userinfo, _, host = netloc.rpartition("@")
+    user, colon, _ = userinfo.partition(":")
+    if not colon:
+        return url
+    return f"{head}{sep}{user}:***@{host}{rest[len(netloc):]}"
+
+
+def _basic_auth(user: str, password: str) -> str:
+    from base64 import b64encode
+
+    return "Basic " + b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
+
+
+def _userinfo(parts) -> tuple[str, str] | None:
+    """The user and password of a split URL, unquoted, when it has a password."""
+    if parts.password is None:
+        return None
+    return unquote(parts.username), unquote(parts.password)
+
+
+def _proxy_url(parts) -> str | None:
+    """The proxy for a split endpoint URL, as ``requests`` picks it:
+    ``getproxies()``' entry for its scheme, else for ``all``, as an
+    ``http://`` URL when it has no scheme. None when there is none, or when
+    ``no_proxy`` (else ``NO_PROXY``) exempts the host: an IPv4 host matches an
+    equal address or a CIDR network holding it; a name, alone or with its
+    ``:port``, matches an entry equal to it or to one of its dot-suffixes, a
+    leading dot ignored; and ``*`` matches every host."""
+    import os
+    import urllib.request
+
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(parts.scheme, proxies.get("all"))
+    host, port = parts.hostname, parts.port
+    if not proxy or urllib.request.proxy_bypass(host):  # ``*``; names without case
+        return None
+    import ipaddress
+
+    try:
+        ip = ipaddress.IPv4Address(host)
+    except ValueError:
+        ip = None
+    names = (host, f"{host}:{port}") if port else (host,)
+    no_proxy = os.environ.get("no_proxy") or os.environ.get("NO_PROXY") or ""
+    for entry in filter(None, no_proxy.replace(" ", "").split(",")):
+        if ip is None:
+            entry = entry.lstrip(".")
+            if any(name == entry or name.endswith("." + entry) for name in names):
+                return None
+        elif "/" in entry:
+            try:
+                network = ipaddress.IPv4Network(entry, strict=False)
+            except ValueError:
+                continue
+            if network.prefixlen and ip in network:
+                return None
+        elif entry == host:
+            return None
+    return proxy if "://" in proxy else f"http://{proxy}"
+
+
+def _netrc_credentials(hostname: str) -> tuple[str, str] | None:
+    """The login (or account) and password of the first netrc file found,
+    ``$NETRC`` alone when set, else ``~/.netrc`` then ``~/_netrc``, for the
+    host or its ``default`` entry. A file that does not parse gives None."""
+    import os
+
+    path = os.environ.get("NETRC")
+    for location in (path,) if path is not None else ("~/.netrc", "~/_netrc"):
+        location = os.path.expanduser(location)
+        if os.path.exists(location):
+            import netrc
+
+            try:
+                entry = netrc.netrc(location).authenticators(hostname)
+            except (netrc.NetrcParseError, OSError):
+                return None
+            if not entry or not any(entry):
+                return None
+            login, account, password = entry
+            return login or account or "", password or ""
+    return None
+
+
 class RemoteBackend(ScorerBackend):
     """Scores pairs against an HTTP endpoint.
 
@@ -164,15 +255,20 @@ class RemoteBackend(ScorerBackend):
     with exponential backoff, or after a 429's numeric Retry-After; other
     client errors and malformed responses are fatal.
 
-    ``requests`` resolves the request once, here: proxies, the CA bundle and
-    netrc credentials from the environment, the headers (auth included), the
-    proxy route and the urllib3 connection pool, which holds ``concurrency``
-    connections (at least 10). Each call then goes straight to that pool,
-    without ``requests``' per-call session layer. So a redirect is not
-    followed (a 3xx is fatal), and cookies the endpoint sets are not sent back.
+    The environment is read once, here, as ``requests`` reads it: the proxy
+    (``_proxy_url``), whose URL credentials go out as Proxy-Authorization;
+    the CA bundle, from REQUESTS_CA_BUNDLE, then CURL_CA_BUNDLE, else
+    certifi's; and Basic credentials from netrc, then from the endpoint URL,
+    unless the auth header is an Authorization header. The headers, the
+    request target and the urllib3 connection pool, which holds
+    ``concurrency`` connections (at least 10), are fixed here too, and each
+    call goes straight to that pool. So a redirect is not followed (a 3xx is
+    fatal), and cookies the endpoint sets are not sent back. ``endpoint``
+    and ``name`` hold the URL with its password masked.
 
-    ``requests`` and ``urllib3`` are imported here, once the endpoint checks
-    pass, so that the offline backends never load the HTTP stack.
+    ``urllib3`` and the modules that read the environment are imported here,
+    once the endpoint checks pass, so that the offline backends never load
+    them.
     """
 
     def __init__(
@@ -186,6 +282,8 @@ class RemoteBackend(ScorerBackend):
     ):
         if not endpoint:
             raise ValidationError("remote backend requires an endpoint URL")
+        self.endpoint = mask_password(endpoint)
+        self.name = f"remote:{self.endpoint}"
         try:
             parts = urlsplit(endpoint)
             valid = parts.scheme in ("http", "https") and bool(parts.hostname)
@@ -193,46 +291,57 @@ class RemoteBackend(ScorerBackend):
             valid = False
         if not valid:
             raise ValidationError(
-                f"remote endpoint {endpoint!r} is not an http:// or https:// URL with a host"
+                f"remote endpoint {self.endpoint!r} is not an http:// or https:// URL with a host"
             )
-        headers = {"Content-Type": "application/json"}
+        from . import __version__
+
+        headers = {"Content-Type": "application/json", "User-Agent": f"chunkcheck/{__version__}"}
         if auth_header:
             if ":" not in auth_header:
                 raise ValidationError("auth header must look like 'Name: value'")
-            name, value = auth_header.split(":", 1)
-            headers[name.strip()] = value.strip()
-        import requests
-        import urllib3
-        from requests.adapters import HTTPAdapter
-        from requests.utils import get_netrc_auth
+            name, value = (part.strip() for part in auth_header.split(":", 1))
+            headers = {k: v for k, v in headers.items() if k.lower() != name.lower()}
+            headers[name] = value
+        import os
 
-        self.endpoint = endpoint
-        self.name = f"remote:{endpoint}"
+        import urllib3
+
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
-        self._session = requests.Session()
-        env = self._session.merge_environment_settings(endpoint, {}, None, None, None)
-        self._session.proxies = env["proxies"]
-        self._session.verify = env["verify"]
-        self._session.auth = get_netrc_auth(endpoint)
-        self._session.trust_env = False
-        adapter = HTTPAdapter(pool_maxsize=max(10, concurrency))
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
         try:
-            prepared = self._session.prepare_request(
-                requests.Request("POST", endpoint, headers=headers)
-            )
-            proxies, verify = self._session.proxies, self._session.verify
-            self._pool = adapter.get_connection_with_tls_context(prepared, verify, proxies)
-            adapter.cert_verify(self._pool, endpoint, verify, None)
-            self._url = adapter.request_url(prepared, proxies)
-        except (requests.RequestException, urllib3.exceptions.HTTPError, OSError) as exc:
-            raise ValidationError(f"remote endpoint {endpoint!r}: {exc}") from exc
-        # The body is set per call; urllib3 counts its length.
-        prepared.headers.pop("Content-Length", None)
-        self._headers = dict(prepared.headers)
+            if not any(k.lower() == "authorization" for k in headers):
+                credentials = _netrc_credentials(parts.hostname) or _userinfo(parts)
+                if credentials and any(credentials):
+                    headers["Authorization"] = _basic_auth(*credentials)
+            pool_kw = {"maxsize": max(10, concurrency)}
+            proxy = _proxy_url(parts)
+            if "https" in (parts.scheme, urlsplit(proxy or "").scheme):
+                bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+                if not bundle:
+                    import certifi
+
+                    bundle = certifi.where()
+                if not os.path.exists(bundle):
+                    raise FileNotFoundError(
+                        f"could not find a TLS CA certificate bundle, invalid path: {bundle}"
+                    )
+                pool_kw["ca_cert_dir" if os.path.isdir(bundle) else "ca_certs"] = bundle
+            if proxy:
+                user, password = _userinfo(urlsplit(proxy)) or ("", "")
+                auth = {"Proxy-Authorization": _basic_auth(user, password)} if user else {}
+                manager = urllib3.ProxyManager(proxy, proxy_headers=auth, **pool_kw)
+            else:
+                manager = urllib3.PoolManager(**pool_kw)
+            self._pool = manager.connection_from_url(endpoint)
+            target = urllib3.util.parse_url(endpoint)
+        except (ValueError, OSError, urllib3.exceptions.HTTPError) as exc:
+            raise ValidationError(f"remote endpoint {self.endpoint!r}: {exc}") from exc
+        # The target is in absolute form only for an http endpoint behind a proxy.
+        self._url = target.request_uri
+        if proxy and parts.scheme == "http":
+            self._url = f"http://{target.netloc}{self._url}"
+        self._headers = headers
         self._timeout = urllib3.Timeout(connect=timeout, read=timeout)
         self._transport_errors = (urllib3.exceptions.HTTPError, OSError)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from threading import TIMEOUT_MAX
 
-from .backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend
+from .backends import LexicalOverlapBackend, RemoteBackend, UnitRelevanceBackend, mask_password
 from .corpus import Corpus, TokenCounter, VocabCounter, WhitespaceCounter, read_text_file
 from .engine import check_aggregation
 from .errors import ValidationError
@@ -106,8 +106,11 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        """The config as reports embed it, with the auth header's value masked."""
+        """The config as reports embed it, with the auth header's value and
+        the endpoint's password masked."""
         out = dict(vars(self))  # not ``asdict``, which deep-copies every value
+        if self.endpoint is not None:
+            out["endpoint"] = mask_password(self.endpoint)
         if self.auth_header is not None:
             name, sep, _ = self.auth_header.partition(":")
             out["auth_header"] = f"{name.strip()}: ***" if sep else "***"

@@ -23,6 +23,17 @@ def fixture_dir() -> Path:
 
 
 @pytest.fixture()
+def clean_env(monkeypatch, tmp_path):
+    """No proxy, CA bundle or netrc setting, and a home without a netrc file:
+    the environment the remote backend reads."""
+    for var in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY", "http_proxy",
+                "https_proxy", "all_proxy", "no_proxy", "REQUESTS_CA_BUNDLE",
+                "CURL_CA_BUNDLE", "NETRC"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+
+
+@pytest.fixture()
 def fixture_corpus():
     return load_corpus(FIXTURE_DIR / "documents.jsonl", FIXTURE_DIR / "claims.jsonl")
 

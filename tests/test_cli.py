@@ -1057,9 +1057,9 @@ loaded()
 def test_only_metrics_load_numpy_and_only_remote_loads_the_http_stack(fixture_dir, tmp_path):
     """``score`` and ``retrieve``, brute force included, import neither numpy
     nor the HTTP stack, even with ``chunkcheck.metrics`` imported; ``evaluate``
-    imports numpy, and building a RemoteBackend imports requests and urllib3
-    and opens no connection. A subprocess, since this one has imported all
-    three already."""
+    imports numpy, and building a RemoteBackend imports urllib3, never
+    requests, and opens no connection. A subprocess, since this one has
+    imported all three already."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _HEAVY_MODULE_PROBE, str(fixture_dir), str(tmp_path / "r.json")],
@@ -1067,7 +1067,7 @@ def test_only_metrics_load_numpy_and_only_remote_loads_the_http_stack(fixture_di
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[]", "['numpy']", "['numpy', 'requests', 'urllib3']",
+        "[]", "['numpy']", "['numpy', 'urllib3']",
     ]
 
 

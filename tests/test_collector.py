@@ -57,7 +57,12 @@ def _assert_acyclic(argv):
     """With the collector disabled, ``main(argv)`` exits 0 and leaves no
     object in a reference cycle."""
     gc.disable()
-    cli.build_parser()  # argparse's formatters leave cycles, once per process
+    # Each of these leaves cycles, once per process: argparse's formatters,
+    # importing numpy (a metric's first call does) and importing the HTTP
+    # stack and the environment readers (building a RemoteBackend does).
+    cli.build_parser()
+    import numpy  # noqa: F401
+    RemoteBackend(_closed_port_url())
     gc.collect()
     assert main(argv) == 0, argv
     assert gc.collect() == 0, argv
