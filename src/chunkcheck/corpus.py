@@ -138,7 +138,6 @@ class Document:
     id: str
     units: list[Unit]
     extra: Mapping = field(default_factory=lambda: _NO_EXTRA)
-    _token_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
@@ -147,21 +146,19 @@ class Document:
         return [format_unit(u) for u in self.units]
 
     def unit_token_counts(self, counter: TokenCounter) -> list[int]:
-        """Per-unit token counts of the formatted premise lines, cached per
-        counter object: names do not tell counters apart (two vocabularies
-        with one file name)."""
-        cached = self._token_cache.get(counter)
-        if cached is None:
-            cached = [counter.count(line) for line in self._unit_lines]
-            self._token_cache[counter] = cached
-        return cached
+        """Per-unit token counts of the formatted premise lines, the
+        differences of ``_token_prefix_sums``."""
+        prefix = self._token_prefix_sums(counter)
+        return [b - a for a, b in zip(prefix, prefix[1:])]
 
     def _token_prefix_sums(self, counter: TokenCounter) -> list[int]:
-        """``P`` with ``P[i]`` the tokens in units [0, i), cached per counter:
-        units [a, b) hold ``P[b] - P[a]`` tokens."""
+        """``P`` with ``P[i]`` the tokens in units [0, i) of the formatted
+        premise lines: units [a, b) hold ``P[b] - P[a]`` tokens. Cached per
+        counter object: names do not tell counters apart (two vocabularies
+        with one file name)."""
         cached = self._prefix_cache.get(counter)
         if cached is None:
-            cached = list(accumulate(self.unit_token_counts(counter), initial=0))
+            cached = list(accumulate(map(counter.count, self._unit_lines), initial=0))
             self._prefix_cache[counter] = cached
         return cached
 

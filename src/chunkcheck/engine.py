@@ -138,33 +138,27 @@ def score_texts(
     batch, so the ``max_workers`` threads are shared by all the texts, and a
     pair repeated in two texts is scored once.
 
-    Errors are those of scoring one text after another. A text without
-    claims, a claim of another document, an empty claim or chunk, or a chunk
-    over ``cap`` tokens (counted with ``counter`` like the budget:
-    PremiseTooLargeError) raises once the texts before it are scored, and
-    no pair of it or of a later text is scored. A failed pair raises the ScoringError that
-    ``score_sentence`` would raise for the first failing sentence of the
-    first failing text; once a pair has failed, no pair first met in a later
-    text is started. An unknown ``aggregation`` raises before any pair is
-    scored.
+    Every input check runs before any pair is scored: an unknown
+    ``aggregation``, a text without claims, a claim of another document, an
+    empty claim or chunk, or a chunk over ``cap`` tokens (counted with
+    ``counter`` like the budget: PremiseTooLargeError) raises the first
+    invalid text's error, and no pair is scored. A failed pair raises the
+    ScoringError that ``score_sentence`` would raise for the first failing
+    sentence of the first failing text; once a pair has failed, no pair first
+    met in a later text is started.
     """
     check_aggregation(aggregation)
-    items, pairs, ends, error = [], [], [], None
-    try:
-        for doc, claims in texts:
-            if not claims:
-                raise ValidationError(f"no claims to score for document {doc.id!r}")
-            plan = make_chunks(doc, budget, counter)
-            text_pairs = _pairs(plan, claims)
-            check_cap(text_pairs, (chunk.token_count for chunk in plan.chunks), cap)
-            items.append((plan, claims))
-            pairs += text_pairs
-            ends.append(len(pairs))
-    except ValidationError as exc:
-        error = exc
+    items, pairs, ends = [], [], []
+    for doc, claims in texts:
+        if not claims:
+            raise ValidationError(f"no claims to score for document {doc.id!r}")
+        plan = make_chunks(doc, budget, counter)
+        text_pairs = _pairs(plan, claims)
+        check_cap(text_pairs, (chunk.token_count for chunk in plan.chunks), cap)
+        items.append((plan, claims))
+        pairs += text_pairs
+        ends.append(len(pairs))
     scored = _score_claims(items, pairs, ends, backend, max_workers, explain)
-    if error is not None:
-        raise error
     return [
         TextScore(
             doc_id=plan.doc_id,

@@ -12,14 +12,12 @@ the ``max_workers`` threads are shared by every claim, and a claim that
 reaches a single unit drops out of later batches. Each distinct (document,
 range, k) is split, and each of its parts joined, once per level. Claims with
 the same text share their pairs through the batch's deduplication. Every
-claim's trace is the one it would get descending alone; a failure raises the
-error of the first failing claim in claim order, and once a pair has failed
-no pair first met in a later claim's parts is started. A level's pairs are
-checked as one before its batch: when a claim's own pairs fail the input
-checks (an empty claim, or a
-single unit over the premise cap), that claim and the claims after it stop
-descending, and only the claims before it are scored, so a scoring failure
-among them names the error instead. The exhaustive baseline,
+claim's trace is the one it would get descending alone. Every input check of
+a level (an empty claim, or a single unit over the premise cap) runs before
+any pair of the level is scored, and raises the first invalid claim's error.
+A scoring failure raises the error of the first failing claim in claim
+order, and once a pair has failed no pair first met in a later claim's parts
+is started. The exhaustive baseline,
 ``brute_force_retrieve``, is the one-level descent: a branching factor of the
 document's unit count splits it into its units at once.
 
@@ -37,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 from .chunking import premise_text, split_range
 from .corpus import Claim, Document, TokenCounter, WhitespaceCounter
@@ -90,9 +89,9 @@ def descend(
     report that writes levels, keep them; a trace without them has the same
     result and scorer calls.
 
-    Raises the error of the first claim, in order, whose descent fails.
-    Claims after a failing one stop descending; the ones before it go on,
-    since one of them may fail later.
+    A level's input checks raise before its batch; otherwise the error is
+    that of the first failing claim, in order. Claims after a failing one stop
+    descending; the ones before it go on, since one of them may fail later.
     """
     for doc in docs:
         if not doc.units:
@@ -122,20 +121,9 @@ def descend(
         pairs = [
             (text, claims[i].text) for i, (_, texts, _) in zip(active, level) for text in texts
         ]
+        check_cap(pairs, (n for _, _, sizes in level for n in sizes), budget)
+        batch = score_batch(backend, pairs, max_workers=max_workers, ends=offsets[1:])
         cut = len(active)  # the claims from active[cut] on stop descending
-        try:
-            check_cap(pairs, (n for _, _, sizes in level for n in sizes), budget)
-        except ValidationError:
-            # The first claim whose own pairs fail the input checks names the
-            # error; only the claims before it are scored.
-            for cut, (i, (_, texts, sizes)) in enumerate(zip(active, level)):
-                try:
-                    check_cap([(t, claims[i].text) for t in texts], sizes, budget)
-                except ValidationError as exc:
-                    error = exc
-                    break
-            del pairs[offsets[cut]:]
-        batch = score_batch(backend, pairs, max_workers=max_workers, ends=offsets[1:cut + 1])
         if not batch.ok:
             cut = bisect_right(offsets, batch.failures[0].index) - 1
             error = ScoringError(
@@ -192,7 +180,8 @@ def _split_under_cap(doc, start, end, k, counter, cap):
     prefix = doc._token_prefix_sums(counter)
     if cap is None or prefix[end] - prefix[start] <= cap:  # every part fits at k
         return split_range(doc, start, end, k, counter)
-    excess = sum(c - cap for c in doc.unit_token_counts(counter)[start:end] if c > cap)
+    counts = map(sub, prefix[start + 1:end + 1], prefix[start:end])
+    excess = sum(c - cap for c in counts if c > cap)
     fit_floor = -(-(prefix[end] - prefix[start] - excess) // cap)
     kk = max(k, min(fit_floor, end - start))
     while True:

@@ -369,8 +369,10 @@ def score_corpus_reference(corpus, budget, backend, counter, aggregation="min", 
                            explain=False, cap=None) -> tuple[list, list]:
     """``cli._score_corpus`` one document after another: each document's
     claims scored alone by ``score_text``, one batch per document, so the
-    first failing document's error is the one raised. Returns (text scores,
-    sentence scores in claim order)."""
+    first failing document's error is the one raised. With a backend that
+    never fails, that is the first invalid document's, which one batch over
+    every document raises too. Returns (text scores, sentence scores in claim
+    order)."""
     text_scores = [
         score_text(corpus.document(doc_id), claims, budget, backend, counter, aggregation,
                    max_workers, explain, cap)
@@ -426,10 +428,33 @@ def call_count_bound(n: int, k: int) -> int:
     return k * depth + k
 
 
+def check_first_levels_reference(claims, corpus, ks, cap=None, counter=None) -> None:
+    """The input checks of every claim's first level, before any claim is
+    retrieved: claim by claim in order, and for each claim a level per
+    branching factor of ``ks`` in order (``None`` for the document's unit
+    count, brute force's), its parts split by ``split_under_cap_reference``
+    and checked pair by pair by ``check_pairs_reference``. A corpus without
+    blank units fails its input checks, if at all, at the first level: a unit
+    over the cap is a one-unit part there, since any larger part holding it
+    is over the cap too."""
+    counter = WhitespaceCounter() if counter is None else counter
+    for claim in claims:
+        doc = corpus.document(claim.doc_id)
+        n = len(doc.units)
+        for k in ks:
+            parts = split_under_cap_reference(doc, 0, n, k or max(2, n), counter, cap)
+            check_pairs_reference(
+                [(premise_text(doc, a, b), claim.text) for a, b in parts], cap, counter
+            )
+
+
 def retrievals_reference(claims, corpus, backend, k=2, budget=None, counter=None,
                          max_workers=1) -> list[tuple]:
-    """(claim, document, trace) per claim, retrieving one claim after another
+    """(claim, document, trace) per claim: every claim's first level is
+    checked first (``check_first_levels_reference``), so bad input raises
+    before any claim is scored; then claims are retrieved one after another
     in order, so the first failing claim's error is the one raised."""
+    check_first_levels_reference(claims, corpus, [k], budget, counter)
     out = []
     for claim in claims:
         doc = corpus.document(claim.doc_id)

@@ -653,6 +653,15 @@ _RELEVANT_TYPES = "claim 'c' 'relevant_units' must be null or an array of intege
 # One unit of 4 words, which the mini vocabulary (v.txt) counts as 10 tokens.
 _CAPPED = {"documents.jsonl": _jsonl({"id": "d", "units": [{"text": "unbelievable tokens " * 2}]}),
            "claims.jsonl": _jsonl({"id": "c", "doc_id": "d", "text": "tokens"})}
+# The fixture, then a document "late" whose one unit is 100 words and a
+# labelled, annotated claim on it: the only premise over a cap of 90 comes
+# after every pair of the fixture.
+_LATE_OVER_CAP = {
+    "documents.jsonl": _jsonl(*_DOCUMENTS, {"id": "late", "units": [
+        {"text": " ".join(f"w{i}" for i in range(100))}]}),
+    "claims.jsonl": _jsonl(*_CLAIMS, {"id": "c-late", "doc_id": "late", "text": "w0 w1",
+                                      "label": True, "relevant_units": [0]}),
+}
 _SAME_FILE = "cannot write {}: {} and {} name the same file"
 _TYPED_CONFIG = "test_wrong_typed_config_exits_one"
 _CONFIG_UTF8 = "test_a_config_string_that_cannot_be_written_as_utf8_exits_one_before_loading"
@@ -915,6 +924,11 @@ BAD_INPUT = [
        f"{command} --premise-cap 4 --counter vocab:v.txt",
        _CAPPED, "premise has 10 tokens, over the premise cap of 4", SCORING)
       for command in ("score", "retrieve")],
+    *[(f"test_a_late_premise_over_the_cap_costs_no_backend_call[{command}]",
+       f"{command} --premise-cap 90", _LATE_OVER_CAP,
+       "premise has 100 tokens, over the premise cap of 90", SCORING)
+      for command in ("score", "retrieve", "retrieve --brute-force",
+                      "evaluate --retrieval-recall")],
 ]
 
 
@@ -1012,6 +1026,24 @@ def test_premise_cap_counts_with_configured_counter(workdir):
     _write(_CAPPED)
     assert _run(["score", "--documents", "documents.jsonl", "--claims", "claims.jsonl",
                  "--premise-cap", 4, "--out", "r.json"]) == 0
+
+
+def test_a_sweep_scores_the_budgets_before_one_over_the_cap(workdir, monkeypatch, capsys):
+    """``calibrate`` and ``bench`` score their budgets in order: a chunk over
+    the cap only at budget 64 exits 1 once budget 16's pairs are scored, and
+    before any pair of budget 64 is."""
+    calls = []
+    monkeypatch.setattr(LexicalOverlapBackend, "evaluate",
+                        lambda self, *pair: calls.append(pair) or 0.5)
+    assert _run(["calibrate", "--documents", "documents.jsonl", "--claims", "claims.jsonl",
+                 "--budgets", "16,64", "--premise-cap", 20]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "validation", "message": "premise has 60 tokens, over the premise cap of 20"}
+    corpus, wc = load_corpus("documents.jsonl", "claims.jsonl"), WhitespaceCounter()
+    budget_16 = {(chunk.text, claim.text) for claim in corpus.claims
+                 for chunk in make_chunks(corpus.document(claim.doc_id), 16, wc).chunks}
+    assert len(calls) == len(budget_16) == 76
+    assert set(calls) == budget_16
 
 
 @pytest.mark.parametrize(("unit", "claim"), [

@@ -1,8 +1,9 @@
 """All the claims of a run descend together, across documents: every trace
-and every error are those of retrieving one claim after another, and a run
-that succeeds calls the backend once per distinct pair that retrieving one
-claim after another scores, while each level is one batch and each range is
-split once."""
+is that of retrieving one claim after another, and so is every error once
+each claim's first level has passed its input checks, which run before any
+claim is scored. A run that succeeds calls the backend once per distinct
+pair that retrieving one claim after another scores, while each level is one
+batch and each range is split once."""
 
 import random
 from dataclasses import replace
@@ -22,7 +23,12 @@ from chunkcheck.errors import ChunkcheckError
 from chunkcheck.retrieval import RetrievalTrace, descend, retrieve
 
 from helpers import FlakyBackend, drawn_picks, make_sized_doc
-from oracles import brute_force_reference, retrievals_reference, retrieve_reference
+from oracles import (
+    brute_force_reference,
+    check_first_levels_reference,
+    retrievals_reference,
+    retrieve_reference,
+)
 
 WC = WhitespaceCounter()
 MINI_VOCAB = VocabCounter(Path(__file__).parents[1] / "data" / "vocab" / "mini_vocab.txt")
@@ -154,13 +160,14 @@ def _cli_retrieve(corpus, backend, k, cap, counter, workers, brute_force=True):
 def test_brute_force_per_document_matches_claim_by_claim(docs_units, texts, data):
     """``retrieve --brute-force`` scores every claim's units in the greedy
     descent's first batch, yet reports, and raises, what retrieving one claim
-    after another, greedy then brute force, does; it makes no more backend
-    calls."""
+    after another, greedy then brute force, does once every claim's first
+    levels have passed their input checks; it makes no more backend calls."""
     corpus, k, cap, counter, failing, workers = _draw_case(docs_units, texts, data)
     units_only = data.draw(st.booleans(), label="units only")
     alone = FailingOverlap(failing, units_only)
 
     def by_claim():
+        check_first_levels_reference(corpus.claims, corpus, [k, None], cap, counter)
         rows = []
         for claim in corpus.claims:
             doc = corpus.document(claim.doc_id)
@@ -308,11 +315,8 @@ def test_one_batch_per_level_when_a_claim_fails_its_input_checks(monkeypatch, in
 
     assert got[0] == "error"
     assert got == want
-    # The valid claims before the invalid one descend to the end, one batch
-    # per level; none is scored on its own to find the invalid claim.
-    depth = max(len(retrieve_reference(doc, c, FailingOverlap(), 2, 20, WC).levels)
-                for c in claims[:3])
-    assert len(batches) == depth
+    # The first level's input checks raise before its batch: no claim is scored.
+    assert batches == []
 
 
 def test_a_failing_claim_stops_its_level_before_the_claims_after_it():

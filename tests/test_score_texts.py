@@ -1,7 +1,8 @@
 """Every text of a run is scored in one batch: reports, scorer calls and
-errors are those of scoring one document after another, the ``--concurrency``
-workers are shared by the documents, and a pair repeated in two documents
-reaches the backend once."""
+scoring errors are those of scoring one document after another, bad input in
+any document raises before any pair is scored, the ``--concurrency`` workers
+are shared by the documents, and a pair repeated in two documents reaches the
+backend once."""
 
 import io
 import json
@@ -16,7 +17,7 @@ from chunkcheck.backends import LexicalOverlapBackend
 from chunkcheck.cli import _write_json, cmd_score, main
 from chunkcheck.corpus import Claim, Corpus, Document, Unit, WhitespaceCounter
 from chunkcheck.engine import score_texts
-from chunkcheck.errors import ChunkcheckError, ScoringError, ValidationError
+from chunkcheck.errors import ChunkcheckError, ValidationError
 
 from helpers import FlakyBackend
 from oracles import score_corpus_reference
@@ -147,18 +148,17 @@ _FINE = ("ok", ["gamma delta"]), ("c-ok", "ok", "gamma")
 
 @pytest.mark.parametrize("workers", ["1", "4"])
 @pytest.mark.parametrize(("texts", "code", "error", "scored"), [
-    ([_FAILING, _OVER_CAP, _FINE], 2,
-     {"type": "scoring",
-      "message": "claim 'c-fail': 1 of 1 chunk scorings failed (RuntimeError: scripted failure)"},
-     [("alpha beta", "BOOM here")]),
+    ([_FAILING, _OVER_CAP, _FINE], 1,
+     {"type": "validation", "message": "premise has 6 tokens, over the premise cap of 5"},
+     []),
     ([_OVER_CAP, _FAILING, _FINE], 1,
      {"type": "validation", "message": "premise has 6 tokens, over the premise cap of 5"},
      []),
 ])
 def test_first_failing_document_names_the_error(tmp_path, capsys, backend_calls, workers, texts,
                                                 code, error, scored):
-    """A failing pair before an over-cap chunk exits 2, the reverse exits 1,
-    and no pair of a document after the over-cap one reaches the backend."""
+    """An over-cap chunk exits 1 before any pair reaches the backend, whether
+    a document with a failing pair comes before it or after it."""
     argv = _write_corpus(tmp_path, [doc for doc, _ in texts], [claim for _, claim in texts])
     assert main(["score", *argv, "--premise-cap", "5", "--concurrency", workers]) == code
     assert json.loads(capsys.readouterr().err)["error"] == error
@@ -221,27 +221,23 @@ def test_a_pair_repeated_across_documents_is_scored_once(tmp_path, backend_calls
 
 
 # ---------------------------------------------------------------------------
-# The library call: input checks in document order
+# The library call: input checks before any pair
 
 
-def test_a_blank_text_raises_after_the_documents_before_it():
-    """A pair failing the input checks raises what scoring document by
-    document raises: a failed pair of an earlier document first."""
+def test_a_blank_text_raises_before_any_pair_is_scored():
+    """A pair failing the input checks raises before any pair of any document
+    is scored, whether a document with a failing or a valid pair comes
+    before it or after it."""
     backend = FlakyBackend(marker="BOOM", score=0.5)
     ok = Document(id="ok", units=[Unit("alpha beta")])
     blank = Document(id="blank", units=[Unit("gamma")])
     texts = [(ok, [Claim(id="c0", doc_id="ok", text="BOOM")]),
              (blank, [Claim(id="c1", doc_id="blank", text="   ")])]
-    with pytest.raises(ScoringError, match="claim 'c0'"):
-        score_texts(texts, 10, backend, WC)
-    assert backend.calls == 1
-    with pytest.raises(ValidationError, match="hypothesis must be non-empty"):
-        score_texts(texts[::-1], 10, backend, WC)
-    assert backend.calls == 1
     fine = (ok, [Claim(id="c2", doc_id="ok", text="alpha")])
-    with pytest.raises(ValidationError, match="hypothesis must be non-empty"):
-        score_texts([fine, texts[1]], 10, backend, WC)
-    assert backend.calls == 2  # the pair of "ok", and no pair of "blank"
+    for run in (texts, texts[::-1], [fine, texts[1]], [texts[1], fine]):
+        with pytest.raises(ValidationError, match="hypothesis must be non-empty"):
+            score_texts(run, 10, backend, WC)
+    assert backend.calls == 0
 
 
 def test_an_unknown_aggregation_raises_before_any_pair_is_scored():
